@@ -7,6 +7,7 @@ from .ring import (
     FusionRing,
     FusionRingError,
     InvalidRing,
+    InvalidSetting,
     NotClosed,
     OverflowDetected,
     PreconditionUnmet,

@@ -36,11 +36,16 @@ class OrthogonalityFailure(FusionRingError):
 
 @dataclass(frozen=True)
 class CharacterTable:
+    """An exact character table, validated once, when it is constructed."""
+
     name: str
     group_order: int
     class_sizes: tuple[int, ...]
     characters: tuple[tuple[Cyclotomic, ...], ...]
     conjugate_map: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def conductor(self) -> int:
@@ -103,7 +108,6 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
     ``labels`` (one per character row) defaults to "1" for the trivial
     character and "chiK" for row K.
     """
-    table.validate()
     n = len(table.characters)
     classes = len(table.class_sizes)
 
@@ -172,10 +176,6 @@ def parse_value(text: str, conductor: int) -> Cyclotomic:
     return Cyclotomic(conductor, coeffs)
 
 
-def format_value(value: Cyclotomic) -> str:
-    return repr(value)
-
-
 def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTable:
     """Parse the character table file format; raises ValueError on bad input."""
     group_name = None
@@ -231,15 +231,13 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
     for i, j in pairs:
         conj[i], conj[j] = j, i
 
-    table = CharacterTable(
+    return CharacterTable(
         name=name or group_name,
         group_order=order,
         class_sizes=tuple(sizes),
         characters=tuple(characters),
         conjugate_map=tuple(conj),
     )
-    table.validate()
-    return table
 
 
 def load_character_table(path) -> CharacterTable:

@@ -18,7 +18,7 @@ from . import __version__
 from .axioms import check_axioms, check_stabilizer_rule
 from .chartable import char_table_ring, parse_character_table
 from .oracles import cyclic_group_ring, fragment_ring, so3_truncated
-from .ring import FusionRing, FusionRingError, PreconditionUnmet, UnknownProduct
+from .ring import FusionRing, FusionRingError, InvalidSetting, PreconditionUnmet, UnknownProduct
 from .search import enumerate_rings
 from .specfmt import RingSemanticError, RingSyntaxError, parse_spec, write_spec
 from .subrings import enumerate_standard_subrings, freeness_obstructions
@@ -237,6 +237,16 @@ def _cmd_gen(args) -> tuple[int, str]:
     return 0, _emit(payload, args.format, [spec.rstrip("\n")])
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusionring",
@@ -246,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
-    parser.add_argument(
-        "--seed-order",
-        choices=("canonical",),
-        default="canonical",
-        help="iteration order (fixed; flag reserved)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run axiom and stabilizer checks on a ring file")
@@ -260,13 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verdict", help="degree-3 dichotomy verdict for a ring file")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=None, help="cap on verified ladder relations")
+    p.add_argument("--depth", type=_positive_int, default=None, help="cap on verified ladder relations")
     p.set_defaults(func=_cmd_verdict)
 
     p = sub.add_parser("ladder", help="build the odd-degree ladder certificate")
     p.add_argument("file")
     p.add_argument("--x3", required=True, help="label of the self-dual degree-3 element")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_ladder)
 
     p = sub.add_parser("subrings", help="enumerate standard subrings and divisibility obstructions")
@@ -276,7 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate rings with prescribed degrees")
     p.add_argument("--degrees", required=True, help="comma-separated degree list, e.g. 1,1,1,3")
     p.add_argument("--max-mult", type=int, default=3, dest="max_mult")
-    p.add_argument("--workers", type=int, default=None, help="worker processes (default FUSIONRING_THREADS or CPU count)")
+    p.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=None,
+        help="worker processes (default FUSIONRING_THREADS or CPU count; at most one per task and CPU)",
+    )
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("gen", help="generate a ring spec: cyclic N | so3 MAXDEG | fragment | chartable FILE")
@@ -294,7 +303,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except _InputError as exc:
         print(f"fusionring: {exc}", file=sys.stderr)
         return 2
-    except (RingSyntaxError, RingSemanticError) as exc:
+    except (RingSyntaxError, RingSemanticError, InvalidSetting) as exc:
         print(f"fusionring: {exc}", file=sys.stderr)
         return 2
     except FusionRingError as exc:

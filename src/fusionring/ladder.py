@@ -330,6 +330,11 @@ def validate_triple(
 # -- the ladder ---------------------------------------------------------------
 
 
+def _check_depth(max_depth: Optional[int]) -> None:
+    if max_depth is not None and max_depth < 1:
+        raise PreconditionUnmet(f"max_depth must be a positive integer, got {max_depth}")
+
+
 def _min_component(ring: FusionRing, z: RingElement) -> int:
     """Support index minimal in (degree, label); basis order encodes both."""
     return min(z.support)
@@ -344,9 +349,11 @@ def ladder_build(
 
     Requires x3 self-dual with x3^2 = 1 + x3 + x5 (the stabilized outcome of
     the self-dual chain) and an odd-degree-only ring.  Stops at Unknown
-    products (TruncationReached), at ``max_depth`` verified relations, or in
-    a diagnosed failure branch re-derived from the data.
+    products (TruncationReached), at ``max_depth`` verified relations (a
+    positive integer), or in a diagnosed failure branch re-derived from the
+    data.
     """
+    _check_depth(max_depth)
     x = ring.index(x3_label)
     if ring.degree_of(x) != 3:
         raise NotDegreeThree(f"{x3_label} has degree {ring.degree_of(x)}, expected 3")
@@ -701,7 +708,9 @@ def dichotomy_verdict(ring: FusionRing, max_depth: Optional[int] = None) -> Verd
     Outcomes: a grouplike of order 2 or 3 (with the odd-dimension
     divisibility note when the ring is complete), a ladder certificate,
     NoDegree3, or an obstruction diagnosis.  Hard axiom failures abort.
+    ``max_depth`` caps the ladder as in :func:`ladder_build`.
     """
+    _check_depth(max_depth)
     report = check_axioms(ring)
     if report.has_failures:
         first = next(e for e in report.entries if e.status == "fail")

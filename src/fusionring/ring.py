@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 INT64_MAX = 2**63 - 1
@@ -51,6 +52,10 @@ class RankTooLarge(FusionRingError):
 
 class PreconditionUnmet(FusionRingError):
     """An operation's stated precondition does not hold for the input."""
+
+
+class InvalidSetting(FusionRingError):
+    """A run setting, such as a worker count, is malformed or out of range."""
 
 
 def _check64(value: int) -> int:
@@ -288,6 +293,11 @@ class FusionRing:
 
     # -- partiality ---------------------------------------------------------
 
+    @cached_property
+    def _kernel(self) -> "_RowKernel":
+        """The Known rows in the forms the identity checks use; built on first use."""
+        return _RowKernel(self)
+
     def product_row(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         """Structure-constant row for basic pair (i, j); None when Unknown."""
         return self._table.get((i, j))
@@ -396,6 +406,47 @@ class FusionRing:
     def __repr__(self) -> str:
         kind = "partial " if self.is_partial else ""
         return f"FusionRing({self.name!r}, rank={self.rank}, {kind}dim={self.dimension()})"
+
+
+class _RowKernel:
+    """Every Known row of a ring, indexed ``[i][j]``, in four forms.
+
+    ``rows`` holds the dense row, ``support`` its nonzero coordinates
+    ``((c, n), ...)`` in basis order, ``packed`` the integer
+    ``sum(n << lane * c)`` and ``basic`` the index b when the row is the basis
+    vector b, else -1.  All four are None at an Unknown pair.  ``lane`` bits
+    hold any coordinate of a sum of ``m * packed[k][c]`` over one row's
+    support (see :func:`fusionring.axioms.check_axioms`).
+    """
+
+    def __init__(self, ring: FusionRing):
+        r = ring.rank
+        self.rank = r
+        self.rows: list[list[Optional[tuple[int, ...]]]] = [[None] * r for _ in range(r)]
+        self.support: list[list[Optional[tuple[tuple[int, int], ...]]]] = [[None] * r for _ in range(r)]
+        self.packed: list[list[Optional[int]]] = [[None] * r for _ in range(r)]
+        self.basic: list[list[Optional[int]]] = [[None] * r for _ in range(r)]
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        max_support = max_mult = 0
+        for (i, j), row in ring._table.items():
+            support = tuple(shared.setdefault((c, n), (c, n)) for c, n in enumerate(row) if n)
+            self.rows[i][j] = row
+            self.support[i][j] = support
+            self.basic[i][j] = support[0][0] if len(support) == 1 and support[0][1] == 1 else -1
+            max_support = max(max_support, len(support))
+            max_mult = max(max_mult, max(row))
+        self.lane = (max_support * max_mult**2).bit_length() + 1
+        lane = self.lane
+        for i, supports in enumerate(self.support):
+            packed = self.packed[i]
+            for j, support in enumerate(supports):
+                if support is not None:
+                    packed[j] = sum(n << lane * c for c, n in support)
+
+    def unpack(self, value: int) -> list[int]:
+        """The dense coordinates of a packed sum."""
+        mask = (1 << self.lane) - 1
+        return [(value >> self.lane * c) & mask for c in range(self.rank)]
 
 
 def build_ring(

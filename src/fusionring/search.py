@@ -17,21 +17,28 @@ from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .axioms import check_axioms
-from .ring import FusionRing, PreconditionUnmet, RankTooLarge, build_ring
+from .ring import FusionRing, InvalidSetting, PreconditionUnmet, RankTooLarge, build_ring
 
 DEFAULT_RANK_BOUND = 6
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("FUSIONRING_THREADS")
-    if env:
+def _worker_count(workers: Optional[int], tasks: int) -> int:
+    """Pool size: the request (``workers``, else FUSIONRING_THREADS, else the
+    CPU count), capped at one process per task and per CPU."""
+    cpus = os.cpu_count() or 1
+    if workers is None:
+        env = os.environ.get("FUSIONRING_THREADS")
+        if not env:
+            return max(1, min(tasks, cpus))
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            pass
-    return os.cpu_count() or 1
+            workers = 0
+        if workers < 1:
+            raise InvalidSetting(f"FUSIONRING_THREADS must be a positive integer, got {env!r}")
+    elif workers < 1:
+        raise InvalidSetting(f"workers must be a positive integer, got {workers}")
+    return max(1, min(workers, tasks, cpus))
 
 
 def _involutions(items: Sequence[int]) -> Iterator[dict[int, int]]:
@@ -281,7 +288,9 @@ def enumerate_rings(
     ``degrees`` must include the unit's 1 (every 1 is a grouplike);
     ``max_mult`` caps each structure constant.  Emitted rings all pass the
     full axiom checker.  Deduplication permutes labels within equal-degree
-    blocks only, which is exact for these canonical labelings.
+    blocks only, which is exact for these canonical labelings.  ``workers``
+    (else FUSIONRING_THREADS) must be a positive integer; InvalidSetting
+    otherwise.
     """
     degrees = tuple(sorted(int(d) for d in degrees))
     if not degrees:
@@ -328,8 +337,8 @@ def enumerate_rings(
         for cand in probe._candidates(*probe.pairs[0]):
             tasks.append((degrees, max_mult, dual, cand, blocks_nonunit))
 
-    n_workers = _worker_count(workers)
-    if n_workers > 1 and len(tasks) > 1:
+    n_workers = _worker_count(workers, len(tasks))
+    if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_search_task, tasks))
     else:

@@ -160,3 +160,19 @@ dualpair 1 2
 """
     with pytest.raises(fr.OrthogonalityFailure):
         fr.parse_character_table(text)
+
+
+def test_gen_chartable_validates_the_table_once(monkeypatch, tmp_path, capsys):
+    from importlib import resources
+
+    from fusionring.chartable import CharacterTable
+    from fusionring.cli import run
+
+    calls = []
+    validate = CharacterTable.validate
+    monkeypatch.setattr(CharacterTable, "validate", lambda table: calls.append(table) or validate(table))
+    path = tmp_path / "a4.chartab"
+    path.write_text(resources.files("fusionring.fixtures").joinpath("a4.chartab").read_text())
+    assert run(["gen", "chartable", str(path)]) == 0
+    assert len(calls) == 1
+

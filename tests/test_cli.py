@@ -206,13 +206,32 @@ def test_gen_unknown_kind_exit_two(capsys):
     assert "nonsense" in err
 
 
-def test_seed_order_flag_reserved(tmp_path, capsys):
-    path = write_ring(tmp_path, fr.cyclic_group_ring(3))
-    code, out, _ = run_cli(capsys, "--seed-order", "canonical", "check", path)
-    assert code == 0
+@pytest.mark.parametrize("command", ["verdict", "ladder"])
+@pytest.mark.parametrize("depth", ["0", "-2", "two"])
+def test_non_positive_depth_exit_two(tmp_path, capsys, command, depth):
+    path = write_ring(tmp_path, fr.so3_truncated(21))
+    extra = ["--x3", "x3"] if command == "ladder" else []
     with pytest.raises(SystemExit) as exc:
-        run(["--seed-order", "random", "check", path])
+        run([command, path, *extra, "--depth", depth])
     assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "many"])
+def test_non_positive_workers_exit_two(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--degrees", "1,1,1", "--workers", workers])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-4", "lots", "2.5"])
+def test_bad_thread_env_exit_two_one_line(monkeypatch, capsys, value):
+    monkeypatch.setenv("FUSIONRING_THREADS", value)
+    code, out, err = run_cli(capsys, "search", "--degrees", "1,1,1")
+    assert code == 2
+    assert out == ""
+    assert err == f"fusionring: FUSIONRING_THREADS must be a positive integer, got {value!r}\n"
 
 
 def test_version_flag(capsys):

@@ -360,6 +360,14 @@ def test_ladder_max_depth_cap(so3_21):
     assert cert.terminal_status == TruncationReached(4)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_non_positive_max_depth_rejected(so3_21, depth):
+    with pytest.raises(fr.PreconditionUnmet, match="positive integer"):
+        fr.ladder_build(so3_21, "x3", max_depth=depth)
+    with pytest.raises(fr.PreconditionUnmet, match="positive integer"):
+        fr.dichotomy_verdict(so3_21, max_depth=depth)
+
+
 def test_ladder_requires_selfdual_shape(a4, f21):
     with pytest.raises(fr.PreconditionUnmet):
         fr.ladder_build(f21, "x3")  # not self-dual

@@ -5,6 +5,7 @@ import os
 import pytest
 
 import fusionring as fr
+from fusionring import search
 
 
 def test_degrees_111_exactly_z3():
@@ -98,6 +99,57 @@ def test_env_thread_cap(monkeypatch):
     monkeypatch.setenv("FUSIONRING_THREADS", "2")
     rings = fr.enumerate_rings([1, 1, 1], max_mult=2)
     assert len(rings) == 1
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+    task_counts: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.task_counts.append(len(tasks))
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus,request_env,workers", [(3, None, 64), (64, None, 64), (3, "500", None), (64, "500", None)])
+def test_pool_capped_at_tasks_and_cpus(monkeypatch, cpus, request_env, workers):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "task_counts", [])
+    if request_env is None:
+        monkeypatch.delenv("FUSIONRING_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FUSIONRING_THREADS", request_env)
+    rings = fr.enumerate_rings([1, 1, 1, 3, 3], max_mult=2, workers=workers)
+    assert len(rings) == 2
+    (tasks,) = _RecordingPool.task_counts
+    assert 3 < tasks < 64
+    assert _RecordingPool.sizes == [min(cpus, tasks)]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
+def test_bad_thread_env_rejected(monkeypatch, value):
+    monkeypatch.setenv("FUSIONRING_THREADS", value)
+    with pytest.raises(fr.InvalidSetting, match="FUSIONRING_THREADS"):
+        fr.enumerate_rings([1, 1, 1], max_mult=2)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_non_positive_workers_rejected(workers):
+    with pytest.raises(fr.InvalidSetting, match="workers"):
+        fr.enumerate_rings([1, 1, 1], max_mult=2, workers=workers)
 
 
 def test_chain_fixture_degree_sets_admit_no_complete_ring():
