@@ -4,15 +4,23 @@ Tables are the oracle route for building reference fusion rings: the
 structure constants come out of the exact inner product
 (1/|G|) * sum over classes of size * chi_i * chi_j * conj(chi_k), with the
 division by |G| performed on an integer total and verified exact.  A table
-whose rows are not orthonormal, or whose products do not decompose with
-nonnegative integer multiplicities, is rejected loudly.
+must be complete, one character row per conjugacy class.  A table whose rows
+are not orthonormal, or whose products do not decompose with nonnegative
+integer multiplicities, is rejected loudly.
+
+Each total is summed in Z[x]/(x^N - 1), where a product adds exponents and
+conjugation maps an exponent e to -e mod N, and is reduced modulo the N-th
+cyclotomic polynomial once, by constructing one :class:`Cyclotomic`.
+Reduction is a ring homomorphism, so the reduced total is the one that
+value-by-value cyclotomic arithmetic gives.
 
 File format (``#`` comments, whitespace separated)::
 
     group <name> <order>
     conductor <N>
     class <size>             # one line per conjugacy class, identity first
-    char <degree> <value>... # one value per class, polynomials in z = zeta_N
+    char <degree> <value>... # one row per class, one value per class,
+                             # polynomials in z = zeta_N
     dualpair <i> <j>         # 0-based character row indices; omitted = self-dual
 """
 
@@ -24,6 +32,9 @@ from typing import Optional, Sequence
 
 from .cyclotomic import Cyclotomic
 from .ring import BasisElement, FusionRing, FusionRingError, InvalidRing
+
+# The sparse (exponent, coefficient) terms of one value in Z[x]/(x^N - 1).
+_Terms = tuple[tuple[int, int], ...]
 
 
 class NotIntegral(FusionRingError):
@@ -60,13 +71,21 @@ class CharacterTable:
             raise OrthogonalityFailure(
                 f"class sizes sum to {sum(self.class_sizes)}, group order is {self.group_order}"
             )
+        if any(size < 1 for size in self.class_sizes):
+            raise OrthogonalityFailure("class sizes must be positive")
         n = len(self.characters)
+        classes = len(self.class_sizes)
+        if n == 0 or n != classes or any(len(row) != classes for row in self.characters):
+            raise OrthogonalityFailure(
+                f"table has {n} character rows for {classes} classes; "
+                "it needs one row per class, with one value per class"
+            )
         if len(self.conjugate_map) != n:
             raise InvalidRing("conjugate map length mismatch")
         for i, j in enumerate(self.conjugate_map):
             if self.conjugate_map[j] != i:
                 raise InvalidRing("conjugate map is not an involution")
-            for c in range(len(self.class_sizes)):
+            for c in range(classes):
                 if self.characters[i][c].conj() != self.characters[j][c]:
                     raise OrthogonalityFailure(
                         f"row {j} is not the complex conjugate of row {i} at class {c}"
@@ -75,10 +94,14 @@ class CharacterTable:
             deg = row[0]
             if not deg.is_integer() or deg.integer_value() < 1:
                 raise InvalidRing("character degree (value at the identity) must be a positive integer")
+        # <chi_j, chi_i> is the conjugate of <chi_i, chi_j>, so a pair fails
+        # exactly when its mirror does, and the first failure has i <= j.
+        kernel = _InnerKernel(self)
         for i in range(n):
-            for j in range(n):
+            sums = kernel.sums(kernel.rows[i])
+            for j in range(i, n):
                 try:
-                    val = self._inner(self.characters[i], self.characters[j])
+                    val = kernel.inner(sums, j)
                 except NotIntegral as exc:
                     raise OrthogonalityFailure(f"<chi{i}, chi{j}>: {exc}") from exc
                 expect = 1 if i == j else 0
@@ -87,10 +110,60 @@ class CharacterTable:
                         f"<chi{i}, chi{j}> = {val}, expected {expect}"
                     )
 
-    def _inner(self, phi: Sequence[Cyclotomic], psi: Sequence[Cyclotomic]) -> int:
-        total = Cyclotomic.integer(self.conductor, 0)
-        for size, a, b in zip(self.class_sizes, phi, psi):
-            total = total + size * (a * b.conj())
+
+class _InnerKernel:
+    """A table's values as sparse terms, and its exact inner product.
+
+    ``rows[i][c]`` holds the terms of chi_i at class c.  ``weighted[c]``
+    holds the terms of |c| * conj(chi_k(c)) for every row k, the exponents of
+    row k offset by 2Nk, so that one pass over a class accumulates the totals
+    against every row at once.
+    """
+
+    def __init__(self, table: CharacterTable):
+        n = table.conductor
+        self.conductor = n
+        self.group_order = table.group_order
+        self.rows: list[list[_Terms]] = [[_sparse(value, n) for value in row] for row in table.characters]
+        self.weighted: list[_Terms] = [
+            tuple(
+                (2 * n * k + (-e) % n, size * x)
+                for k, row in enumerate(self.rows)
+                for e, x in row[c]
+            )
+            for c, size in enumerate(table.class_sizes)
+        ]
+
+    def product(self, i: int, j: int) -> list[_Terms]:
+        """chi_i * chi_j class by class, in Z[x]/(x^N - 1)."""
+        n = self.conductor
+        out = []
+        for a, b in zip(self.rows[i], self.rows[j]):
+            acc: dict[int, int] = {}
+            for e, x in a:
+                for f, y in b:
+                    k = (e + f) % n
+                    acc[k] = acc.get(k, 0) + x * y
+            out.append(tuple((e, x) for e, x in acc.items() if x))
+        return out
+
+    def sums(self, values: Sequence[_Terms]) -> list[int]:
+        """Sum over classes of |c| * values[c] * conj(chi_k(c)), for every k.
+
+        Unreduced: block k, entries 2Nk to 2N(k + 1), holds the coefficients
+        of x^0 .. x^(2N - 1), to be folded modulo x^N - 1.
+        """
+        acc = [0] * (2 * self.conductor * len(self.rows))
+        for terms, weighted in zip(values, self.weighted):
+            for e, x in terms:
+                for g, y in weighted:
+                    acc[g + e] += x * y
+        return acc
+
+    def inner(self, sums: list[int], k: int) -> int:
+        """Block k of ``sums`` reduced, divided by |G| and checked integral."""
+        n = self.conductor
+        total = Cyclotomic(n, sums[2 * n * k : 2 * n * (k + 1)])
         if not total.is_integer():
             raise NotIntegral(f"inner product total {total!r} is not rational")
         value = total.integer_value()
@@ -101,15 +174,21 @@ class CharacterTable:
         return value // self.group_order
 
 
+def _sparse(value: Cyclotomic, conductor: int) -> _Terms:
+    if value.conductor != conductor:
+        raise ValueError("mixed conductors")
+    return tuple((e, x) for e, x in enumerate(value.coeffs) if x)
+
+
 def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = None) -> FusionRing:
     """Fusion ring of a character table: N[i][j][k] = <chi_i chi_j, chi_k>.
 
-    Every structure constant must reduce to a nonnegative rational integer.
+    Every structure constant must reduce to a nonnegative rational integer,
+    and each row must satisfy sum_k N[i][j][k] * d_k = d_i * d_j.
     ``labels`` (one per character row) defaults to "1" for the trivial
     character and "chiK" for row K.
     """
     n = len(table.characters)
-    classes = len(table.class_sizes)
 
     trivial = None
     one = Cyclotomic.integer(table.conductor, 1)
@@ -127,21 +206,32 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
         if len(labels) != n or len(set(labels)) != n:
             raise InvalidRing("labels must be distinct, one per character row")
 
-    products = {}
+    # Characters commute, so row (j, i) is row (i, j), and the first failure
+    # in row-major order has i <= j.
+    kernel = _InnerKernel(table)
+    degrees = table.degrees
+    rows: dict[tuple[int, int], dict[str, int]] = {}
     for i in range(n):
-        for j in range(n):
-            prod = tuple(table.characters[i][c] * table.characters[j][c] for c in range(classes))
+        for j in range(i, n):
+            sums = kernel.sums(kernel.product(i, j))
             row = {}
+            degree = 0
             for k in range(n):
-                mult = table._inner(prod, table.characters[k])
+                mult = kernel.inner(sums, k)
                 if mult < 0:
                     raise NotIntegral(f"<chi{i} chi{j}, chi{k}> = {mult} is negative")
                 if mult:
                     row[labels[k]] = mult
-            products[(labels[i], labels[j])] = row
+                    degree += mult * degrees[k]
+            if degree != degrees[i] * degrees[j]:
+                raise OrthogonalityFailure(
+                    f"chi{i} chi{j} decomposes into degree {degree}, expected {degrees[i] * degrees[j]}"
+                )
+            rows[i, j] = rows[j, i] = row
+    products = {(labels[i], labels[j]): rows[i, j] for i in range(n) for j in range(n)}
 
     basis = [
-        BasisElement(labels[i], table.degrees[i], labels[table.conjugate_map[i]])
+        BasisElement(labels[i], degrees[i], labels[table.conjugate_map[i]])
         for i in range(n)
     ]
     return FusionRing(table.name, basis, labels[trivial], products)
@@ -176,14 +266,26 @@ def parse_value(text: str, conductor: int) -> Cyclotomic:
     return Cyclotomic(conductor, coeffs)
 
 
+def _positive(token: str, what: str) -> int:
+    value = int(token)
+    if value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value}")
+    return value
+
+
 def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTable:
-    """Parse the character table file format; raises ValueError on bad input."""
+    """Parse the character table file format; raises ValueError on bad input.
+
+    Errors in a line name its number.  A table that parses but is not a
+    complete orthonormal character table raises the errors of
+    :meth:`CharacterTable.validate`.
+    """
     group_name = None
     order = None
     conductor = None
     sizes: list[int] = []
-    raw_chars: list[list[str]] = []
-    pairs: list[tuple[int, int]] = []
+    raw_chars: list[tuple[int, list[str]]] = []
+    pairs: list[tuple[int, int, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -193,15 +295,17 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
         kind = tokens[0]
         try:
             if kind == "group":
-                group_name, order = tokens[1], int(tokens[2])
+                group_name, order = tokens[1], _positive(tokens[2], "group order")
             elif kind == "conductor":
-                conductor = int(tokens[1])
+                conductor = _positive(tokens[1], "conductor")
             elif kind == "class":
-                sizes.append(int(tokens[1]))
+                sizes.append(_positive(tokens[1], "class size"))
             elif kind == "char":
-                raw_chars.append(tokens[1:])
+                if len(tokens) < 2:
+                    raise ValueError("char needs a degree and one value per class")
+                raw_chars.append((lineno, tokens[1:]))
             elif kind == "dualpair":
-                pairs.append((int(tokens[1]), int(tokens[2])))
+                pairs.append((lineno, int(tokens[1]), int(tokens[2])))
             else:
                 raise ValueError(f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -213,22 +317,31 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
         raise ValueError("missing conductor line")
     if not sizes:
         raise ValueError("no class lines")
+    if not raw_chars:
+        raise ValueError("no char lines")
 
     characters = []
-    for row_idx, tokens in enumerate(raw_chars):
-        degree = int(tokens[0])
-        values = tokens[1:]
-        if len(values) != len(sizes):
-            raise ValueError(
-                f"char row {row_idx} has {len(values)} values for {len(sizes)} classes"
-            )
-        row = tuple(parse_value(v, conductor) for v in values)
-        if row[0] != Cyclotomic.integer(conductor, degree):
-            raise ValueError(f"char row {row_idx}: declared degree {degree} != value at identity")
+    for row_idx, (lineno, tokens) in enumerate(raw_chars):
+        try:
+            degree = int(tokens[0])
+            values = tokens[1:]
+            if len(values) != len(sizes):
+                raise ValueError(
+                    f"char row {row_idx} has {len(values)} values for {len(sizes)} classes"
+                )
+            row = tuple(parse_value(v, conductor) for v in values)
+            if row[0] != Cyclotomic.integer(conductor, degree):
+                raise ValueError(f"char row {row_idx}: declared degree {degree} != value at identity")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
         characters.append(row)
 
     conj = list(range(len(characters)))
-    for i, j in pairs:
+    for lineno, i, j in pairs:
+        if not (0 <= i < len(conj) and 0 <= j < len(conj)):
+            raise ValueError(
+                f"line {lineno}: dualpair index out of range for {len(conj)} character rows"
+            )
         conj[i], conj[j] = j, i
 
     return CharacterTable(

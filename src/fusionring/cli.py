@@ -218,12 +218,12 @@ def _cmd_gen(args) -> tuple[int, str]:
             raise _InputError("gen chartable needs a table file")
         try:
             with open(args.what[1], "r", encoding="utf-8") as fh:
-                table = parse_character_table(fh.read())
+                text = fh.read()
+            ring = char_table_ring(parse_character_table(text))
         except OSError as exc:
             raise _InputError(f"cannot read {args.what[1]}: {exc.strerror or exc}") from exc
         except (ValueError, FusionRingError) as exc:
             raise _InputError(f"{args.what[1]}: {exc}") from exc
-        ring = char_table_ring(table)
     else:
         raise _InputError(f"gen: unknown generator {kind!r} (cyclic|so3|fragment|chartable)")
     spec = write_spec(ring)

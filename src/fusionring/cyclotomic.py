@@ -62,6 +62,14 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(q)
 
 
+@lru_cache(maxsize=None)
+def _reducer(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The degree of the n-th cyclotomic polynomial and its nonzero lower terms."""
+    phi = cyclotomic_polynomial(n)
+    degree = len(phi) - 1
+    return degree, tuple((i, c) for i, c in enumerate(phi[:degree]) if c)
+
+
 class Cyclotomic:
     """An element of Z[zeta_N], kept in reduced canonical form."""
 
@@ -73,11 +81,19 @@ class Cyclotomic:
         self.conductor = conductor
         folded = [0] * conductor
         for i, c in enumerate(coeffs):
-            folded[i % conductor] += c
-        phi = cyclotomic_polynomial(conductor)
-        _, rem = _poly_divmod_exact(folded, list(phi))
-        rem += [0] * (conductor - len(rem))
-        self.coeffs = tuple(rem)
+            if c:
+                folded[i % conductor] += c
+        # Remainder modulo the monic Phi_N, in place: clear the top coefficient
+        # by subtracting coef * x^shift * Phi_N until the degree is below it.
+        degree, lower = _reducer(conductor)
+        for top in range(conductor - 1, degree - 1, -1):
+            coef = folded[top]
+            if coef:
+                folded[top] = 0
+                shift = top - degree
+                for i, c in lower:
+                    folded[shift + i] -= coef * c
+        self.coeffs = tuple(folded)
 
     @classmethod
     def integer(cls, conductor: int, value: int) -> "Cyclotomic":
@@ -128,7 +144,7 @@ class Cyclotomic:
         return Cyclotomic(n, out)
 
     def is_integer(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def integer_value(self) -> int:
         if not self.is_integer():

@@ -41,12 +41,34 @@ def complete_fixture_rings():
     return rings
 
 
+@pytest.fixture(scope="session")
+def complete_rings():
+    """complete_fixture_rings(), built once per session for tests that only read them."""
+    return tuple(complete_fixture_rings())
+
+
 def all_fixture_rings():
     return complete_fixture_rings() + [
         fr.so3_truncated(9),
         fr.so3_truncated(21),
         fr.fragment_ring(),
     ]
+
+
+# Z4 with the self-dual chi2 row removed: the rows left are orthonormal, but
+# one class has no character.
+Z4_WITHOUT_CHI2 = """
+group Z4 4
+conductor 4
+class 1
+class 1
+class 1
+class 1
+char 1 1 1 1 1
+char 1 1 z z^2 z^3
+char 1 1 z^3 z^2 z
+dualpair 1 2
+"""
 
 
 # -- independent oracles -------------------------------------------------------

@@ -1,12 +1,17 @@
 """Character tables: validation, exact structure constants, float cross-checks."""
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fusionring as fr
 from fusionring.chartable import parse_value
 from fusionring.cyclotomic import Cyclotomic
 
-from conftest import float_inner_product, float_structure_constant
+from conftest import Z4_WITHOUT_CHI2, float_inner_product, float_structure_constant
 
 
 def test_parse_value_forms():
@@ -176,3 +181,97 @@ def test_gen_chartable_validates_the_table_once(monkeypatch, tmp_path, capsys):
     assert run(["gen", "chartable", str(path)]) == 0
     assert len(calls) == 1
 
+
+
+def test_incomplete_table_rejected():
+    with pytest.raises(fr.OrthogonalityFailure, match="3 character rows for 4 classes"):
+        fr.parse_character_table(Z4_WITHOUT_CHI2)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("group Z1 1\nconductor 0\nclass 1\nchar 1 1\n", "line 2: conductor must be a positive integer"),
+    ("group Z1 1\nconductor -3\nclass 1\nchar 1 1\n", "line 2: conductor must be a positive integer"),
+    ("group Z1 1\nconductor 1\nclass 1\n", "no char lines"),
+    ("group Z1 1\nconductor 1\nclass 1\nchar\n", "line 4: char needs a degree"),
+    ("group Z2 2\nconductor 2\nclass 1\nclass 1\nchar 1 1 1\nchar 1 1 -1\ndualpair 1 5\n",
+     "line 7: dualpair index out of range"),
+    ("group Z2 2\nconductor 2\nclass 1\nclass 1\nchar 1 1 1\nchar 1 1 -1\ndualpair -1 0\n",
+     "line 7: dualpair index out of range"),
+    ("group Z1 0\nconductor 1\nclass 1\nchar 1 1\n", "line 1: group order must be a positive integer"),
+    ("group Z1 1\nconductor 1\nclass 0\nchar 1 1\n", "line 3: class size must be a positive integer"),
+    ("group Z1 1\nconductor 1\nclass 1\n\nchar 1 2\n", "line 5: char row 0: declared degree 1"),
+    ("group Z1 1\nconductor 1\nclass 1\nchar 1 y\n", "line 4: bad cyclotomic term"),
+], ids=[
+    "conductor-0", "conductor-negative", "no-char", "empty-char", "dualpair-high", "dualpair-negative",
+    "order-0", "class-0", "degree-mismatch", "bad-value",
+])
+def test_parse_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        fr.parse_character_table(text)
+
+
+DIRECTIVE_LINES = st.one_of(
+    st.builds(
+        lambda kind, tokens: " ".join([kind, *tokens]),
+        st.sampled_from(("group", "conductor", "class", "char", "dualpair", "bogus")),
+        st.lists(
+            st.one_of(
+                st.integers(-3, 12).map(str),
+                st.sampled_from(("z", "z^2", "-z", "1+z", "z^3+z^5", "-1", "x", "2*z", "", "Z3")),
+            ),
+            max_size=5,
+        ),
+    ),
+    st.sampled_from(("", "# comment", "class 1", "char 1 1 1 1", "conductor 3", "group G 3")),
+)
+
+
+def _fixture_lines(name):
+    from importlib import resources
+
+    return resources.files("fusionring.fixtures").joinpath(f"{name}.chartab").read_text().splitlines()
+
+
+@st.composite
+def table_texts(draw):
+    """Lines drawn from the directive vocabulary, or a fixture with lines edited."""
+    if draw(st.booleans()):
+        return "\n".join(draw(st.lists(DIRECTIVE_LINES, max_size=12)))
+    lines = _fixture_lines(draw(st.sampled_from(("z3", "s3", "a4"))))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(("delete", "insert", "replace")))
+        if edit == "delete" and at < len(lines):
+            del lines[at]
+        elif edit == "insert":
+            lines.insert(at, draw(DIRECTIVE_LINES))
+        elif at < len(lines):
+            lines[at] = draw(DIRECTIVE_LINES)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_texts())
+def test_fuzzed_tables_raise_only_documented_errors(text):
+    try:
+        fr.char_table_ring(fr.parse_character_table(text))
+    except (ValueError, fr.FusionRingError):
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_texts())
+def test_gen_chartable_never_prints_a_traceback(tmp_path_factory, text):
+    from fusionring.cli import run
+
+    path = tmp_path_factory.mktemp("fuzz") / "t.chartab"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["gen", "chartable", str(path)])
+    if code == 0:
+        assert fr.parse_spec(out.getvalue())
+    else:
+        assert code == 2
+        assert err.getvalue().startswith(f"fusionring: {path}: ")
+        assert err.getvalue().count("\n") == 1

@@ -7,6 +7,8 @@ import pytest
 import fusionring as fr
 from fusionring.cli import run
 
+from conftest import Z4_WITHOUT_CHI2
+
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
@@ -162,6 +164,39 @@ def test_gen_chartable(tmp_path, capsys):
     assert code == 0
     ring = fr.parse_spec(out)
     assert ring.dimension() == 12
+
+
+# Rows (1, i) and (1, -i) are orthonormal and conjugate, but neither is trivial.
+NO_TRIVIAL_ROW = "group fake 2\nconductor 4\nclass 1\nclass 1\nchar 1 1 z\nchar 1 1 z^3\ndualpair 0 1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (NO_TRIVIAL_ROW, "table has no trivial character row"),
+    (Z4_WITHOUT_CHI2, "table has 3 character rows for 4 classes"),
+], ids=["no-trivial-row", "incomplete"])
+def test_gen_chartable_bad_table_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.chartab"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "gen", "chartable", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fusionring: {path}: {message}")
+
+
+def test_gen_chartable_not_integral_exit_two(tmp_path, capsys, monkeypatch):
+    import fusionring.cli as cli
+
+    def not_integral(table):
+        raise fr.NotIntegral("inner product total 1 is not divisible by |G| = 3")
+
+    monkeypatch.setattr(cli, "char_table_ring", not_integral)
+    path = tmp_path / "z3.chartab"
+    path.write_text(
+        "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\n"
+        "char 1 1 1 1\nchar 1 1 z z^2\nchar 1 1 z^2 z\ndualpair 1 2\n"
+    )
+    code, _, err = run_cli(capsys, "gen", "chartable", str(path))
+    assert code == 2
+    assert err == f"fusionring: {path}: inner product total 1 is not divisible by |G| = 3\n"
 
 
 def test_gen_pipe_composition(tmp_path, capsys):
