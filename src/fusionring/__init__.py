@@ -33,7 +33,6 @@ from .ladder import (
     ChainFailure,
     ChainResult,
     FailureBranch,
-    Forced,
     GrouplikeFound,
     LadderCertificate,
     NotDegreeThree,
@@ -42,12 +41,10 @@ from .ladder import (
     SquareSplit,
     TruncationReached,
     Verdict,
-    Violation,
     degree3_case_split,
     dichotomy_verdict,
     ladder_build,
     selfdual_chain,
-    validate_triple,
     verify_certificate,
 )
 from .search import enumerate_rings

@@ -295,8 +295,12 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
         kind = tokens[0]
         try:
             if kind == "group":
+                if group_name is not None:
+                    raise ValueError("duplicate group line")
                 group_name, order = tokens[1], _positive(tokens[2], "group order")
             elif kind == "conductor":
+                if conductor is not None:
+                    raise ValueError("duplicate conductor line")
                 conductor = _positive(tokens[1], "conductor")
             elif kind == "class":
                 sizes.append(_positive(tokens[1], "class size"))
@@ -337,11 +341,18 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
         characters.append(row)
 
     conj = list(range(len(characters)))
+    paired: dict[int, int] = {}
     for lineno, i, j in pairs:
         if not (0 <= i < len(conj) and 0 <= j < len(conj)):
             raise ValueError(
                 f"line {lineno}: dualpair index out of range for {len(conj)} character rows"
             )
+        clash = next((k for k in (i, j) if k in paired), None)
+        if clash is not None:
+            raise ValueError(
+                f"line {lineno}: row {clash} is already paired on line {paired[clash]}"
+            )
+        paired[i] = paired[j] = lineno
         conj[i], conj[j] = j, i
 
     return CharacterTable(

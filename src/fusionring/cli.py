@@ -18,7 +18,7 @@ from . import __version__
 from .axioms import check_axioms, check_stabilizer_rule
 from .chartable import char_table_ring, parse_character_table
 from .oracles import cyclic_group_ring, fragment_ring, so3_truncated
-from .ring import FusionRing, FusionRingError, InvalidSetting, PreconditionUnmet, UnknownProduct
+from .ring import FusionRing, FusionRingError, InvalidSetting, UnknownProduct
 from .search import enumerate_rings
 from .specfmt import RingSemanticError, RingSyntaxError, parse_spec, write_spec
 from .subrings import enumerate_standard_subrings, freeness_obstructions
@@ -117,7 +117,7 @@ def _cmd_ladder(args) -> tuple[int, str]:
     ring = _read_ring(args.file)
     try:
         cert = ladder_build(ring, args.x3, max_depth=args.depth)
-    except (PreconditionUnmet, FusionRingError) as exc:
+    except FusionRingError as exc:
         payload = {
             "schema": SCHEMA,
             "command": "ladder",
@@ -300,10 +300,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, output = args.func(args)
-    except _InputError as exc:
-        print(f"fusionring: {exc}", file=sys.stderr)
-        return 2
-    except (RingSyntaxError, RingSemanticError, InvalidSetting) as exc:
+    except (_InputError, RingSyntaxError, RingSemanticError, InvalidSetting) as exc:
         print(f"fusionring: {exc}", file=sys.stderr)
         return 2
     except FusionRingError as exc:

@@ -20,11 +20,12 @@ from .axioms import check_axioms
 from .ring import (
     FusionRing,
     FusionRingError,
+    NotClosed,
     PreconditionUnmet,
     RingElement,
     UnknownProduct,
 )
-from .subrings import IncompleteClosure, closure, freeness_obstructions
+from .subrings import IncompleteClosure, _group_on, closure, freeness_obstructions
 
 
 class NotDegreeThree(FusionRingError):
@@ -74,20 +75,6 @@ class ChainFailure:
 
 
 ChainResult = Union[GrouplikeFound, SelfDual, ChainFailure]
-
-
-@dataclass(frozen=True)
-class Forced:
-    """The only consistent assignment: prod = b + shared + aprime."""
-
-    shared: tuple[tuple[str, int], ...]
-    aprime_label: str
-    b_label: str
-
-
-@dataclass(frozen=True)
-class Violation:
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -204,49 +191,24 @@ def degree3_case_split(ring: FusionRing, x3_label: str) -> CaseSplitResult:
             "with the degree accounting"
         )
 
-    members = [ring.unit_index] + [g for g in grouplikes if remainder.coefficient(g) >= 1]
+    members = (ring.unit_index, *(g for g in grouplikes if remainder.coefficient(g) >= 1))
     if any(remainder.coefficient(g) > 1 for g in grouplikes):
         return Obstruction(
             "a grouplike appears with multiplicity > 1 in "
             f"{x3_label} {ring.label(ring.dual_index(x))}, violating the stabilizer rule"
         )
-    subgroup = _verify_subgroup(ring, members)
-    if isinstance(subgroup, Obstruction):
-        return subgroup
-    for order, label in sorted(subgroup):
+    try:
+        group = _group_on(ring, members)
+    except NotClosed as exc:
+        return Obstruction(
+            f"grouplikes of the remainder do not close under product to a group: {exc}"
+        )
+    for order, label in sorted(zip(group.orders, group.elements)):
         if order in (2, 3):
             return GrouplikeFound(label, order)
     return Obstruction(
-        f"stabilizer group of order {len(members)} has no element of order 2 or 3"
+        f"stabilizer group of order {group.order} has no element of order 2 or 3"
     )
-
-
-def _verify_subgroup(ring: FusionRing, members: list[int]) -> Union[list, Obstruction]:
-    """Check closure of a grouplike subset and return (order, label) pairs."""
-    member_set = set(members)
-    for g in members:
-        for h in members:
-            gh = ring.basic_product(g, h)
-            if gh is None:
-                raise UnknownProduct(
-                    f"grouplike product {ring.label(g)}*{ring.label(h)} is Unknown"
-                )
-            if not gh.is_basic() or gh.basic_index() not in member_set:
-                return Obstruction(
-                    f"grouplikes of the remainder do not close under product at "
-                    f"{ring.label(g)}*{ring.label(h)}"
-                )
-    out = []
-    for g in members:
-        power, order = g, 1
-        while power != ring.unit_index:
-            nxt = ring.basic_product(power, g)
-            power = nxt.basic_index()
-            order += 1
-            if order > len(members):
-                return Obstruction("grouplike order exceeds subgroup size")
-        out.append((order, ring.label(g)))
-    return out
 
 
 def selfdual_chain(ring: FusionRing, x3_label: str) -> ChainResult:
@@ -272,72 +234,12 @@ def selfdual_chain(ring: FusionRing, x3_label: str) -> ChainResult:
     return ChainFailure(tuple(visited), "chain exceeded the number of degree-3 elements")
 
 
-def validate_triple(
-    ring: FusionRing,
-    a_label: str,
-    aprime_label: str,
-    b_label: str,
-    prod: RingElement,
-) -> Union[Forced, Violation]:
-    """Check the forced-decomposition conclusion on concrete product data.
-
-    Given prod = a*x3 admitting prod = b + c + u = a' + c + v with shared
-    nonzero c, the only assignment a valid odd-degree ring allows is
-    v = b, u = a', i.e. c = prod - b - a'.
-    """
-    if _require_odd_degrees(ring):
-        raise PreconditionUnmet("ring has even-degree basis elements")
-    a = ring.index(a_label)
-    aprime = ring.index(aprime_label)
-    b = ring.index(b_label)
-    if ring.degree_of(a) != ring.degree_of(aprime) or ring.degree_of(a) >= ring.degree_of(b):
-        raise PreconditionUnmet(
-            f"need deg({a_label}) = deg({aprime_label}) < deg({b_label})"
-        )
-    if not prod.is_nonnegative():
-        raise PreconditionUnmet("product data has negative coefficients")
-    e_b = ring.element(b_label)
-    e_ap = ring.element(aprime_label)
-    if ring.multiplicity(e_b, prod) < 1 or ring.multiplicity(e_ap, prod) < 1:
-        raise PreconditionUnmet(
-            f"no decomposition of the required shape: {b_label} or {aprime_label} "
-            "is not a component of the product"
-        )
-    rem_b = prod - e_b
-    rem_ap = prod - e_ap
-    shared_any = any(
-        min(rem_b.coefficient(i), rem_ap.coefficient(i)) > 0 for i in prod.support
-    )
-    if not shared_any:
-        raise PreconditionUnmet("no nonzero shared component c exists")
-
-    deg_a = ring.degree_of(a)
-    for i in prod.support:
-        if 3 * ring.degree_of(i) < deg_a:
-            return Violation(
-                f"component {ring.label(i)} of the product has degree "
-                f"{ring.degree_of(i)} < deg({a_label})/3: not a genuine a*x3 product"
-            )
-    c_star = rem_b - e_ap
-    if not c_star.is_nonnegative() or c_star.is_zero():
-        return Violation(
-            f"forced remainder prod - {b_label} - {aprime_label} is "
-            f"{'empty' if c_star.is_zero() else 'negative'}: conclusion cannot hold"
-        )
-    return Forced(tuple(ring.decompose(c_star)), aprime_label, b_label)
-
-
 # -- the ladder ---------------------------------------------------------------
 
 
 def _check_depth(max_depth: Optional[int]) -> None:
     if max_depth is not None and max_depth < 1:
         raise PreconditionUnmet(f"max_depth must be a positive integer, got {max_depth}")
-
-
-def _min_component(ring: FusionRing, z: RingElement) -> int:
-    """Support index minimal in (degree, label); basis order encodes both."""
-    return min(z.support)
 
 
 def ladder_build(
@@ -410,7 +312,7 @@ def ladder_build(
             return certificate(FailureBranch(
                 "inconsistent_data", f"{top}*{x3_label} - {prev} is not a nonzero nonnegative element"
             ))
-        y0 = _min_component(ring, remainder)
+        y0 = min(remainder.support)  # the basis order is (degree, label)
         top_degree = ring.degree_of(ring.index(top))
         if ring.degree_of(y0) >= top_degree:
             if ring.degree_of(y0) > top_degree:
@@ -481,7 +383,7 @@ def _descending_diagnosis(
             chain_complete = True  # y_k * x3 = y_{k-1}
             break
         rest = q - prev_elem
-        y_next = _min_component(ring, rest)
+        y_next = min(rest.support)
         if ring.degree_of(y_next) >= ring.degree_of(cur):
             return FailureBranch(
                 "inconsistent_data",
@@ -551,10 +453,10 @@ def _order2_branch(
             "chain end is the unit, contradicting the choice of y0",
             verified=tuple(verified),
         )
-    g_sq = ring.basic_product(g, g)
+    g_sq = ring._kernel.basic[g][g]
     if g_sq is None:
         raise UnknownProduct(f"product {g_label}*{g_label} is Unknown")
-    if g_sq == ring.unit_element():
+    if g_sq == ring.unit_index:
         return FailureBranch(
             "grouplike_order2",
             f"z0 basic forces {g_label}^2 = 1: grouplike of order 2",
@@ -565,7 +467,7 @@ def _order2_branch(
     return FailureBranch(
         "inconsistent_data",
         f"z0 is basic so {g_label} must square to 1, but {g_label}^2 = "
-        f"{ring.decompose(g_sq)}",
+        f"{ring.decompose(ring.basic_product(g, g))}",
         verified=tuple(verified),
     )
 
@@ -629,8 +531,7 @@ def _shape_fallback(
             # Identify g with y0 = g*x3 from Known rows, if possible.
             x3 = ring.index(x3_label)
             for g in ring.grouplike_indices():
-                gx3 = ring.basic_product(g, x3)
-                if gx3 is not None and gx3.is_basic() and gx3.basic_index() == y0:
+                if ring._kernel.basic[g][x3] == y0:
                     try:
                         return _order2_branch(ring, ring.label(g), verified)
                     except UnknownProduct:

@@ -170,12 +170,13 @@ def grouplike_group(ring: FusionRing) -> GrouplikeGroup:
 def stabilizer_group(ring: FusionRing, x_label: str) -> GrouplikeGroup:
     """Subgroup {g grouplike : g*x = x}; order is asserted <= deg(x)^2."""
     x = ring.index(x_label)
+    basic = ring._kernel.basic
     fixing = []
     for g in ring.grouplike_indices():
-        gx = ring.basic_product(g, x)
+        gx = basic[g][x]
         if gx is None:
             raise UnknownProduct(f"product {ring.label(g)}*{x_label} is Unknown")
-        if gx == ring.element(x_label):
+        if gx == x:
             fixing.append(g)
     group = _group_on(ring, tuple(fixing))
     limit = ring.degree_of(x) ** 2
@@ -187,23 +188,26 @@ def stabilizer_group(ring: FusionRing, x_label: str) -> GrouplikeGroup:
 
 
 def _group_on(ring: FusionRing, indices: tuple[int, ...]) -> GrouplikeGroup:
+    """The group on ``indices`` (unit included), read from the kernel's basic
+    targets; NotClosed if the products, duals or powers say it is not one."""
     if ring.unit_index not in indices:
         raise NotClosed("candidate grouplike set does not contain the unit")
+    basic = ring._kernel.basic
     pos = {g: k for k, g in enumerate(indices)}
     table = []
     for g in indices:
         row = []
         for h in indices:
-            gh = ring.basic_product(g, h)
+            gh = basic[g][h]
             if gh is None:
                 raise UnknownProduct(
-                    f"product {ring.label(g)}*{ring.label(h)} is Unknown"
+                    f"grouplike product {ring.label(g)}*{ring.label(h)} is Unknown"
                 )
-            if not gh.is_basic() or gh.basic_index() not in pos:
+            if gh not in pos:
                 raise NotClosed(
                     f"product {ring.label(g)}*{ring.label(h)} leaves the grouplike set"
                 )
-            row.append(pos[gh.basic_index()])
+            row.append(pos[gh])
         table.append(tuple(row))
     for g in indices:
         gd = ring.dual_index(g)

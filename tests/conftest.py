@@ -200,15 +200,31 @@ def count4_corrupt_ring():
     ], "1", zt)
 
 
+def _products(ring):
+    return {
+        (ring.label(i), ring.label(j)): {
+            ring.label(c): m for c, m in enumerate(ring.product_row(i, j)) if m
+        }
+        for i, j in ring.known_pairs()
+    }
+
+
+def _basis(ring):
+    return [(b.label, b.degree, b.dual_label) for b in ring.elements]
+
+
 def corrupt_z5_ring():
     """Z5 with one structure constant bumped to 2."""
     z5 = fr.cyclic_group_ring(5)
-    products = {}
-    for i, j in z5.known_pairs():
-        row = z5.product_row(i, j)
-        products[(z5.label(i), z5.label(j))] = {
-            z5.label(c): m for c, m in enumerate(row) if m
-        }
+    products = _products(z5)
     products[("g", "g")] = {"g2": 2}
-    basis = [(b.label, b.degree, b.dual_label) for b in z5.elements]
-    return fr.build_ring("Z5corrupt", basis, "1", products)
+    return fr.build_ring("Z5corrupt", _basis(z5), "1", products)
+
+
+def withhold_rows(ring, *pairs):
+    """A partial copy of ``ring`` whose product rows at ``pairs`` are Unknown."""
+    products = _products(ring)
+    for pair in pairs:
+        del products[pair]
+    unit = ring.label(ring.unit_index)
+    return fr.build_ring(f"{ring.name}_partial", _basis(ring), unit, products)

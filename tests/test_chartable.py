@@ -201,9 +201,14 @@ def test_incomplete_table_rejected():
     ("group Z1 1\nconductor 1\nclass 0\nchar 1 1\n", "line 3: class size must be a positive integer"),
     ("group Z1 1\nconductor 1\nclass 1\n\nchar 1 2\n", "line 5: char row 0: declared degree 1"),
     ("group Z1 1\nconductor 1\nclass 1\nchar 1 y\n", "line 4: bad cyclotomic term"),
+    ("group Z2 2\ngroup Z3 3\nconductor 1\nclass 1\nchar 1 1\n", "line 2: duplicate group line"),
+    ("group Z1 1\nconductor 1\nconductor 2\nclass 1\nchar 1 1\n", "line 3: duplicate conductor line"),
+    (Z4_WITHOUT_CHI2.replace("dualpair 1 2", "char 1 1 -1 1 -1\ndualpair 1 3\ndualpair 3 2"),
+     "line 13: row 3 is already paired on line 12"),
 ], ids=[
     "conductor-0", "conductor-negative", "no-char", "empty-char", "dualpair-high", "dualpair-negative",
-    "order-0", "class-0", "degree-mismatch", "bad-value",
+    "order-0", "class-0", "degree-mismatch", "bad-value", "duplicate-group", "duplicate-conductor",
+    "dualpair-overlap",
 ])
 def test_parse_errors_name_the_line(text, message):
     with pytest.raises(ValueError, match=message):

@@ -1,26 +1,26 @@
-"""Degree-3 case splits, the self-dual chain, triple validation, the ladder,
-and the top-level verdict."""
+"""Degree-3 case splits, the self-dual chain, the ladder and its failure
+branches, and the top-level verdict."""
 
 import pytest
 
 import fusionring as fr
 from fusionring.ladder import (
     FailureBranch,
-    Forced,
     GrouplikeFound,
     Obstruction,
     SelfDual,
     SquareSplit,
     TruncationReached,
-    Violation,
 )
 
 from conftest import (
+    all_fixture_rings,
     chain_length_one_ring,
     count4_corrupt_ring,
     factorization_branch_ring,
     laurent_cg_decompose,
     order2_branch_ring,
+    withhold_rows,
 )
 
 
@@ -175,6 +175,47 @@ def test_case_split_nonclosed_grouplikes():
     assert "close under product" in result.description
 
 
+def test_case_split_unknown_grouplike_product(a4):
+    # A4 with s*s2 withheld: the stabilizer {1, s, s2} of x3 cannot be built
+    ring = withhold_rows(a4, ("s", "s2"))
+    with pytest.raises(fr.UnknownProduct, match=r"grouplike product s\*s2 is Unknown"):
+        fr.degree3_case_split(ring, "x3")
+    verdict = fr.dichotomy_verdict(ring)
+    assert verdict.kind == "obstruction"
+    assert verdict.detail == "x3: grouplike product s*s2 is Unknown"
+
+
+def test_case_split_dual_not_inverse():
+    # Z3 grouplikes that close under product, but g and g2 are declared
+    # self-dual: the case split rejects them; the verdict stops earlier, at
+    # the axiom check
+    rows = _cyclic_block(3, ["1", "g", "g2"])
+    rows[("x3", "x3")] = {"1": 1, "g": 1, "g2": 1, "x3": 2}
+    ring = fr.build_ring("selfdual_z3", [
+        ("1", 1, "1"), ("g", 1, "g"), ("g2", 1, "g2"), ("x3", 3, "x3"),
+    ], "1", rows)
+    result = fr.degree3_case_split(ring, "x3")
+    assert isinstance(result, Obstruction)
+    assert "dual of g is not its inverse" in result.description
+    assert fr.dichotomy_verdict(ring).detail.startswith("axiom check failed")
+
+
+def test_case_split_dual_check_silent_on_corpus():
+    rings = all_fixture_rings() + [
+        order2_branch_ring(), factorization_branch_ring(), chain_length_one_ring(),
+        count4_corrupt_ring(),
+    ]
+    for ring in rings:
+        for b in ring.elements:
+            if b.degree != 3:
+                continue
+            try:
+                result = fr.degree3_case_split(ring, b.label)
+            except fr.UnknownProduct:
+                continue
+            assert not (isinstance(result, Obstruction) and "inverse" in result.description)
+
+
 def test_case_split_unit_multiplicity_obstruction():
     rows = {("x3", "x3"): {"1": 2, "x3": 1, "x5": 1}}
     ring = fr.build_ring("badunit", [
@@ -241,42 +282,6 @@ def test_selfdual_chain_failure_on_cycle():
     result = fr.selfdual_chain(ring, "a")
     assert isinstance(result, fr.ChainFailure)
     assert result.trace == ("a", "u", "a")
-
-
-# -- validate_triple -------------------------------------------------------------
-
-
-def test_validate_triple_forced_so3(so3_21):
-    prod = so3_21.multiply(so3_21.element("x5"), so3_21.element("x3"))
-    result = fr.validate_triple(so3_21, "x5", "x5", "x7", prod)
-    assert result == Forced((("x3", 1),), "x5", "x7")
-
-
-def test_validate_triple_equal_labels_rejected(so3_21):
-    prod = so3_21.multiply(so3_21.element("x5"), so3_21.element("x3"))
-    with pytest.raises(fr.PreconditionUnmet):
-        fr.validate_triple(so3_21, "x5", "x5", "x5", prod)
-
-
-def test_validate_triple_even_degree_rejected(s3):
-    prod = s3.multiply(s3.element("x2"), s3.element("x2"))
-    with pytest.raises(fr.PreconditionUnmet):
-        fr.validate_triple(s3, "x2", "x2", "x2", prod)
-
-
-def test_validate_triple_no_shared_component(so3_21):
-    prod = so3_21.element("x7") + so3_21.element("x5")
-    with pytest.raises(fr.PreconditionUnmet):
-        fr.validate_triple(so3_21, "x5", "x5", "x7", prod)
-
-
-def test_validate_triple_violation_small_component():
-    ring = fr.build_ring("vio", [
-        ("1", 1, "1"), ("g", 1, "g"), ("a", 9, "a"), ("ap", 9, "ap"), ("b", 11, "b"),
-    ], "1", {})
-    prod = ring.from_coords({"ap": 1, "b": 1, "g": 1})
-    result = fr.validate_triple(ring, "a", "ap", "b", prod)
-    assert isinstance(result, Violation)
 
 
 # -- ladder -----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 import fusionring as fr
 from fusionring.subrings import IncompleteClosure
 
-from conftest import all_fixture_rings
+from conftest import all_fixture_rings, withhold_rows
 
 
 def divisors(n):
@@ -146,6 +146,11 @@ def test_grouplike_lagrange_property():
             continue
         for order in gg.orders:
             assert gg.order % order == 0
+
+
+def test_grouplike_group_withheld_row(a4):
+    with pytest.raises(fr.UnknownProduct, match=r"s\*s2"):
+        fr.grouplike_group(withhold_rows(a4, ("s", "s2")))
 
 
 def test_grouplike_not_closed():
