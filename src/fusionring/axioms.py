@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .ring import FusionRing, UnknownProduct
+from .ring import FusionRing, UnknownProduct, format_terms
 
 PASS = "pass"
 FAIL = "fail"
@@ -230,21 +230,12 @@ def _associativity(ring: FusionRing) -> CheckEntry:
                 la, lb, lc = ring.label(a), ring.label(b), ring.label(c)
                 t.fail(lambda: (
                     (la, lb, lc),
-                    f"({la}{lb}){lc} = {_fmt(ring, kernel.unpack(lhs))} but "
-                    f"{la}({lb}{lc}) = {_fmt(ring, kernel.unpack(rhs))}",
+                    f"({la}{lb}){lc} = {format_terms(ring.decompose_row(kernel.unpack(lhs)))} but "
+                    f"{la}({lb}{lc}) = {format_terms(ring.decompose_row(kernel.unpack(rhs)))}",
                 ))
     t.passed += passed
     t.skipped += skipped
     return t.entry()
-
-
-def _fmt(ring: FusionRing, vec) -> str:
-    terms = [
-        ring.label(c) if m == 1 else f"{m}*{ring.label(c)}"
-        for c, m in enumerate(vec)
-        if m
-    ]
-    return " + ".join(terms) if terms else "0"
 
 
 def _degree_homomorphism(ring: FusionRing) -> CheckEntry:

@@ -2,9 +2,9 @@
 
 Exit codes: 0 = report computed with no failures; 1 = at least one
 Fail/violation/obstruction (or an unmet mathematical precondition) in the
-report; 2 = usage or input error.  Reports are deterministic: identical
-inputs produce byte-identical output, in text or JSON
-(``--format json``, stable schema ``fusionring-report/1``).
+report; 2 = usage or input error, a rank bound included.  Reports are
+deterministic: identical inputs produce byte-identical output, in text or
+JSON (``--format json``, stable schema ``fusionring-report/1``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from . import __version__
 from .axioms import check_axioms, check_stabilizer_rule
 from .chartable import char_table_ring, parse_character_table
 from .oracles import cyclic_group_ring, fragment_ring, so3_truncated
-from .ring import FusionRing, FusionRingError, InvalidSetting, UnknownProduct
+from .ring import (
+    FusionRing, FusionRingError, InvalidSetting, RankTooLarge, UnknownProduct, format_terms,
+)
 from .search import enumerate_rings
 from .specfmt import RingSemanticError, RingSyntaxError, parse_spec, write_spec
 from .subrings import enumerate_standard_subrings, freeness_obstructions
@@ -43,10 +45,12 @@ def _read_ring(path: str) -> FusionRing:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _emit(payload: dict, fmt: str, text_lines: list[str]) -> str:
-    if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return "\n".join(text_lines) + "\n"
+def _emit(args, code: int, lines: list[str], **fields) -> tuple[int, str]:
+    """The report in ``args.format``: text ``lines``, or the JSON envelope plus ``fields``."""
+    if args.format == "json":
+        payload = {"schema": SCHEMA, "command": args.command, "exit_code": code, **fields}
+        return code, json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return code, "\n".join(lines) + "\n"
 
 
 def _cmd_check(args) -> tuple[int, str]:
@@ -73,17 +77,11 @@ def _cmd_check(args) -> tuple[int, str]:
             if e.witness:
                 lines.append(f"    {e.name}: {e.witness.detail}")
         stab_reports.append({"element": b.label, "status": status, "checks": stab.as_dict()["checks"]})
-    code = 1 if failed else 0
-    payload = {
-        "schema": SCHEMA,
-        "command": "check",
-        "ring": ring.name,
-        "exit_code": code,
-        "axioms": report.as_dict()["checks"],
-        "stabilizers": stab_reports,
-    }
     lines.append("FAIL" if failed else "OK")
-    return code, _emit(payload, args.format, lines)
+    return _emit(
+        args, 1 if failed else 0, lines,
+        ring=ring.name, axioms=report.as_dict()["checks"], stabilizers=stab_reports,
+    )
 
 
 def _cmd_verdict(args) -> tuple[int, str]:
@@ -100,17 +98,10 @@ def _cmd_verdict(args) -> tuple[int, str]:
         lines.append(f"  ladder depth {cert.depth_reached}")
         lines.append(f"  x family: {' '.join(cert.x_family)}")
         lines.append(f"  x' family: {' '.join(cert.xprime_family)}")
-    elif verdict.kind == "obstruction":
+    elif verdict.kind in ("truncated", "obstruction"):
         lines.append(f"  {verdict.detail}")
     code = 1 if verdict.kind == "obstruction" else 0
-    payload = {
-        "schema": SCHEMA,
-        "command": "verdict",
-        "ring": ring.name,
-        "exit_code": code,
-        "verdict": verdict.as_dict(),
-    }
-    return code, _emit(payload, args.format, lines)
+    return _emit(args, code, lines, ring=ring.name, verdict=verdict.as_dict())
 
 
 def _cmd_ladder(args) -> tuple[int, str]:
@@ -118,18 +109,10 @@ def _cmd_ladder(args) -> tuple[int, str]:
     try:
         cert = ladder_build(ring, args.x3, max_depth=args.depth)
     except FusionRingError as exc:
-        payload = {
-            "schema": SCHEMA,
-            "command": "ladder",
-            "ring": ring.name,
-            "exit_code": 1,
-            "error": str(exc),
-        }
-        return 1, _emit(payload, args.format, [f"ring {ring.name}: ladder error: {exc}"])
+        return _emit(args, 1, [f"ring {ring.name}: ladder error: {exc}"], ring=ring.name, error=str(exc))
     lines = [f"ring {ring.name}: ladder from {args.x3}, depth {cert.depth_reached}"]
     for n, decomp in cert.relations:
-        terms = " + ".join(lab if m == 1 else f"{m}*{lab}" for lab, m in decomp)
-        lines.append(f"  x_{2 * n + 1} * x_3 = {terms}")
+        lines.append(f"  x_{2 * n + 1} * x_3 = {format_terms(decomp)}")
     terminal = cert.terminal_status
     if isinstance(terminal, TruncationReached):
         lines.append(f"  truncation reached at depth {terminal.depth}")
@@ -137,14 +120,7 @@ def _cmd_ladder(args) -> tuple[int, str]:
     else:
         lines.append(f"  failure branch: {terminal.kind}: {terminal.diagnosis}")
         code = 0 if terminal.kind == "grouplike_order2" else 1
-    payload = {
-        "schema": SCHEMA,
-        "command": "ladder",
-        "ring": ring.name,
-        "exit_code": code,
-        "certificate": cert.as_dict(),
-    }
-    return code, _emit(payload, args.format, lines)
+    return _emit(args, code, lines, ring=ring.name, certificate=cert.as_dict())
 
 
 def _cmd_subrings(args) -> tuple[int, str]:
@@ -160,18 +136,12 @@ def _cmd_subrings(args) -> tuple[int, str]:
             lines.append(
                 f"  {small.hopf_dimension} does not divide {big.hopf_dimension}"
             )
-    code = 1 if violations else 0
-    payload = {
-        "schema": SCHEMA,
-        "command": "subrings",
-        "ring": ring.name,
-        "exit_code": code,
-        "subrings": [s.as_dict() for s in subs],
-        "violations": [
-            [small.hopf_dimension, big.hopf_dimension] for small, big in violations
-        ],
-    }
-    return code, _emit(payload, args.format, lines)
+    return _emit(
+        args, 1 if violations else 0, lines,
+        ring=ring.name,
+        subrings=[s.as_dict() for s in subs],
+        violations=[[small.hopf_dimension, big.hopf_dimension] for small, big in violations],
+    )
 
 
 def _cmd_search(args) -> tuple[int, str]:
@@ -185,14 +155,7 @@ def _cmd_search(args) -> tuple[int, str]:
     for spec in specs:
         lines.append("")
         lines.append(spec.rstrip("\n"))
-    payload = {
-        "schema": SCHEMA,
-        "command": "search",
-        "exit_code": 0,
-        "count": len(rings),
-        "rings": specs,
-    }
-    return 0, _emit(payload, args.format, lines)
+    return _emit(args, 0, lines, count=len(rings), rings=specs)
 
 
 def _cmd_gen(args) -> tuple[int, str]:
@@ -227,14 +190,7 @@ def _cmd_gen(args) -> tuple[int, str]:
     else:
         raise _InputError(f"gen: unknown generator {kind!r} (cyclic|so3|fragment|chartable)")
     spec = write_spec(ring)
-    payload = {
-        "schema": SCHEMA,
-        "command": "gen",
-        "exit_code": 0,
-        "ring": ring.name,
-        "spec": spec,
-    }
-    return 0, _emit(payload, args.format, [spec.rstrip("\n")])
+    return _emit(args, 0, [spec.rstrip("\n")], ring=ring.name, spec=spec)
 
 
 def _positive_int(text: str) -> int:
@@ -300,7 +256,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, output = args.func(args)
-    except (_InputError, RingSyntaxError, RingSemanticError, InvalidSetting) as exc:
+    except (_InputError, RingSyntaxError, RingSemanticError, InvalidSetting, RankTooLarge) as exc:
         print(f"fusionring: {exc}", file=sys.stderr)
         return 2
     except FusionRingError as exc:

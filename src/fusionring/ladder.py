@@ -22,7 +22,6 @@ from .ring import (
     FusionRingError,
     NotClosed,
     PreconditionUnmet,
-    RingElement,
     UnknownProduct,
 )
 from .subrings import IncompleteClosure, _group_on, closure, freeness_obstructions
@@ -156,28 +155,28 @@ def degree3_case_split(ring: FusionRing, x3_label: str) -> CaseSplitResult:
     if obstruction:
         return obstruction
 
-    prod = ring.basic_product(x, ring.dual_index(x))
-    if prod is None:
-        raise UnknownProduct(f"product {x3_label}*{ring.label(ring.dual_index(x))} is Unknown")
-    unit_mult = prod.coefficient(ring.unit_index)
-    if unit_mult != 1:
-        return Obstruction(
-            f"m(1, {x3_label} {ring.label(ring.dual_index(x))}) = {unit_mult}, expected 1"
-        )
-    remainder = prod - ring.unit_element()
+    xd = ring.dual_index(x)
+    row = ring.product_row(x, xd)
+    if row is None:
+        raise UnknownProduct(f"product {x3_label}*{ring.label(xd)} is Unknown")
+    xx = f"{x3_label} {ring.label(xd)}"
+    unit = ring.unit_index
+    if row[unit] != 1:
+        return Obstruction(f"m(1, {xx}) = {row[unit]}, expected 1")
+    remainder = [0 if c == unit else m for c, m in enumerate(row)]
 
     grouplikes = ring.grouplike_indices()
-    count = sum(remainder.coefficient(g) for g in grouplikes)
+    count = sum(remainder[g] for g in grouplikes)
 
     if count == 0:
-        parts = [(i, m) for i, m in remainder.items()]
-        degrees = sorted(ring.degree_of(i) for i, _ in parts)
+        parts = [(c, m) for c, m in enumerate(remainder) if m]
+        degrees = sorted(ring.degree_of(c) for c, _ in parts)
         if len(parts) == 2 and all(m == 1 for _, m in parts) and degrees == [3, 5]:
             by_degree = sorted(parts, key=lambda p: ring.degree_of(p[0]))
             return SquareSplit(ring.label(by_degree[0][0]), ring.label(by_degree[1][0]))
         return Obstruction(
-            f"{x3_label} {ring.label(ring.dual_index(x))} - 1 has no grouplikes but is not "
-            f"a degree-3 plus a degree-5 basic: {ring.decompose(remainder)}"
+            f"{xx} - 1 has no grouplikes but is not "
+            f"a degree-3 plus a degree-5 basic: {ring.decompose_row(remainder)}"
         )
 
     if count in (4, 6):
@@ -191,11 +190,10 @@ def degree3_case_split(ring: FusionRing, x3_label: str) -> CaseSplitResult:
             "with the degree accounting"
         )
 
-    members = (ring.unit_index, *(g for g in grouplikes if remainder.coefficient(g) >= 1))
-    if any(remainder.coefficient(g) > 1 for g in grouplikes):
+    members = (unit, *(g for g in grouplikes if remainder[g] >= 1))
+    if any(remainder[g] > 1 for g in grouplikes):
         return Obstruction(
-            "a grouplike appears with multiplicity > 1 in "
-            f"{x3_label} {ring.label(ring.dual_index(x))}, violating the stabilizer rule"
+            f"a grouplike appears with multiplicity > 1 in {xx}, violating the stabilizer rule"
         )
     try:
         group = _group_on(ring, members)
@@ -264,85 +262,74 @@ def ladder_build(
     if ring.dual_index(x) != x:
         raise PreconditionUnmet(f"{x3_label} is not self-dual; run the self-dual chain first")
 
-    unit_label = ring.label(ring.unit_index)
-    square = ring.basic_product(x, x)
+    square = ring.product_row(x, x)
     if square is None:
+        unit_label = ring.label(ring.unit_index)
         return LadderCertificate((unit_label, x3_label), (), 0, (), TruncationReached(0))
-    decomp = ring.decompose(square)
-    shape_ok = (
-        len(decomp) == 3
-        and decomp[0] == (unit_label, 1)
-        and (x3_label, 1) in decomp
-        and any(m == 1 and ring.degree_of(ring.index(lab)) == 5 for lab, m in decomp)
-    )
-    if not shape_ok:
-        raise PreconditionUnmet(
-            f"{x3_label}^2 = {decomp} is not of the form 1 + {x3_label} + x5"
-        )
-    x5_label = next(
-        lab for lab, m in decomp if ring.degree_of(ring.index(lab)) == 5
-    )
+    decomp = ring.decompose_row(square)
+    support = [(c, m) for c, m in enumerate(square) if m]
+    x5 = next((c for c, m in support if m == 1 and ring.degree_of(c) == 5), None)
+    if len(support) != 3 or support[0] != (ring.unit_index, 1) or square[x] != 1 or x5 is None:
+        raise PreconditionUnmet(f"{x3_label}^2 = {decomp} is not of the form 1 + {x3_label} + x5")
 
-    xs = [unit_label, x3_label, x5_label]
-    primes = [x3_label]
+    # Basis indices; labels are built for the certificate and messages only.
+    xs = [ring.unit_index, x, x5]
+    primes = [x]
     relations: list[tuple[int, tuple[tuple[str, int], ...]]] = [(1, tuple(decomp))]
 
     def certificate(terminal) -> LadderCertificate:
         return LadderCertificate(
-            tuple(xs), tuple(primes), len(relations), tuple(relations), terminal
+            tuple(map(ring.label, xs)), tuple(map(ring.label, primes)),
+            len(relations), tuple(relations), terminal,
         )
 
-    e_x3 = ring.element(x3_label)
     while max_depth is None or len(relations) < max_depth:
         n = len(xs) - 2  # top of the family is x_{2n+3}
-        top = xs[-1]
-        prev = xs[-2]
-        product = ring.multiply(ring.element(top), e_x3)
+        top, prev = xs[-1], xs[-2]
+        product = ring.product_row(top, x)
         if product is None:
             return certificate(TruncationReached(len(relations)))
-        e_prev = ring.element(prev)
-        if ring.multiplicity(e_prev, product) != 1:
+        step = f"{ring.label(top)}*{x3_label}"
+        if product[prev] != 1:
             return certificate(FailureBranch(
                 "inconsistent_data",
-                f"m({prev}, {top}*{x3_label}) = "
-                f"{ring.multiplicity(e_prev, product)}, expected 1 by reciprocity",
+                f"m({ring.label(prev)}, {step}) = {product[prev]}, expected 1 by reciprocity",
             ))
-        remainder = product - e_prev
-        if not remainder.is_nonnegative() or remainder.is_zero():
+        remainder = [0 if c == prev else m for c, m in enumerate(product)]
+        if not any(remainder):
             return certificate(FailureBranch(
-                "inconsistent_data", f"{top}*{x3_label} - {prev} is not a nonzero nonnegative element"
+                "inconsistent_data",
+                f"{step} - {ring.label(prev)} is not a nonzero nonnegative element",
             ))
-        y0 = min(remainder.support)  # the basis order is (degree, label)
-        top_degree = ring.degree_of(ring.index(top))
+        y0 = next(c for c, m in enumerate(remainder) if m)  # the basis order is (degree, label)
+        z0 = list(remainder)  # nonnegative, so basic exactly when it sums to 1
+        z0[y0] -= 1
+        top_degree = ring.degree_of(top)
         if ring.degree_of(y0) >= top_degree:
             if ring.degree_of(y0) > top_degree:
                 return certificate(FailureBranch(
                     "inconsistent_data",
-                    f"smallest non-{prev} component of {top}*{x3_label} has degree "
+                    f"smallest non-{ring.label(prev)} component of {step} has degree "
                     f"{ring.degree_of(y0)} > {top_degree}, impossible by the degree count",
                 ))
-            z0 = remainder - ring.element(ring.label(y0))
-            if not z0.is_basic() or ring.degree_of(z0.basic_index()) != top_degree + 2:
+            if sum(z0) != 1 or ring.degree_of(z0.index(1)) != top_degree + 2:
                 return certificate(FailureBranch(
                     "inconsistent_data",
-                    f"{top}*{x3_label} - {prev} - {ring.label(y0)} = "
-                    f"{ring.decompose(z0)} is not a basic element of degree {top_degree + 2}",
+                    f"{step} - {ring.label(prev)} - {ring.label(y0)} = "
+                    f"{ring.decompose_row(z0)} is not a basic element of degree {top_degree + 2}",
                 ))
-            primes.append(ring.label(y0))
-            xs.append(ring.label(z0.basic_index()))
-            relations.append((n + 1, tuple(ring.decompose(product))))
+            primes.append(y0)
+            xs.append(z0.index(1))
+            relations.append((n + 1, tuple(ring.decompose_row(product))))
             continue
-        terminal = _descending_diagnosis(ring, x3_label, xs, product, remainder, y0, len(relations))
-        return certificate(terminal)
+        return certificate(_descending_diagnosis(ring, xs, z0, y0, len(relations)))
     return certificate(TruncationReached(len(relations)))
 
 
 def _descending_diagnosis(
     ring: FusionRing,
-    x3_label: str,
-    xs: list[str],
-    product: RingElement,
-    remainder: RingElement,
+    xs: list[int],
+    z0: list[int],
     y0: int,
     depth: int,
 ) -> Union[TruncationReached, FailureBranch]:
@@ -358,32 +345,27 @@ def _descending_diagnosis(
     between the terminal branch and plain truncation.
     """
     n = len(xs) - 2
-    top = xs[-1]
-    e_x3 = ring.element(x3_label)
-    z0 = remainder - ring.element(ring.label(y0))
+    x, top = xs[1], xs[-1]
+    x3_label = ring.label(x)
     verified: list[str] = []
 
     # Walk the chain; y_{-1} is the current top of the family.
     ys = [y0]
-    chain_complete = False
     while True:
         cur = ys[-1]
-        q = ring.multiply(ring.element(ring.label(cur)), e_x3)
+        q = ring.product_row(cur, x)
         if q is None:
-            break
-        prev_elem = ring.element(ring.label(ys[-2])) if len(ys) >= 2 else ring.element(top)
-        prev_label = ring.label(ys[-2]) if len(ys) >= 2 else top
-        if ring.multiplicity(prev_elem, q) != 1:
+            return _shape_fallback(ring, xs, z0, y0, n, depth)
+        prev = ys[-2] if len(ys) >= 2 else top
+        if q[prev] != 1:
             return FailureBranch(
                 "inconsistent_data",
-                f"m({prev_label}, {ring.label(cur)}*{x3_label}) != 1 in the descending chain",
+                f"m({ring.label(prev)}, {ring.label(cur)}*{x3_label}) != 1 in the descending chain",
                 verified=tuple(verified),
             )
-        if q == prev_elem:
-            chain_complete = True  # y_k * x3 = y_{k-1}
-            break
-        rest = q - prev_elem
-        y_next = min(rest.support)
+        if ring._kernel.basic[cur][x] == prev:
+            break  # y_k * x3 = y_{k-1}
+        y_next = next(c for c, m in enumerate(q) if m and c != prev)
         if ring.degree_of(y_next) >= ring.degree_of(cur):
             return FailureBranch(
                 "inconsistent_data",
@@ -393,26 +375,25 @@ def _descending_diagnosis(
             )
         ys.append(y_next)
 
-    if not chain_complete:
-        return _shape_fallback(ring, x3_label, xs, z0, y0, n, depth, verified)
-
     k = len(ys) - 1
     # Chain-step identities y_{k-t} = y_k * x_{2t+1} for t = 1..k; the
     # t = k+1 case is the factorization x_{2n+3} = y_k * x_{2k+3}.
     y_k = ys[-1]
+    y_label = ring.label(y_k)
     for t in range(1, k + 2):
-        rhs = ring.multiply(ring.element(ring.label(y_k)), ring.element(xs[t]))
-        target_label = ring.label(ys[k - t]) if t <= k else top
+        rhs = ring.product_row(y_k, xs[t])
+        target = ys[k - t] if t <= k else top
+        factors = f"{y_label}*{ring.label(xs[t])}"
         if rhs is None:
             verified.append(f"chain t={t}: skipped (Unknown product)")
             continue
-        if rhs == ring.element(target_label):
-            verified.append(f"chain t={t}: {target_label} = {ring.label(y_k)}*{xs[t]}")
+        if ring._kernel.basic[y_k][xs[t]] == target:
+            verified.append(f"chain t={t}: {ring.label(target)} = {factors}")
         else:
             return FailureBranch(
                 "impossible_factorization" if t == k + 1 else "inconsistent_data",
-                f"identity {target_label} = {ring.label(y_k)}*{xs[t]} fails on the data "
-                f"({ring.label(y_k)}*{xs[t]} = {ring.decompose(rhs)}): "
+                f"identity {ring.label(target)} = {factors} fails on the data "
+                f"({factors} = {ring.decompose_row(rhs)}): "
                 "the descending configuration is not realizable",
                 verified=tuple(verified),
             )
@@ -420,9 +401,9 @@ def _descending_diagnosis(
     if k < n:
         return FailureBranch(
             "impossible_factorization",
-            f"the chain ends at k = {k} < n = {n}: {top} = {ring.label(y_k)}*{xs[k + 1]} "
-            "cannot hold in a valid ring (its product with x3 has no room for the "
-            "forced components)",
+            f"the chain ends at k = {k} < n = {n}: "
+            f"{ring.label(top)} = {y_label}*{ring.label(xs[k + 1])} cannot hold in a valid "
+            "ring (its product with x3 has no room for the forced components)",
             verified=tuple(verified),
         )
 
@@ -430,23 +411,19 @@ def _descending_diagnosis(
     if ring.degree_of(y_k) != 1:
         return FailureBranch(
             "inconsistent_data",
-            f"chain end {ring.label(y_k)} should be grouplike but has degree "
+            f"chain end {y_label} should be grouplike but has degree "
             f"{ring.degree_of(y_k)}",
             verified=tuple(verified),
         )
-    g_label = ring.label(y_k)
-    if z0.is_basic():
-        try:
-            return _order2_branch(ring, g_label, verified)
-        except UnknownProduct:
-            return TruncationReached(depth)
-    return _terminal_branch(ring, x3_label, xs, z0, n, depth, verified)
+    if sum(z0) == 1:
+        return _order2_branch(ring, y_k, depth, verified)
+    return _terminal_branch(ring, xs, z0, n, depth, verified)
 
 
 def _order2_branch(
-    ring: FusionRing, g_label: str, verified: list[str]
-) -> FailureBranch:
-    g = ring.index(g_label)
+    ring: FusionRing, g: int, depth: int, verified: list[str]
+) -> Union[TruncationReached, FailureBranch]:
+    g_label = ring.label(g)
     if g == ring.unit_index:
         return FailureBranch(
             "inconsistent_data",
@@ -455,7 +432,7 @@ def _order2_branch(
         )
     g_sq = ring._kernel.basic[g][g]
     if g_sq is None:
-        raise UnknownProduct(f"product {g_label}*{g_label} is Unknown")
+        return TruncationReached(depth)
     if g_sq == ring.unit_index:
         return FailureBranch(
             "grouplike_order2",
@@ -467,32 +444,29 @@ def _order2_branch(
     return FailureBranch(
         "inconsistent_data",
         f"z0 is basic so {g_label} must square to 1, but {g_label}^2 = "
-        f"{ring.decompose(ring.basic_product(g, g))}",
+        f"{ring.decompose_row(ring.product_row(g, g))}",
         verified=tuple(verified),
     )
 
 
 def _terminal_branch(
     ring: FusionRing,
-    x3_label: str,
-    xs: list[str],
-    z0: RingElement,
+    xs: list[int],
+    z0: list[int],
     n: int,
     depth: int,
     verified: list[str],
 ) -> Union[TruncationReached, FailureBranch]:
-    parts = ring.decompose(z0)
-    total = sum(m for _, m in parts)
-    if n != 1 or total != 3 or any(ring.degree_of(ring.index(lab)) != 3 for lab, _ in parts):
+    parts = ring.decompose_row(z0)
+    if n != 1 or sum(z0) != 3 or any(ring.degree_of(c) != 3 for c, m in enumerate(z0) if m):
         return FailureBranch(
             "inconsistent_data",
             f"non-basic z0 = {parts} with n = {n} violates the degree accounting "
             "(three degree-3 components at n = 1 are forced)",
             verified=tuple(verified),
         )
-    x5_label = xs[2]
-    sub_small = closure(ring, {x5_label})
-    sub_big = closure(ring, {x3_label})
+    sub_small = closure(ring, {ring.label(xs[2])})
+    sub_big = closure(ring, {ring.label(xs[1])})
     if isinstance(sub_small, IncompleteClosure) or isinstance(sub_big, IncompleteClosure):
         return TruncationReached(depth)
     violations = freeness_obstructions(ring, [sub_small, sub_big])
@@ -517,27 +491,21 @@ def _terminal_branch(
 
 def _shape_fallback(
     ring: FusionRing,
-    x3_label: str,
-    xs: list[str],
-    z0: RingElement,
+    xs: list[int],
+    z0: list[int],
     y0: int,
     n: int,
     depth: int,
-    verified: list[str],
 ) -> Union[TruncationReached, FailureBranch]:
     """Chain products are Unknown; classify from the shape already computed."""
-    if n == 1 and ring.degree_of(y0) == 3:
-        if z0.is_basic():
-            # Identify g with y0 = g*x3 from Known rows, if possible.
-            x3 = ring.index(x3_label)
-            for g in ring.grouplike_indices():
-                if ring._kernel.basic[g][x3] == y0:
-                    try:
-                        return _order2_branch(ring, ring.label(g), verified)
-                    except UnknownProduct:
-                        return TruncationReached(depth)
-            return TruncationReached(depth)
-        return _terminal_branch(ring, x3_label, xs, z0, n, depth, verified)
+    if n != 1 or ring.degree_of(y0) != 3:
+        return TruncationReached(depth)
+    if sum(z0) != 1:
+        return _terminal_branch(ring, xs, z0, n, depth, [])
+    # Identify g with y0 = g*x3 from Known rows, if possible.
+    for g in ring.grouplike_indices():
+        if ring._kernel.basic[g][xs[1]] == y0:
+            return _order2_branch(ring, g, depth, [])
     return TruncationReached(depth)
 
 
@@ -580,7 +548,7 @@ def verify_certificate(ring: FusionRing, cert: LadderCertificate) -> bool:
 
 @dataclass(frozen=True)
 class Verdict:
-    kind: str  # grouplike | ladder | no_degree3 | obstruction
+    kind: str  # grouplike | ladder | no_degree3 | truncated | obstruction
     grouplike: Optional[str] = None
     order: Optional[int] = None
     certificate: Optional[LadderCertificate] = None
@@ -608,7 +576,8 @@ def dichotomy_verdict(ring: FusionRing, max_depth: Optional[int] = None) -> Verd
 
     Outcomes: a grouplike of order 2 or 3 (with the odd-dimension
     divisibility note when the ring is complete), a ladder certificate,
-    NoDegree3, or an obstruction diagnosis.  Hard axiom failures abort.
+    NoDegree3, a truncation when the first-ranked diagnosis is an Unknown
+    product, or an obstruction diagnosis.  Hard axiom failures abort.
     ``max_depth`` caps the ladder as in :func:`ladder_build`.
     """
     _check_depth(max_depth)
@@ -625,14 +594,15 @@ def dichotomy_verdict(ring: FusionRing, max_depth: Optional[int] = None) -> Verd
         return Verdict("no_degree3")
 
     # Diagnoses ranked: concrete impossibility branches beat chain failures,
-    # which beat mere Unknown-product skips; ties keep canonical order.
+    # which beat unmet ladder preconditions, which beat Unknown products (a
+    # truncation, not a finding); ties keep canonical order.
     diagnoses: list[tuple[int, str]] = []
     attempted: set[str] = set()
     for label in degree3:
         try:
             chain = selfdual_chain(ring, label)
         except UnknownProduct as exc:
-            diagnoses.append((2, f"{label}: {exc}"))
+            diagnoses.append((3, f"{label}: {exc}"))
             continue
         if isinstance(chain, GrouplikeFound):
             return _grouplike(ring, chain.label, chain.order)
@@ -644,7 +614,7 @@ def dichotomy_verdict(ring: FusionRing, max_depth: Optional[int] = None) -> Verd
         attempted.add(chain.x3_label)
         try:
             cert = ladder_build(ring, chain.x3_label, max_depth=max_depth)
-        except (PreconditionUnmet, UnknownProduct) as exc:
+        except PreconditionUnmet as exc:
             diagnoses.append((2, f"{chain.x3_label}: {exc}"))
             continue
         terminal = cert.terminal_status
@@ -654,12 +624,9 @@ def dichotomy_verdict(ring: FusionRing, max_depth: Optional[int] = None) -> Verd
             return _grouplike(ring, terminal.grouplike, 2)
         diagnoses.append((0, f"{chain.x3_label}: {terminal.kind}: {terminal.diagnosis}"))
 
-    if diagnoses:
-        diagnoses.sort(key=lambda d: d[0])
-        detail = diagnoses[0][1]
-    else:
-        detail = "no degree-3 analysis completed"
-    return Verdict("obstruction", detail=detail)
+    # The first label either returns or adds a diagnosis.
+    rank, detail = min(diagnoses, key=lambda d: d[0])
+    return Verdict("truncated" if rank == 3 else "obstruction", detail=detail)
 
 
 def _grouplike(ring: FusionRing, label: str, order: int) -> Verdict:

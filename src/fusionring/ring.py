@@ -87,16 +87,6 @@ class RingElement:
         self.ring = ring
         self._coords = {i: _check64(v) for i, v in coords.items() if v != 0}
 
-    def coefficient(self, index: int) -> int:
-        return self._coords.get(index, 0)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._coords.items()))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coords))
-
     def is_zero(self) -> bool:
         return not self._coords
 
@@ -144,16 +134,13 @@ class RingElement:
         return hash((id(self.ring), tuple(sorted(self._coords.items()))))
 
     def __repr__(self) -> str:
-        if not self._coords:
-            return "0"
-        parts = []
-        for i, v in sorted(self._coords.items()):
-            label = self.ring.label(i)
-            if v == 1:
-                parts.append(label)
-            else:
-                parts.append(f"{v}*{label}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_terms(self.ring.decompose(self))
+
+
+def format_terms(terms: Iterable[tuple[str, int]]) -> str:
+    """``a + 2*b - c`` text of (label, coefficient) pairs; ``0`` when there are none."""
+    text = " + ".join(lab if m == 1 else f"{m}*{lab}" for lab, m in terms)
+    return text.replace("+ -", "- ") if text else "0"
 
 
 ProductTable = Mapping[tuple[str, str], Mapping[str, int]]
@@ -382,6 +369,10 @@ class FusionRing:
         """Nonzero coordinates in canonical basis order."""
         self._own(z)
         return [(self._elements[i].label, v) for i, v in sorted(z._coords.items()) if v]
+
+    def decompose_row(self, row: Sequence[int]) -> list[tuple[str, int]]:
+        """Nonzero coordinates of a dense row, as (label, coefficient) in basis order."""
+        return [(self._elements[c].label, m) for c, m in enumerate(row) if m]
 
     def _own(self, z: RingElement) -> None:
         if z.ring is not self:

@@ -44,17 +44,23 @@ def test_check_fail_exit_one(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_check_json_schema(tmp_path, capsys):
-    path = write_ring(tmp_path, fr.a4_character_ring())
-    code, out, _ = run_cli(capsys, "--format", "json", "check", path)
-    assert code == 0
+@pytest.mark.parametrize("command", ["check", "verdict", "ladder", "subrings", "search", "gen"])
+def test_check_json_schema(tmp_path, capsys, command):
+    # the fragment exits 0 from check and 1 from verdict, ladder and subrings
+    path = write_ring(tmp_path, fr.fragment_ring())
+    argv = {
+        "check": [path],
+        "verdict": [path],
+        "ladder": [path, "--x3", "x3"],
+        "subrings": [path],
+        "search": ["--degrees", "1,1,1", "--max-mult", "2", "--workers", "1"],
+        "gen": ["cyclic", "5"],
+    }[command]
+    code, out, _ = run_cli(capsys, "--format", "json", command, *argv)
     payload = json.loads(out)
     assert payload["schema"] == "fusionring-report/1"
-    assert payload["command"] == "check"
-    assert payload["exit_code"] == 0
-    names = [c["name"] for c in payload["axioms"]]
-    assert "frobenius_reciprocity" in names
-    assert all(c["status"] == "pass" for c in payload["axioms"])
+    assert payload["command"] == command
+    assert payload["exit_code"] == code
 
 
 def test_verdict_f21(tmp_path, capsys):
@@ -267,6 +273,19 @@ def test_bad_thread_env_exit_two_one_line(monkeypatch, capsys, value):
     assert code == 2
     assert out == ""
     assert err == f"fusionring: FUSIONRING_THREADS must be a positive integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("command", ["subrings", "search"])
+def test_rank_too_large_exit_two(tmp_path, capsys, command):
+    # a rank bound is an input limit, not a finding
+    if command == "subrings":
+        argv = ["subrings", write_ring(tmp_path, fr.cyclic_group_ring(21))]
+    else:
+        argv = ["search", "--degrees", "1,1,1,1,1,1,1"]
+    code, out, err = run_cli(capsys, "--format", "json", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fusionring: rank ") and err.count("\n") == 1
 
 
 def test_version_flag(capsys):

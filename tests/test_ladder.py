@@ -181,7 +181,7 @@ def test_case_split_unknown_grouplike_product(a4):
     with pytest.raises(fr.UnknownProduct, match=r"grouplike product s\*s2 is Unknown"):
         fr.degree3_case_split(ring, "x3")
     verdict = fr.dichotomy_verdict(ring)
-    assert verdict.kind == "obstruction"
+    assert verdict.kind == "truncated"
     assert verdict.detail == "x3: grouplike product s*s2 is Unknown"
 
 

@@ -1,6 +1,7 @@
 """Golden CLI reports: check, verdict, ladder and subrings, in text and JSON,
-on the fixture character rings, the fragment, so3_21, Z12 and the hand-built
-diagnostic rings of conftest.
+on the fixture character rings, the fragment, so3_21, Z12, the hand-built
+diagnostic rings of conftest, and partial rings that reach each Unknown-product
+exit of the degree-3 analysis.
 
 Each ring's expected stdout, stderr and exit codes live in
 ``tests/golden/<ring>.txt``.  Refactors must leave them byte-identical; a
@@ -37,6 +38,23 @@ RINGS = {
     "chain1": conftest.chain_length_one_ring,
     "count4": conftest.count4_corrupt_ring,
     "Z5corrupt": conftest.corrupt_z5_ring,
+    # Each partial ring below reaches an exit of the degree-3 analysis that
+    # no ring above reaches.
+    "so3_3": lambda: fr.so3_truncated(3),  # the case split meets an Unknown x3*x3
+    "so3_5": lambda: fr.so3_truncated(5),  # the ladder truncates at depth 1
+    # a grouplike product is Unknown
+    "A4-s.s2": lambda: conftest.withhold_rows(fr.a4_character_ring(), ("s", "s2")),
+    # the shape fallback takes the order-2 branch / finds no translate g*x3
+    "order2-gx3.x3": lambda: conftest.withhold_rows(conftest.order2_branch_ring(), ("gx3", "x3")),
+    "order2-g.x3": lambda: conftest.withhold_rows(conftest.order2_branch_ring(), ("g", "x3")),
+    # the order-2 branch meets an Unknown g*g
+    "order2-g.g": lambda: conftest.withhold_rows(conftest.order2_branch_ring(), ("g", "g")),
+    # the terminal branch meets incomplete closures
+    "fragment-g.g": lambda: conftest.withhold_rows(fr.fragment_ring(), ("g", "g")),
+    # the shape fallback truncates
+    "factorization_branch-g.x3": lambda: conftest.withhold_rows(
+        conftest.factorization_branch_ring(), ("g", "x3")
+    ),
 }
 
 
