@@ -149,6 +149,8 @@ def _cmd_search(args) -> tuple[int, str]:
         degrees = [int(tok) for tok in args.degrees.split(",") if tok]
     except ValueError as exc:
         raise _InputError(f"--degrees: {exc}") from exc
+    if not degrees or min(degrees) < 1:
+        raise _InputError(f"--degrees: expected positive integers, got {args.degrees!r}")
     rings = enumerate_rings(degrees, args.max_mult, workers=args.workers)
     specs = [write_spec(r) for r in rings]
     lines = [f"# {len(rings)} ring(s) with degrees {sorted(degrees)}"]
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="enumerate rings with prescribed degrees")
     p.add_argument("--degrees", required=True, help="comma-separated degree list, e.g. 1,1,1,3")
-    p.add_argument("--max-mult", type=int, default=3, dest="max_mult")
+    p.add_argument("--max-mult", type=_positive_int, default=3, dest="max_mult")
     p.add_argument(
         "--workers",
         type=_positive_int,

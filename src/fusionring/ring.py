@@ -292,13 +292,6 @@ class FusionRing:
     def known_pairs(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._table))
 
-    def unknown_pairs(self) -> Iterator[tuple[int, int]]:
-        r = self.rank
-        for i in range(r):
-            for j in range(r):
-                if (i, j) not in self._table:
-                    yield (i, j)
-
     @property
     def is_partial(self) -> bool:
         return len(self._table) < self.rank * self.rank
@@ -309,18 +302,12 @@ class FusionRing:
 
     # -- elements and arithmetic --------------------------------------------
 
-    def zero(self) -> RingElement:
-        return RingElement(self, {})
-
     def element(self, label: str) -> RingElement:
         """Basis injection: the element with coefficient 1 at ``label``."""
         return RingElement(self, {self.index(label): 1})
 
     def unit_element(self) -> RingElement:
         return RingElement(self, {self._unit: 1})
-
-    def from_coords(self, coords: Mapping[str, int]) -> RingElement:
-        return RingElement(self, {self.index(lab): v for lab, v in coords.items()})
 
     def basic_product(self, i: int, j: int) -> Optional[RingElement]:
         row = self._table.get((i, j))

@@ -1,12 +1,17 @@
 """Exhaustive enumeration of fusion rings with prescribed degrees.
 
-Backtracking over structure-constant rows in canonical pair order.  The
-pruning is the point: duality pairing pins the unit coordinate, reciprocity
-mirrors pin coordinates against already-assigned rows, grouplike rows are
-forced to be single basic translates, row degree sums bound the vectors,
-and associativity is checked on every triple as soon as its rows exist.
-Survivors still have to pass the full axiom checker before they are
-emitted, deduplicated up to relabeling within equal-degree blocks.
+Backtracking over structure-constant rows in canonical pair order, once per
+conjugacy class of dual involutions: a relabelling within equal-degree
+blocks conjugates the dual, and the results are deduplicated up to those
+relabellings anyway, so one involution per class (j transpositions per
+block) gives the same rings.  The pruning is the point: duality pairing
+pins the unit coordinate, reciprocity mirrors pin coordinates against
+placed rows, grouplike rows are forced to be single basic translates, row
+degree sums bound the vectors, and associativity is checked on packed rows
+for every triple with the new row as an outer pair.  Forward checking
+(Haralick & Elliott, 1980) backs up at once when a placed row leaves some
+unplaced row that mirrors it without a candidate.  Survivors still have to
+pass the full axiom checker before they are emitted.
 """
 
 from __future__ import annotations
@@ -41,196 +46,196 @@ def _worker_count(workers: Optional[int], tasks: int) -> int:
     return max(1, min(workers, tasks, cpus))
 
 
-def _involutions(items: Sequence[int]) -> Iterator[dict[int, int]]:
-    """All involutions of ``items`` (fixed points and disjoint transpositions)."""
-    if not items:
-        yield {}
-        return
-    first, rest = items[0], list(items[1:])
-    for sub in _involutions(rest):
-        yield {first: first, **sub}
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1 :]
-        for sub in _involutions(remaining):
-            yield {first: partner, partner: first, **sub}
-
-
-def _block_permutations(blocks: Sequence[Sequence[int]]) -> Iterator[dict[int, int]]:
-    per_block = [list(permutations(b)) for b in blocks]
-    for combo in product(*per_block):
-        perm: dict[int, int] = {}
-        for block, image in zip(blocks, combo):
-            perm.update(dict(zip(block, image)))
-        yield perm
+def _block_permutations(rank: int, blocks: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Every relabelling within ``blocks``, as ``src``: new index i was ``src[i]``."""
+    for images in product(*(permutations(block) for block in blocks)):
+        src = list(range(rank))
+        for block, image in zip(blocks, images):
+            for new, old in zip(block, image):
+                src[new] = old
+        yield src
 
 
 class _Search:
-    """One backtracking run for a fixed dual involution."""
+    """One backtracking run for a fixed dual involution.
+
+    Rows live in flat lists indexed ``a * rank + b``: the dense row, its
+    support ``((c, n), ...)`` and the packed integer ``sum(n << lane * c)``,
+    each None until the row is placed.  Every entry is at most ``max_mult``,
+    so a lane of ``(rank * max_mult**2).bit_length() + 1`` bits holds any
+    coordinate of an associativity sum.
+    """
 
     def __init__(self, degrees: tuple[int, ...], max_mult: int, dual: tuple[int, ...]):
+        r = self.rank = len(degrees)
         self.deg = degrees
-        self.rank = len(degrees)
         self.max_mult = max_mult
         self.dual = dual
-        self.unit = 0
-        self.pairs = [
-            (a, b)
-            for a in range(1, self.rank)
-            for b in range(1, self.rank)
-        ]
-        self.rows: dict[tuple[int, int], tuple[int, ...]] = {}
-        unit_row = lambda i: tuple(1 if c == i else 0 for c in range(self.rank))
-        for i in range(self.rank):
-            self.rows[(0, i)] = unit_row(i)
-            self.rows[(i, 0)] = unit_row(i)
-        self.solutions: list[dict[tuple[int, int], tuple[int, ...]]] = []
+        self.lane = (r * max_mult**2).bit_length() + 1
+        self.pairs = [(a, b) for a in range(1, r) for b in range(1, r)]
+        self.rows: list[Optional[tuple[int, ...]]] = [None] * (r * r)
+        self.support: list[Optional[tuple[tuple[int, int], ...]]] = [None] * (r * r)
+        self.packed: list[Optional[int]] = [None] * (r * r)
+        for i in range(r):
+            unit_row = tuple(int(c == i) for c in range(r))
+            self._place(i, unit_row)
+            self._place(i * r, unit_row)
+        # reads[k]: (c, m, coord) when coordinate c of row k mirrors coordinate
+        # coord of row m; unit rows only repeat the duality pin of coordinate
+        # 0, so they are left out.  readers[m]: the rows k that read row m.
+        self.reads: list[list[tuple[int, int, int]]] = [[] for _ in range(r * r)]
+        self.readers: list[list[int]] = [[] for _ in range(r * r)]
+        for a, b in self.pairs:
+            k = a * r + b
+            for c in range(r):
+                for (x, y), coord in (
+                    ((b, dual[c]), dual[a]),  # m(x,yz) = m(y*, zx*)
+                    ((c, dual[b]), a),  # m(x,yz) = m(y, xz*)
+                    ((dual[b], dual[a]), dual[c]),  # (yz)* = z*y*
+                ):
+                    m = x * r + y
+                    if x and y and m != k:
+                        self.reads[k].append((c, m, coord))
+                        if k not in self.readers[m]:
+                            self.readers[m].append(k)
+        self.solutions: list[list[tuple[int, ...]]] = []
+
+    def _place(self, k: int, row: Optional[tuple[int, ...]]) -> None:
+        self.rows[k] = row
+        if row is None:
+            self.support[k] = self.packed[k] = None
+        else:
+            self.support[k] = tuple((c, n) for c, n in enumerate(row) if n)
+            self.packed[k] = sum(n << self.lane * c for c, n in self.support[k])
 
     # -- candidate rows -------------------------------------------------------
 
     def _pinned(self, a: int, b: int) -> Optional[dict[int, int]]:
-        """Coordinate pins for row (a,b) from duality and assigned mirrors."""
-        pins: dict[int, int] = {0: 1 if b == self.dual[a] else 0}
-        for c in range(self.rank):
-            for key, coord in (
-                ((b, self.dual[c]), self.dual[a]),  # m(x,yz) = m(y*, zx*)
-                ((c, self.dual[b]), a),             # m(x,yz) = m(y, xz*)
-                ((self.dual[b], self.dual[a]), self.dual[c]),  # (yz)* = z*y*
-            ):
-                row = self.rows.get(key)
-                if row is None or key == (a, b):
-                    continue
-                value = row[coord]
-                if c in pins and pins[c] != value:
-                    return None
-                pins[c] = value
+        """Coordinate pins for row (a,b) from duality and placed mirrors."""
+        pins = {0: int(b == self.dual[a])}
+        rows = self.rows
+        for c, m, coord in self.reads[a * self.rank + b]:
+            row = rows[m]
+            if row is not None and pins.setdefault(c, row[coord]) != row[coord]:
+                return None
         return pins
+
+    def _basic_fits(self, a: int, b: int, pins: dict[int, int]) -> list[int]:
+        """The c whose basis vector fits a grouplike row (a,b) and its pins."""
+        target = self.deg[a] * self.deg[b]
+        nonzero = [c for c, v in pins.items() if v]
+        if nonzero:  # a nonzero pin already completes the row
+            c = nonzero[0]
+            return nonzero if len(nonzero) == 1 and pins[c] == 1 and self.deg[c] == target else []
+        return [c for c in range(self.rank) if c not in pins and self.deg[c] == target]
+
+    def _admits(self, a: int, b: int) -> bool:
+        """False when row (a,b) can get no candidate now or after more rows
+        are placed: pins only grow, and each test is one ``_candidates`` makes."""
+        pins = self._pinned(a, b)
+        if pins is None:
+            return False
+        deg = self.deg
+        if deg[a] == 1 or deg[b] == 1:
+            return bool(self._basic_fits(a, b, pins))
+        gap = deg[a] * deg[b] - sum(v * deg[c] for c, v in pins.items())
+        return 0 <= gap <= self.max_mult * sum(deg[c] for c in range(self.rank) if c not in pins)
 
     def _candidates(self, a: int, b: int) -> list[tuple[int, ...]]:
         pins = self._pinned(a, b)
         if pins is None:
             return []
-        target = self.deg[a] * self.deg[b]
+        r = self.rank
         if self.deg[a] == 1 or self.deg[b] == 1:
             # A grouplike translate of a basic element is basic.
-            out = []
-            for c in range(self.rank):
-                if self.deg[c] != target:
-                    continue
-                vec = tuple(1 if k == c else 0 for k in range(self.rank))
-                if all(vec[k] == v for k, v in pins.items()):
-                    out.append(vec)
-            return out
-
-        vec = [0] * self.rank
-        remaining = target
+            return [tuple(int(k == c) for k in range(r)) for c in self._basic_fits(a, b, pins)]
+        deg, max_mult = self.deg, self.max_mult
+        vec = [0] * r
+        left = deg[a] * deg[b]
         for c, v in pins.items():
             vec[c] = v
-            remaining -= v * self.deg[c]
-        if remaining < 0:
-            return []
-        free = [c for c in range(self.rank) if c not in pins]
+            left -= v * deg[c]
+        free = [c for c in range(r) if c not in pins]
+        # tail[i]: the most that free[i:] can add to the degree sum
+        tail = [0] * (len(free) + 1)
+        for i in range(len(free) - 1, -1, -1):
+            tail[i] = tail[i + 1] + max_mult * deg[free[i]]
         out: list[tuple[int, ...]] = []
 
-        def fill(pos: int, left: int) -> None:
-            if pos == len(free):
-                if left == 0:
-                    out.append(tuple(vec))
+        def fill(i: int, left: int) -> None:
+            if i == len(free):
+                out.append(tuple(vec))
                 return
-            c = free[pos]
-            tail_capacity = sum(self.max_mult * self.deg[k] for k in free[pos + 1 :])
-            for v in range(0, self.max_mult + 1):
-                used = v * self.deg[c]
-                if used > left:
-                    break
-                if left - used > tail_capacity:
-                    continue
+            c, d = free[i], deg[free[i]]
+            low = max(0, -(-(left - tail[i + 1]) // d))
+            for v in range(low, min(max_mult, left // d) + 1):
                 vec[c] = v
-                fill(pos + 1, left - used)
+                fill(i + 1, left - v * d)
             vec[c] = 0
 
-        fill(0, remaining)
+        if 0 <= left <= tail[0]:
+            fill(0, left)
         return out
 
-    # -- associativity --------------------------------------------------------
+    # -- associativity and forward checking -----------------------------------
 
     def _triple_holds(self, p: int, q: int, s: int) -> bool:
-        """(pq)s == p(qs) when every needed row is assigned; True if undecidable yet."""
-        pq = self.rows.get((p, q))
-        qs = self.rows.get((q, s))
+        """(pq)s == p(qs) on packed rows when every needed row is placed;
+        True if undecidable yet."""
+        r = self.rank
+        pq, qs = self.support[p * r + q], self.support[q * r + s]
         if pq is None or qs is None:
             return True
-        r = self.rank
-        lhs = [0] * r
-        for t, m in enumerate(pq):
-            if not m:
-                continue
-            row = self.rows.get((t, s))
+        packed = self.packed
+        lhs = rhs = 0
+        for t, m in pq:
+            row = packed[t * r + s]
             if row is None:
                 return True
-            for c, n in enumerate(row):
-                lhs[c] += m * n
-        rhs = [0] * r
-        for t, m in enumerate(qs):
-            if not m:
-                continue
-            row = self.rows.get((p, t))
+            lhs += m * row
+        for t, m in qs:
+            row = packed[p * r + t]
             if row is None:
                 return True
-            for c, n in enumerate(row):
-                rhs[c] += m * n
+            rhs += m * row
         return lhs == rhs
 
-    def _associative_around(self, a: int, b: int) -> bool:
-        """Triples with (a,b) as an outer pair; inner-row completions are
-        caught by the final axiom check on emitted solutions."""
+    def _consistent_after(self, a: int, b: int) -> bool:
+        """Row (a,b) was just placed.  The triples with (a,b) as an outer pair
+        associate (inner-row completions are caught by the final axiom check
+        on emitted solutions), and every unplaced row reading (a,b) still
+        admits a candidate."""
         r = self.rank
-        for s in range(r):
-            if not self._triple_holds(a, b, s):
+        for x in range(1, r):
+            if not (self._triple_holds(a, b, x) and self._triple_holds(x, a, b)):
                 return False
-        for p in range(r):
-            if not self._triple_holds(p, a, b):
-                return False
-        return True
+        rows = self.rows
+        return all(rows[k] is not None or self._admits(*divmod(k, r)) for k in self.readers[a * r + b])
 
     # -- driving --------------------------------------------------------------
 
     def run(self, first_candidate: Optional[tuple[int, ...]] = None) -> None:
-        if not self.pairs:
-            self.solutions.append(dict(self.rows))
-            return
-        if first_candidate is not None:
-            a, b = self.pairs[0]
-            if first_candidate not in self._candidates(a, b):
-                return
-            self.rows[(a, b)] = first_candidate
-            if self._associative_around(a, b):
-                self._assign(1)
-            del self.rows[(a, b)]
-        else:
-            self._assign(0)
+        """Every solution, or those whose first row is ``first_candidate``."""
+        self._assign(0, first_candidate)
 
-    def _assign(self, pos: int) -> None:
+    def _assign(self, pos: int, only: Optional[tuple[int, ...]] = None) -> None:
         if pos == len(self.pairs):
-            self.solutions.append(dict(self.rows))
+            self.solutions.append(list(self.rows))
             return
         a, b = self.pairs[pos]
-        if (a, b) in self.rows:  # mirror of an earlier row may coincide
-            self._assign(pos + 1)
-            return
+        k = a * self.rank + b
         for cand in self._candidates(a, b):
-            self.rows[(a, b)] = cand
-            if self._associative_around(a, b):
-                self._assign(pos + 1)
-            del self.rows[(a, b)]
+            if only is None or cand == only:
+                self._place(k, cand)
+                if self._consistent_after(a, b):
+                    self._assign(pos + 1)
+                self._place(k, None)
 
 
 def _labels_for(degrees: tuple[int, ...]) -> tuple[str, ...]:
-    labels = []
+    labels = ["1"]
     counters: dict[int, int] = {}
-    for k, d in enumerate(degrees):
-        if k == 0:
-            labels.append("1")
-            continue
+    for d in degrees[1:]:
         counters[d] = counters.get(d, 0) + 1
         labels.append(f"d{d}n{counters[d]}")
     return tuple(labels)
@@ -239,40 +244,45 @@ def _labels_for(degrees: tuple[int, ...]) -> tuple[str, ...]:
 def _canonical_key(
     degrees: tuple[int, ...],
     dual: tuple[int, ...],
-    rows: dict[tuple[int, int], tuple[int, ...]],
+    rows: list[tuple[int, ...]],
     blocks: Sequence[Sequence[int]],
 ) -> tuple:
-    best = None
-    for perm in _block_permutations(blocks):
-        perm[0] = 0
-        p_dual = tuple(perm[dual[_inv(perm, i)]] for i in range(len(degrees)))
+    """The least relabelled ``(dual, rows)`` over relabellings within
+    ``blocks``; rows are ``((a, b), row)`` in pair order.  A relabelling is
+    dropped at its first row above the best so far."""
+    r = len(degrees)
+    pairs = [(a, b) for a in range(r) for b in range(r)]
+    best_dual: Optional[tuple[int, ...]] = None
+    best_rows: list = []
+    for src in _block_permutations(r, blocks):
+        new = [0] * r
+        for i, old in enumerate(src):
+            new[old] = i
+        p_dual = tuple(new[dual[old]] for old in src)
+        if best_dual is not None and p_dual > best_dual:
+            continue
+        tie = p_dual == best_dual
         p_rows = []
-        for (a, b), vec in rows.items():
-            new_vec = [0] * len(vec)
-            for c, v in enumerate(vec):
-                new_vec[perm[c]] = v
-            p_rows.append(((perm[a], perm[b]), tuple(new_vec)))
-        key = (p_dual, tuple(sorted(p_rows)))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _inv(perm: dict[int, int], i: int) -> int:
-    for k, v in perm.items():
-        if v == i:
-            return k
-    raise KeyError(i)
+        for a, b in pairs:
+            row = rows[src[a] * r + src[b]]
+            vec = tuple([row[c] for c in src])
+            if tie:
+                best = best_rows[len(p_rows)][1]
+                if vec > best:
+                    break
+                tie = vec == best
+            p_rows.append(((a, b), vec))
+        else:
+            if not tie:
+                best_dual, best_rows = p_dual, p_rows
+    return best_dual, tuple(best_rows)
 
 
 def _search_task(args) -> list[tuple]:
     degrees, max_mult, dual, first_candidate, blocks = args
     search = _Search(degrees, max_mult, dual)
     search.run(first_candidate)
-    keys = []
-    for rows in search.solutions:
-        keys.append(_canonical_key(degrees, dual, rows, blocks))
-    return keys
+    return [_canonical_key(degrees, dual, rows, blocks) for rows in search.solutions]
 
 
 def enumerate_rings(
@@ -307,35 +317,27 @@ def enumerate_rings(
         raise PreconditionUnmet("max_mult must be >= 1")
 
     rank = len(degrees)
-    by_degree: dict[int, list[int]] = {}
-    for i in range(1, rank):
-        by_degree.setdefault(degrees[i], []).append(i)
-    blocks_nonunit = [tuple(v) for _, v in sorted(by_degree.items())]
+    blocks_nonunit = [tuple(i for i in range(1, rank) if degrees[i] == d) for d in sorted(set(degrees[1:]))]
 
-    # Dual involutions act within equal-degree blocks; the unit is fixed.
+    # One dual involution per conjugacy class under relabelling within blocks
+    # (the unit is fixed): a relabelling p turns dual d into p d p^-1, and
+    # _canonical_key minimises over relabellings, so the keys are the same.
+    # The class with j transpositions in a block: block[0]<->block[1], ...,
+    # block[2j-2]<->block[2j-1].
     dual_choices: list[tuple[int, ...]] = []
-
-    def build_duals(block_idx: int, acc: dict[int, int]) -> None:
-        if block_idx == len(blocks_nonunit):
-            dual = tuple(acc.get(i, i) for i in range(rank))
-            dual_choices.append(dual)
-            return
-        for inv in _involutions(blocks_nonunit[block_idx]):
-            acc2 = dict(acc)
-            acc2.update(inv)
-            build_duals(block_idx + 1, acc2)
-
-    build_duals(0, {0: 0})
+    for counts in product(*(range(len(block) // 2 + 1) for block in blocks_nonunit)):
+        dual = list(range(rank))
+        for block, j in zip(blocks_nonunit, counts):
+            for x, y in zip(block[0 : 2 * j : 2], block[1 : 2 * j : 2]):
+                dual[x], dual[y] = y, x
+        dual_choices.append(tuple(dual))
 
     # Partition work on the first undetermined row's candidate values.
     tasks = []
     for dual in dual_choices:
         probe = _Search(degrees, max_mult, dual)
-        if not probe.pairs:
-            tasks.append((degrees, max_mult, dual, None, blocks_nonunit))
-            continue
-        for cand in probe._candidates(*probe.pairs[0]):
-            tasks.append((degrees, max_mult, dual, cand, blocks_nonunit))
+        firsts = probe._candidates(*probe.pairs[0]) if probe.pairs else [None]
+        tasks += [(degrees, max_mult, dual, cand, blocks_nonunit) for cand in firsts]
 
     n_workers = _worker_count(workers, len(tasks))
     if n_workers > 1:
@@ -344,25 +346,14 @@ def enumerate_rings(
     else:
         results = [_search_task(t) for t in tasks]
 
-    seen: set[tuple] = set()
-    keys = []
-    for batch in results:
-        for key in batch:
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-    keys.sort()
+    keys = sorted({key for batch in results for key in batch})
 
     labels = _labels_for(degrees)
     stem = "ring_" + "_".join(str(d) for d in degrees)
     rings = []
     for dual, rows in keys:
         basis = [(labels[i], degrees[i], labels[dual[i]]) for i in range(rank)]
-        products = {}
-        for (a, b), vec in rows:
-            products[(labels[a], labels[b])] = {
-                labels[c]: v for c, v in enumerate(vec) if v
-            }
+        products = {(labels[a], labels[b]): {labels[c]: v for c, v in enumerate(vec) if v} for (a, b), vec in rows}
         ring = build_ring(f"{stem}_{len(rings)}", basis, "1", products)
         if check_axioms(ring).all_pass:
             rings.append(ring)

@@ -266,6 +266,22 @@ def test_non_positive_workers_exit_two(capsys, workers):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option,value", [("--max-mult", "0"), ("--max-mult", "-3"), ("--degrees", ",,"), ("--degrees", "1,0")]
+)
+def test_search_input_errors_exit_two(capsys, option, value):
+    # bad input, not a finding; argparse rejects --max-mult itself, after its usage line
+    try:
+        code = run(["search", "--degrees", "1,1,1", "--workers", "1", option, value])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    (line,) = [line for line in err.splitlines() if line.startswith("fusionring")]
+    assert option in line and "positive integer" in line
+
+
 @pytest.mark.parametrize("value", ["0", "-4", "lots", "2.5"])
 def test_bad_thread_env_exit_two_one_line(monkeypatch, capsys, value):
     monkeypatch.setenv("FUSIONRING_THREADS", value)

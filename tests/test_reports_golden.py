@@ -1,10 +1,11 @@
 """Golden CLI reports: check, verdict, ladder and subrings, in text and JSON,
 on the fixture character rings, the fragment, so3_21, Z12, the hand-built
 diagnostic rings of conftest, and partial rings that reach each Unknown-product
-exit of the degree-3 analysis.
+exit of the degree-3 analysis; and ``search`` on a few degree lists, which
+pins the order, labels and names of the enumerated rings.
 
-Each ring's expected stdout, stderr and exit codes live in
-``tests/golden/<ring>.txt``.  Refactors must leave them byte-identical; a
+Each report's expected stdout, stderr and exit codes live in
+``tests/golden/<name>.txt``.  Refactors must leave them byte-identical; a
 deliberate report change regenerates them with
 ``PYTHONPATH=src python tests/test_reports_golden.py`` and says so.
 """
@@ -58,6 +59,25 @@ RINGS = {
 }
 
 
+# search reports: degree list and max_mult
+SEARCHES = {
+    "search_1_1_1_1_m1": ((1, 1, 1, 1), 1),
+    "search_1_1_1_3_m2": ((1, 1, 1, 3), 2),
+    "search_1_1_1_3_3_m2": ((1, 1, 1, 3, 3), 2),
+    "search_1_1_1_1_1_1_m1": ((1, 1, 1, 1, 1, 1), 1),
+    "search_1_1_1_3_3_3_m3": ((1, 1, 1, 3, 3, 3), 3),
+    "search_1_3_3_3_5_5_m2": ((1, 3, 3, 3, 5, 5), 2),  # no ring
+}
+
+
+def _run(argv: list[str]) -> str:
+    """One CLI run: the command line, exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    return f"$ fusionring {' '.join(argv)}\n[exit {code}]\n{out.getvalue()}[stderr]\n{err.getvalue()}"
+
+
 def report(ring: fr.FusionRing) -> str:
     """Every command's exit code, stdout and stderr on ``ring``, in order.
 
@@ -71,24 +91,29 @@ def report(ring: fr.FusionRing) -> str:
     with mock.patch.object(cli, "_read_ring", lambda path: ring):
         for fmt in ("text", "json"):
             for command in commands:
-                argv = ["--format", fmt, command[0], ring.name, *command[1:]]
-                out, err = io.StringIO(), io.StringIO()
-                with redirect_stdout(out), redirect_stderr(err):
-                    code = cli.run(argv)
-                parts.append(
-                    f"$ fusionring {' '.join(argv)}\n[exit {code}]\n"
-                    f"{out.getvalue()}[stderr]\n{err.getvalue()}"
-                )
+                parts.append(_run(["--format", fmt, command[0], ring.name, *command[1:]]))
     return "".join(parts)
 
 
-@pytest.mark.parametrize("name", sorted(RINGS))
+def search_report(degrees: tuple[int, ...], max_mult: int) -> str:
+    """``search`` on one degree list, in text and JSON."""
+    argv = ["search", "--degrees", ",".join(map(str, degrees)), "--max-mult", str(max_mult), "--workers", "1"]
+    return "".join(_run(["--format", fmt, *argv]) for fmt in ("text", "json"))
+
+
+REPORTS = {
+    **{name: lambda make=make: report(make()) for name, make in RINGS.items()},
+    **{name: lambda args=args: search_report(*args) for name, args in SEARCHES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-    assert report(RINGS[name]()) == expected
+    assert REPORTS[name]() == expected
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, make in RINGS.items():
-        (GOLDEN / f"{name}.txt").write_text(report(make()), encoding="utf-8")
+    for name, make in REPORTS.items():
+        (GOLDEN / f"{name}.txt").write_text(make(), encoding="utf-8")

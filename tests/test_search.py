@@ -1,6 +1,6 @@
 """Constrained enumeration: soundness, completeness at desk scale, dedup."""
 
-import os
+from itertools import permutations, product
 
 import pytest
 
@@ -159,9 +159,86 @@ def test_chain_fixture_degree_sets_admit_no_complete_ring():
     assert fr.enumerate_rings([1, 3, 3, 5, 5], max_mult=4, workers=1) == []
 
 
-@pytest.mark.skipif(
-    not os.environ.get("FUSIONRING_SLOW_TESTS"),
-    reason="rank-6 exhaustive run (~40s); set FUSIONRING_SLOW_TESTS=1",
-)
 def test_chain_fixture_rank_six_also_empty():
     assert fr.enumerate_rings([1, 3, 3, 3, 5, 5], max_mult=4, workers=1) == []
+
+
+@pytest.mark.parametrize("k,groups", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 1), (6, 2), (7, 1)])
+def test_all_grouplike_degrees_give_the_groups_of_order_k(k, groups):
+    rings = fr.enumerate_rings([1] * k, max_mult=1, rank_bound=7, workers=1)
+    assert len(rings) == groups
+
+
+def _ring(degrees, dual, table, new):
+    """The ring of ``table`` with basis element i labelled ``e<new[i]>`` and
+    listed in that order."""
+    label = [f"e{n}" for n in new]
+    products = {
+        (label[a], label[b]): {label[c]: n for c, n in enumerate(row) if n} for (a, b), row in table.items()
+    }
+    order = sorted(range(len(degrees)), key=new.__getitem__)
+    return fr.build_ring("ring", [(label[i], degrees[i], label[dual[i]]) for i in order], "e0", products)
+
+
+def _canonical_spec(degrees, dual, table):
+    """The least ``write_spec`` text over relabellings within equal-degree
+    blocks; the unit stays first."""
+    r = len(degrees)
+    blocks = [[i for i in range(1, r) if degrees[i] == d] for d in sorted(set(degrees[1:]))]
+    texts = []
+    for images in product(*(permutations(block) for block in blocks)):
+        new = list(range(r))
+        for block, image in zip(blocks, images):
+            for old, moved in zip(block, image):
+                new[old] = moved
+        texts.append(fr.write_spec(_ring(degrees, dual, table, new)))
+    return min(texts)
+
+
+def _brute_force(degrees, max_mult):
+    """Every table whose rows meet the degree sums with entries up to
+    ``max_mult``, for every dual involution within equal-degree blocks, that
+    passes ``check_axioms``; as canonical specs.  Rows failing the duality
+    pairing's unit coordinate are dropped before the product is taken."""
+    r = len(degrees)
+    pairs = [(a, b) for a in range(1, r) for b in range(1, r)]
+    unit = {(0, i): tuple(int(c == i) for c in range(r)) for i in range(r)}
+    unit.update({(i, 0): row for (_, i), row in unit.items()})
+    found = set()
+    for dual in product(range(r), repeat=r):
+        if dual[0] != 0 or any(dual[dual[i]] != i or degrees[dual[i]] != degrees[i] for i in range(r)):
+            continue
+        choices = [
+            [
+                row for row in product(range(max_mult + 1), repeat=r)
+                if sum(n * d for n, d in zip(row, degrees)) == degrees[a] * degrees[b]
+                and row[0] == int(b == dual[a])
+            ]
+            for a, b in pairs
+        ]
+        for rows in product(*choices):
+            table = {**unit, **dict(zip(pairs, rows))}
+            if fr.check_axioms(_ring(degrees, dual, table, range(r))).all_pass:
+                found.add(_canonical_spec(degrees, dual, table))
+    return found
+
+
+@pytest.mark.parametrize(
+    "degrees,max_mult",
+    [
+        ([1], 1), ([1, 1], 2), ([1, 1, 1], 2), ([1, 3], 3),
+        ([1, 1, 3], 2), ([1, 3, 3], 2), ([1, 1, 1, 1], 1), ([1, 1, 1, 3], 2),
+    ],
+)
+def test_search_matches_brute_force(degrees, max_mult):
+    rings = fr.enumerate_rings(degrees, max_mult=max_mult, workers=1)
+    specs = [
+        _canonical_spec(
+            degrees,
+            [ring.dual_index(i) for i in range(ring.rank)],
+            {(a, b): ring.product_row(a, b) for a in range(ring.rank) for b in range(ring.rank)},
+        )
+        for ring in rings
+    ]
+    assert len(set(specs)) == len(specs)
+    assert set(specs) == _brute_force(degrees, max_mult)
