@@ -15,16 +15,13 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .axioms import check_axioms, check_stabilizer_rule
-from .chartable import char_table_ring, parse_character_table
-from .oracles import cyclic_group_ring, fragment_ring, so3_truncated
+
+# Every op reads or writes a spec, so only `ring` and `specfmt` load here.
+# Each _cmd_* imports the modules it runs, so an op loads no others.
 from .ring import (
     FusionRing, FusionRingError, InvalidSetting, RankTooLarge, UnknownProduct, format_terms,
 )
-from .search import enumerate_rings
 from .specfmt import RingSemanticError, RingSyntaxError, parse_spec, write_spec
-from .subrings import enumerate_standard_subrings, freeness_obstructions
-from .ladder import TruncationReached, ladder_build, dichotomy_verdict
 
 SCHEMA = "fusionring-report/1"
 
@@ -54,6 +51,8 @@ def _emit(args, code: int, lines: list[str], **fields) -> tuple[int, str]:
 
 
 def _cmd_check(args) -> tuple[int, str]:
+    from .axioms import check_axioms, check_stabilizer_rule
+
     ring = _read_ring(args.file)
     report = check_axioms(ring)
     lines = [f"ring {ring.name}: axiom checks"]
@@ -85,6 +84,8 @@ def _cmd_check(args) -> tuple[int, str]:
 
 
 def _cmd_verdict(args) -> tuple[int, str]:
+    from .ladder import dichotomy_verdict
+
     ring = _read_ring(args.file)
     verdict = dichotomy_verdict(ring, max_depth=args.depth)
     lines = [f"ring {ring.name}: verdict {verdict.kind}"]
@@ -105,6 +106,8 @@ def _cmd_verdict(args) -> tuple[int, str]:
 
 
 def _cmd_ladder(args) -> tuple[int, str]:
+    from .ladder import TruncationReached, ladder_build
+
     ring = _read_ring(args.file)
     try:
         cert = ladder_build(ring, args.x3, max_depth=args.depth)
@@ -124,6 +127,8 @@ def _cmd_ladder(args) -> tuple[int, str]:
 
 
 def _cmd_subrings(args) -> tuple[int, str]:
+    from .subrings import enumerate_standard_subrings, freeness_obstructions
+
     ring = _read_ring(args.file)
     subs = enumerate_standard_subrings(ring, allow_incomplete=ring.is_partial)
     violations = freeness_obstructions(ring, subs)
@@ -145,6 +150,8 @@ def _cmd_subrings(args) -> tuple[int, str]:
 
 
 def _cmd_search(args) -> tuple[int, str]:
+    from .search import enumerate_rings
+
     try:
         degrees = [int(tok) for tok in args.degrees.split(",") if tok]
     except ValueError as exc:
@@ -161,6 +168,9 @@ def _cmd_search(args) -> tuple[int, str]:
 
 
 def _cmd_gen(args) -> tuple[int, str]:
+    from .chartable import char_table_ring, parse_character_table
+    from .oracles import cyclic_group_ring, fragment_ring, so3_truncated
+
     kind = args.what[0]
     if kind == "cyclic":
         if len(args.what) != 2:
@@ -205,8 +215,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejected arguments give one ``fusionring: message`` line and exit 2,
+    like every other input error; subparsers are built with this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"fusionring: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fusionring",
         description="Exact fusion-ring checks, subring obstructions, and ladder analysis.",
     )

@@ -17,7 +17,6 @@ pass the full axiom checker before they are emitted.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
@@ -341,6 +340,8 @@ def enumerate_rings(
 
     n_workers = _worker_count(workers, len(tasks))
     if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a serial search loads no multiprocessing
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_search_task, tasks))
     else:

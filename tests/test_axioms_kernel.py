@@ -418,9 +418,9 @@ def _assert_same_cli(ring: FusionRing) -> None:
         path = str(Path(tmp) / "ring.spec")
         Path(path).write_text(fr.write_spec(ring))
         kernel = _cli_outputs(path)
-        with mock.patch("fusionring.cli.check_axioms", naive_check_axioms), mock.patch(
+        with mock.patch("fusionring.axioms.check_axioms", naive_check_axioms), mock.patch(
             "fusionring.ladder.check_axioms", naive_check_axioms
-        ), mock.patch("fusionring.cli.check_stabilizer_rule", naive_check_stabilizer_rule):
+        ), mock.patch("fusionring.axioms.check_stabilizer_rule", naive_check_stabilizer_rule):
             naive = _cli_outputs(path)
     assert kernel == naive
 

@@ -189,12 +189,12 @@ def test_gen_chartable_bad_table_exit_two(tmp_path, capsys, text, message):
 
 
 def test_gen_chartable_not_integral_exit_two(tmp_path, capsys, monkeypatch):
-    import fusionring.cli as cli
+    import fusionring.chartable as chartable
 
     def not_integral(table):
         raise fr.NotIntegral("inner product total 1 is not divisible by |G| = 3")
 
-    monkeypatch.setattr(cli, "char_table_ring", not_integral)
+    monkeypatch.setattr(chartable, "char_table_ring", not_integral)
     path = tmp_path / "z3.chartab"
     path.write_text(
         "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\n"
@@ -266,20 +266,38 @@ def test_non_positive_workers_exit_two(capsys, workers):
     assert "positive integer" in capsys.readouterr().err
 
 
+SEARCH_111 = ["search", "--degrees", "1,1,1", "--workers", "1"]
+
+
 @pytest.mark.parametrize(
-    "option,value", [("--max-mult", "0"), ("--max-mult", "-3"), ("--degrees", ",,"), ("--degrees", "1,0")]
+    "argv,words",
+    [
+        pytest.param([*SEARCH_111, "--max-mult", "0"], ("--max-mult", "positive integer"), id="--max-mult-0"),
+        pytest.param([*SEARCH_111, "--max-mult", "-3"], ("--max-mult", "positive integer"), id="--max-mult--3"),
+        pytest.param([*SEARCH_111, "--degrees", ",,"], ("--degrees", "positive integer"), id="--degrees-,,"),
+        pytest.param([*SEARCH_111, "--degrees", "1,0"], ("--degrees", "positive integer"), id="--degrees-1,0"),
+        pytest.param(
+            ["search", "--degrees", "1,1,1", "--workers", "0"], ("--workers", "positive integer"), id="--workers-0"
+        ),
+        pytest.param(
+            ["verdict", "ring.spec", "--depth", "0"], ("--depth", "positive integer"), id="verdict--depth-0"
+        ),
+        pytest.param([], ("required", "command"), id="no-subcommand"),
+    ],
 )
-def test_search_input_errors_exit_two(capsys, option, value):
-    # bad input, not a finding; argparse rejects --max-mult itself, after its usage line
+def test_search_input_errors_exit_two(capsys, argv, words):
+    # bad input, not a finding: argparse's rejections, like the search's own,
+    # are one `fusionring: ` line on stderr with no usage block
     try:
-        code = run(["search", "--degrees", "1,1,1", "--workers", "1", option, value])
+        code = run(argv)
     except SystemExit as exc:
         code = exc.code
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    (line,) = [line for line in err.splitlines() if line.startswith("fusionring")]
-    assert option in line and "positive integer" in line
+    (line,) = err.splitlines()
+    assert err == line + "\n" and line.startswith("fusionring: ")
+    assert all(word in line for word in words)
 
 
 @pytest.mark.parametrize("value", ["0", "-4", "lots", "2.5"])

@@ -1,5 +1,6 @@
 """Constrained enumeration: soundness, completeness at desk scale, dedup."""
 
+import concurrent.futures
 from itertools import permutations, product
 
 import pytest
@@ -125,7 +126,7 @@ class _RecordingPool:
 @pytest.mark.parametrize("cpus,request_env,workers", [(3, None, 64), (64, None, 64), (3, "500", None), (64, "500", None)])
 def test_pool_capped_at_tasks_and_cpus(monkeypatch, cpus, request_env, workers):
     monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "task_counts", [])
     if request_env is None:

@@ -1,0 +1,135 @@
+"""Lazy loading: the modules each CLI op imports, and the package's public API.
+
+Each op runs in a fresh interpreter, which then prints the op's exit code
+and the ``fusionring``, ``concurrent`` and ``multiprocessing`` modules it
+holds.  The sets are
+pinned, not timings: a module an op does not run costs every process its
+import, and nothing else catches an eager import creeping back.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fusionring as fr
+import fusionring.axioms
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = SRC / "fusionring" / "fixtures"
+
+CHILD = """\
+import sys
+from fusionring.cli import run
+try:
+    code = run(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+watched = ("fusionring", "concurrent", "multiprocessing")
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] in watched))
+"""
+
+BASE = {"fusionring", "fusionring.cli", "fusionring.ring", "fusionring.specfmt"}
+GEN = BASE | {"fusionring.oracles", "fusionring.chartable", "fusionring.cyclotomic"}
+LADDER = BASE | {"fusionring.ladder", "fusionring.axioms", "fusionring.subrings"}
+
+
+def loaded_after(*argv: str) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("FUSIONRING_THREADS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    code, *modules = done.stdout.splitlines()[-1].split()
+    assert (done.returncode, code) == (0, "0"), done.stderr
+    return set(modules)
+
+
+@pytest.fixture(scope="module")
+def so3_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "so3_7.spec"
+    path.write_text(fr.write_spec(fr.so3_truncated(7)))
+    return str(path)
+
+
+def test_version_loads_only_cli_ring_specfmt():
+    assert loaded_after("--version") == BASE
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["check", "SPEC"], BASE | {"fusionring.axioms"}),
+        (["subrings", "SPEC"], BASE | {"fusionring.subrings"}),
+        (["verdict", "SPEC"], LADDER),
+        (["ladder", "SPEC", "--x3", "x3"], LADDER),
+        (["gen", "so3", "7"], GEN),
+        (["gen", "chartable", str(FIXTURES / "z3.chartab")], GEN),
+        # a serial search loads no worker-pool machinery
+        (["search", "--degrees", "1,1,1", "--workers", "1"], BASE | {"fusionring.search", "fusionring.axioms"}),
+    ],
+    ids=["check", "subrings", "verdict", "ladder", "gen-so3", "gen-chartable", "search-serial"],
+)
+def test_op_loads_only_its_modules(so3_spec, argv, expected):
+    assert loaded_after(*[so3_spec if a == "SPEC" else a for a in argv]) == expected
+
+
+SEED_ALL = [
+    "BasisElement", "CaseSplitResult", "ChainFailure", "ChainResult", "CharacterTable", "CheckReport",
+    "Cyclotomic", "FailureBranch", "FusionRing", "FusionRingError", "GrouplikeFound", "GrouplikeGroup",
+    "IncompleteClosure", "InvalidRing", "InvalidSetting", "LadderCertificate", "NotClosed", "NotDegreeThree",
+    "NotIntegral", "Obstruction", "OrthogonalityFailure", "OverflowDetected", "PreconditionUnmet",
+    "RankTooLarge", "RingElement", "RingSemanticError", "RingSyntaxError", "SelfDual", "SquareSplit",
+    "StandardSubring", "TruncationReached", "UnknownLabel", "UnknownProduct", "Verdict", "a4_character_ring",
+    "axioms", "build_ring", "char_table_ring", "chartable", "check_axioms", "check_stabilizer_rule",
+    "closure", "cyclic_character_table", "cyclic_group_ring", "cyclotomic", "cyclotomic_polynomial",
+    "degree3_case_split", "dichotomy_verdict", "enumerate_rings", "enumerate_standard_subrings",
+    "f21_character_ring", "fixture_character_ring", "fixture_character_table", "fragment_ring",
+    "freeness_obstructions", "grouplike_group", "ladder", "ladder_build", "load_character_table", "oracles",
+    "parse_character_table", "parse_spec", "ring", "s3_character_ring", "search", "selfdual_chain",
+    "so3_truncated", "specfmt", "stabilizer_group", "stabilizer_labels", "subrings", "verify_certificate",
+    "write_spec",
+]
+SUBMODULES = {"axioms", "chartable", "cyclotomic", "ladder", "oracles", "ring", "search", "specfmt", "subrings"}
+
+
+def test_public_names_unchanged():
+    assert len(SEED_ALL) == 73
+    assert sorted(fr.__all__) == SEED_ALL
+
+
+@pytest.mark.parametrize("name", SEED_ALL)
+def test_public_name_resolves_to_its_home(name):
+    obj = getattr(fr, name)
+    if name in SUBMODULES:
+        assert obj is sys.modules[f"fusionring.{name}"]
+    else:
+        homes = [m for m in SUBMODULES if getattr(importlib.import_module(f"fusionring.{m}"), name, None) is obj]
+        assert homes, f"{name} is bound in no fusionring module"
+    assert name in dir(fr)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from fusionring import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == SEED_ALL
+
+
+def test_unknown_name_raises_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'fusionring' has no attribute 'no_such_name'$"):
+        fr.no_such_name
+
+
+def test_lookup_reads_through_to_the_home_module(monkeypatch):
+    # a rebinding in the home module (a mock, a tracer) shows through the
+    # package and is gone from it once undone: nothing is cached there
+    original = fr.check_axioms
+    assert "check_axioms" not in vars(fr)
+    monkeypatch.setattr(fusionring.axioms, "check_axioms", len)
+    assert fr.check_axioms is len
+    monkeypatch.undo()
+    assert fr.check_axioms is original
+    assert "check_axioms" not in vars(fr)
