@@ -1,0 +1,6 @@
+"""``python -m fusionring``: the command-line tool."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

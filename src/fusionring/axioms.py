@@ -9,8 +9,7 @@ every downstream symptom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .ring import FusionRing, UnknownProduct, format_terms
 
@@ -19,16 +18,14 @@ FAIL = "fail"
 SKIPPED = "skipped-unknown"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """First offending instance of a failed check, with both sides' values."""
 
     instance: tuple[str, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     name: str
     status: str
     passed: int
@@ -49,8 +46,7 @@ class CheckEntry:
         return d
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Itemized pass/fail record; every named check appears exactly once."""
 
     ring_name: str

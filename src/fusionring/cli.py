@@ -10,7 +10,6 @@ JSON (``--format json``, stable schema ``fusionring-report/1``).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -36,6 +35,8 @@ def _read_ring(path: str) -> FusionRing:
             text = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
     try:
         return parse_spec(text)
     except (RingSyntaxError, RingSemanticError) as exc:
@@ -45,6 +46,8 @@ def _read_ring(path: str) -> FusionRing:
 def _emit(args, code: int, lines: list[str], **fields) -> tuple[int, str]:
     """The report in ``args.format``: text ``lines``, or the JSON envelope plus ``fields``."""
     if args.format == "json":
+        import json
+
         payload = {"schema": SCHEMA, "command": args.command, "exit_code": code, **fields}
         return code, json.dumps(payload, sort_keys=True, indent=2) + "\n"
     return code, "\n".join(lines) + "\n"
@@ -288,3 +291,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

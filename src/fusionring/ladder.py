@@ -13,8 +13,7 @@ obstruction on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .axioms import check_axioms
 from .ring import (
@@ -34,30 +33,26 @@ class NotDegreeThree(FusionRingError):
 # -- result variants ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrouplikeFound:
+class GrouplikeFound(NamedTuple):
     label: str
     order: int
 
 
-@dataclass(frozen=True)
-class SquareSplit:
+class SquareSplit(NamedTuple):
     """x*x^* = 1 + (degree-3 basic) + (degree-5 basic)."""
 
     deg3_label: str
     deg5_label: str
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     description: str
 
 
 CaseSplitResult = Union[GrouplikeFound, SquareSplit, Obstruction]
 
 
-@dataclass(frozen=True)
-class SelfDual:
+class SelfDual(NamedTuple):
     x3_label: str
     x5_label: str
     chain: tuple[str, ...] = ()
@@ -67,8 +62,7 @@ class SelfDual:
         return len(self.chain) - 1
 
 
-@dataclass(frozen=True)
-class ChainFailure:
+class ChainFailure(NamedTuple):
     trace: tuple[str, ...]
     reason: str
 
@@ -76,13 +70,11 @@ class ChainFailure:
 ChainResult = Union[GrouplikeFound, SelfDual, ChainFailure]
 
 
-@dataclass(frozen=True)
-class TruncationReached:
+class TruncationReached(NamedTuple):
     depth: int
 
 
-@dataclass(frozen=True)
-class FailureBranch:
+class FailureBranch(NamedTuple):
     kind: str  # impossible_factorization | grouplike_order2 | freeness_violation | inconsistent_data
     diagnosis: str
     grouplike: Optional[str] = None
@@ -91,8 +83,7 @@ class FailureBranch:
     verified: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class LadderCertificate:
+class LadderCertificate(NamedTuple):
     """Verified families and relations, or a diagnosed failure branch.
 
     ``relations`` holds (n, decomposition of x_{2n+1}*x3) for each verified
@@ -546,8 +537,7 @@ def verify_certificate(ring: FusionRing, cert: LadderCertificate) -> bool:
 # -- verdict ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # grouplike | ladder | no_degree3 | truncated | obstruction
     grouplike: Optional[str] = None
     order: Optional[int] = None

@@ -12,9 +12,8 @@ that an overflow is a loud error instead of silent nonsense.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
@@ -39,7 +38,15 @@ class UnknownProduct(FusionRingError):
 
 
 class InvalidRing(FusionRingError):
-    """Ring construction data is structurally malformed."""
+    """Ring construction data is structurally malformed.
+
+    ``subject`` is the basis label or the product pair ``(a, b)`` at fault, for
+    a dangling dual or a product row naming an unknown label; else None.
+    """
+
+    def __init__(self, message: str, subject: Union[str, tuple[str, str], None] = None):
+        super().__init__(message)
+        self.subject = subject
 
 
 class NotClosed(FusionRingError):
@@ -64,8 +71,7 @@ def _check64(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """One basis label with its degree and the label of its dual."""
 
     label: str
@@ -185,7 +191,7 @@ class FusionRing:
         for b in elements:
             j = self._index.get(b.dual_label)
             if j is None:
-                raise InvalidRing(f"dangling dual label {b.dual_label!r} on {b.label}")
+                raise InvalidRing(f"dangling dual label {b.dual_label!r} on basis element {b.label!r}", b.label)
             dual.append(j)
         self._dual: tuple[int, ...] = tuple(dual)
         for i, j in enumerate(self._dual):
@@ -208,35 +214,29 @@ class FusionRing:
         self.truncation_bound = truncation_bound
 
         rank = len(elements)
-        table: dict[tuple[int, int], tuple[int, ...]] = {}
+        rows: list[list[Optional[tuple[int, ...]]]] = [[None] * rank for _ in range(rank)]
         for (a_lab, b_lab), row in products.items():
-            ia = self._index.get(a_lab)
-            ib = self._index.get(b_lab)
-            if ia is None or ib is None:
-                raise InvalidRing(f"product row ({a_lab},{b_lab}) references unknown label")
+            for lab in (a_lab, b_lab, *row):
+                if lab not in self._index:
+                    raise InvalidRing(
+                        f"product row ({a_lab},{b_lab}) references unknown label {lab!r}", (a_lab, b_lab)
+                    )
             vec = [0] * rank
             for c_lab, mult in row.items():
-                ic = self._index.get(c_lab)
-                if ic is None:
-                    raise InvalidRing(f"product row ({a_lab},{b_lab}) targets unknown label {c_lab!r}")
                 if not isinstance(mult, int) or mult < 0:
                     raise InvalidRing(f"multiplicity of {c_lab} in ({a_lab},{b_lab}) must be a nonnegative integer")
-                vec[ic] = _check64(mult)
-            key = (ia, ib)
-            if key in table:
-                raise InvalidRing(f"duplicate product row ({a_lab},{b_lab})")
-            table[key] = tuple(vec)
+                vec[self._index[c_lab]] = _check64(mult)
+            rows[self._index[a_lab]][self._index[b_lab]] = tuple(vec)
 
         # Unit rows are implied by the unit law; explicit ones must agree.
         for i in range(rank):
-            for key, expect in (((u, i), i), ((i, u), i)):
-                implied = tuple(1 if k == expect else 0 for k in range(rank))
-                if key in table:
-                    if table[key] != implied:
-                        raise InvalidRing(f"explicit unit row {key} contradicts the unit law")
-                else:
-                    table[key] = implied
-        self._table = table
+            implied = tuple(1 if k == i else 0 for k in range(rank))
+            for a, b in ((u, i), (i, u)):
+                if rows[a][b] is None:
+                    rows[a][b] = implied
+                elif rows[a][b] != implied:
+                    raise InvalidRing(f"explicit unit row {(a, b)} contradicts the unit law")
+        self._rows = rows
 
     # -- basis access -------------------------------------------------------
 
@@ -287,14 +287,15 @@ class FusionRing:
 
     def product_row(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         """Structure-constant row for basic pair (i, j); None when Unknown."""
-        return self._table.get((i, j))
+        return self._rows[i][j]
 
     def known_pairs(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._table))
+        """The Known basic pairs in row-major order."""
+        return ((i, j) for i, rows in enumerate(self._rows) for j, row in enumerate(rows) if row is not None)
 
     @property
     def is_partial(self) -> bool:
-        return len(self._table) < self.rank * self.rank
+        return any(None in rows for rows in self._rows)
 
     @property
     def is_complete(self) -> bool:
@@ -310,7 +311,7 @@ class FusionRing:
         return RingElement(self, {self._unit: 1})
 
     def basic_product(self, i: int, j: int) -> Optional[RingElement]:
-        row = self._table.get((i, j))
+        row = self._rows[i][j]
         if row is None:
             return None
         return RingElement(self, {c: v for c, v in enumerate(row) if v})
@@ -322,7 +323,7 @@ class FusionRing:
         acc: dict[int, int] = {}
         for i, ci in a._coords.items():
             for j, cj in b._coords.items():
-                row = self._table.get((i, j))
+                row = self._rows[i][j]
                 if row is None:
                     return None
                 scale = _check64(ci * cj)
@@ -374,7 +375,7 @@ class FusionRing:
             self.name == other.name
             and self._elements == other._elements
             and self._unit == other._unit
-            and self._table == other._table
+            and self._rows == other._rows
             and self.truncation_bound == other.truncation_bound
         )
 
@@ -389,8 +390,8 @@ class FusionRing:
 class _RowKernel:
     """Every Known row of a ring, indexed ``[i][j]``, in four forms.
 
-    ``rows`` holds the dense row, ``support`` its nonzero coordinates
-    ``((c, n), ...)`` in basis order, ``packed`` the integer
+    ``rows`` is the ring's own table of dense rows, ``support`` their nonzero
+    coordinates ``((c, n), ...)`` in basis order, ``packed`` the integer
     ``sum(n << lane * c)`` and ``basic`` the index b when the row is the basis
     vector b, else -1.  All four are None at an Unknown pair.  ``lane`` bits
     hold any coordinate of a sum of ``m * packed[k][c]`` over one row's
@@ -400,19 +401,21 @@ class _RowKernel:
     def __init__(self, ring: FusionRing):
         r = ring.rank
         self.rank = r
-        self.rows: list[list[Optional[tuple[int, ...]]]] = [[None] * r for _ in range(r)]
+        self.rows = ring._rows
         self.support: list[list[Optional[tuple[tuple[int, int], ...]]]] = [[None] * r for _ in range(r)]
         self.packed: list[list[Optional[int]]] = [[None] * r for _ in range(r)]
         self.basic: list[list[Optional[int]]] = [[None] * r for _ in range(r)]
         shared: dict[tuple[int, int], tuple[int, int]] = {}
         max_support = max_mult = 0
-        for (i, j), row in ring._table.items():
-            support = tuple(shared.setdefault((c, n), (c, n)) for c, n in enumerate(row) if n)
-            self.rows[i][j] = row
-            self.support[i][j] = support
-            self.basic[i][j] = support[0][0] if len(support) == 1 and support[0][1] == 1 else -1
-            max_support = max(max_support, len(support))
-            max_mult = max(max_mult, max(row))
+        for i, rows in enumerate(self.rows):
+            for j, row in enumerate(rows):
+                if row is None:
+                    continue
+                support = tuple(shared.setdefault((c, n), (c, n)) for c, n in enumerate(row) if n)
+                self.support[i][j] = support
+                self.basic[i][j] = support[0][0] if len(support) == 1 and support[0][1] == 1 else -1
+                max_support = max(max_support, len(support))
+                max_mult = max(max_mult, max(row))
         self.lane = (max_support * max_mult**2).bit_length() + 1
         lane = self.lane
         for i, supports in enumerate(self.support):

@@ -19,9 +19,9 @@ write(parse(write(r))) is byte-identical.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Optional, Union
 
-from .ring import LABEL_RE, FusionRing, FusionRingError, InvalidRing, build_ring
+from .ring import LABEL_RE, FusionRing, FusionRingError, InvalidRing, OverflowDetected, build_ring
 
 
 class RingSyntaxError(FusionRingError):
@@ -49,16 +49,26 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(code)]
 
 
+def _decimal(token: str) -> Optional[int]:
+    """The value of an unsigned decimal token; None for any other token."""
+    if not token.isdecimal():
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_spec(text: str) -> FusionRing:
     """Parse the ring spec format into a FusionRing."""
     name: Optional[str] = None
     partial = False
     truncation: Optional[int] = None
     basis: list[tuple[str, int, str]] = []
-    basis_lines: dict[str, int] = {}
     unit: Optional[str] = None
     rows: dict[tuple[str, str], dict[str, int]] = {}
-    row_lines: dict[tuple[str, str], int] = {}
+    # the line of each basis label and of each product pair
+    lines: dict[Union[str, tuple[str, str]], int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw)
@@ -82,21 +92,22 @@ def parse_spec(text: str) -> FusionRing:
             partial = value == "true"
         elif head == "truncation":
             value, vcol = need(1)
-            if not value.isdigit() or int(value) % 2 == 0:
+            truncation = _decimal(value)
+            if truncation is None or truncation % 2 == 0:
                 raise RingSyntaxError(lineno, vcol, f"truncation must be an odd integer, got {value!r}")
-            truncation = int(value)
         elif head == "basis":
             label, lcol = need(1)
             degree_s, dcol = need(2)
             dual, _ = need(3)
             if not LABEL_RE.match(label):
                 raise RingSyntaxError(lineno, lcol, f"bad label {label!r}")
-            if not degree_s.isdigit() or int(degree_s) < 1:
+            degree = _decimal(degree_s)
+            if degree is None or degree < 1:
                 raise RingSyntaxError(lineno, dcol, f"degree must be a positive integer, got {degree_s!r}")
-            if label in basis_lines:
+            if label in lines:
                 raise RingSemanticError(f"duplicate basis label {label!r}", lineno)
-            basis_lines[label] = lineno
-            basis.append((label, int(degree_s), dual))
+            lines[label] = lineno
+            basis.append((label, degree, dual))
         elif head == "unit":
             if unit is not None:
                 raise RingSemanticError("duplicate unit line", lineno)
@@ -124,15 +135,16 @@ def parse_spec(text: str) -> FusionRing:
                 mult_s, mcol = flat[k + 1]
                 if not LABEL_RE.match(lab):
                     raise RingSyntaxError(lineno, lcol, f"bad label {lab!r}")
-                if not mult_s.isdigit() or int(mult_s) < 1:
+                mult = _decimal(mult_s)
+                if mult is None or mult < 1:
                     raise RingSyntaxError(lineno, mcol, f"multiplicity must be a positive integer, got {mult_s!r}")
                 if lab in row:
                     raise RingSemanticError(f"label {lab!r} repeated in product row ({a},{b})", lineno)
-                row[lab] = int(mult_s)
+                row[lab] = mult
             if (a, b) in rows:
                 raise RingSemanticError(f"duplicate product line ({a},{b})", lineno)
             rows[(a, b)] = row
-            row_lines[(a, b)] = lineno
+            lines[(a, b)] = lineno
         else:
             raise RingSyntaxError(lineno, col, f"unknown directive {head!r}")
 
@@ -143,42 +155,31 @@ def parse_spec(text: str) -> FusionRing:
     if unit is None:
         raise RingSemanticError("missing unit line")
 
-    labels = {lab for lab, _, _ in basis}
-    degrees = {lab: deg for lab, deg, _ in basis}
-    for lab, _, dual in basis:
-        if dual not in labels:
-            raise RingSemanticError(
-                f"dangling dual label {dual!r} on basis element {lab!r}", basis_lines[lab]
-            )
-    if unit not in labels:
-        raise RingSemanticError(f"unit label {unit!r} has no basis line")
+    try:
+        ring = build_ring(name, basis, unit, rows, truncation_bound=truncation)
+    except InvalidRing as exc:
+        raise RingSemanticError(str(exc), lines.get(exc.subject)) from exc
+    except OverflowDetected as exc:
+        raise RingSemanticError(str(exc)) from exc
 
+    # The ring checks its rows' structure; these two rules belong to the format.
+    degrees = {lab: deg for lab, deg, _ in basis}
     for (a, b), row in rows.items():
-        lineno = row_lines[(a, b)]
-        for lab in (a, b, *row):
-            if lab not in labels:
-                raise RingSemanticError(f"product row ({a},{b}) references unknown label {lab!r}", lineno)
         total = sum(m * degrees[lab] for lab, m in row.items())
         expect = degrees[a] * degrees[b]
         if total != expect:
             raise RingSemanticError(
-                f"degree sum of product row ({a},{b}) is {total}, expected {expect}", lineno
+                f"degree sum of product row ({a},{b}) is {total}, expected {expect}", lines[(a, b)]
             )
 
     if not partial:
-        for a in sorted(labels):
-            for b in sorted(labels):
-                if a == unit or b == unit:
-                    continue
-                if (a, b) not in rows:
+        for a in sorted(degrees):
+            for b in sorted(degrees):
+                if unit not in (a, b) and (a, b) not in rows:
                     raise RingSemanticError(
                         f"missing product row ({a},{b}) in a complete (partial false) ring"
                     )
-
-    try:
-        return build_ring(name, basis, unit, rows, truncation_bound=truncation)
-    except InvalidRing as exc:
-        raise RingSemanticError(str(exc)) from exc
+    return ring
 
 
 def write_spec(ring: FusionRing) -> str:

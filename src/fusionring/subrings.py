@@ -10,15 +10,13 @@ category of a Hopf algebra cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .ring import FusionRing, NotClosed, RankTooLarge, UnknownProduct
 
 
-@dataclass(frozen=True)
-class StandardSubring:
+class StandardSubring(NamedTuple):
     members: tuple[str, ...]
     hopf_dimension: int
     closed_under_dual: bool
@@ -31,16 +29,14 @@ class StandardSubring:
         }
 
 
-@dataclass(frozen=True)
-class IncompleteClosure:
+class IncompleteClosure(NamedTuple):
     """Closure hit Unknown products that could leave the candidate set."""
 
     members: tuple[str, ...]
     pending: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class GrouplikeGroup:
+class GrouplikeGroup(NamedTuple):
     """Degree-1 elements with their multiplication table and element orders."""
 
     elements: tuple[str, ...]
@@ -57,9 +53,6 @@ class GrouplikeGroup:
     def product(self, a: str, b: str) -> str:
         return self.elements[self.table[self.index(a)][self.index(b)]]
 
-    def order_of(self, label: str) -> int:
-        return self.orders[self.index(label)]
-
     def as_dict(self) -> dict:
         return {
             "elements": list(self.elements),
@@ -67,57 +60,48 @@ class GrouplikeGroup:
         }
 
 
-def closure(
-    ring: FusionRing,
-    seed: Iterable[str],
-    *,
-    include_duals: bool = True,
-) -> Union[StandardSubring, IncompleteClosure]:
+def closure(ring: FusionRing, seed: Iterable[str]) -> Union[StandardSubring, IncompleteClosure]:
     """Smallest basis subset containing the seed and the unit, closed under
-    product supports (and duals unless ``include_duals`` is off).
+    product supports and duals.
 
     On partial rings the result is sound: if any member-pair product is
     Unknown the closure is Incomplete, except when the set is already the
     whole basis of an untruncated ring, where no product can escape.
     """
+    support = ring._kernel.support
     members: set[int] = {ring.unit_index}
-    for label in seed:
-        members.add(ring.index(label))
+    members.update(ring.index(label) for label in seed)
+    # Each member taken from the worklist is paired with itself and, in both
+    # orders, with every member taken before it: each pair is read once.
+    worklist = list(members)
+    done: list[int] = []
+    pending: list[tuple[int, int]] = []
+    while worklist:
+        a = worklist.pop()
+        pairs = [(a, a)]
+        for b in done:
+            pairs += ((a, b), (b, a))
+        done.append(a)
+        for x, y in pairs:
+            terms = support[x][y]
+            if terms is None:
+                pending.append((x, y))
+                continue
+            for c, _ in terms:
+                if c not in members:
+                    members.add(c)
+                    worklist.append(c)
+        dual = ring.dual_index(a)
+        if dual not in members:
+            members.add(dual)
+            worklist.append(dual)
 
-    grew = True
-    while grew:
-        grew = False
-        for a in sorted(members):
-            for b in sorted(members):
-                row = ring.product_row(a, b)
-                if row is None:
-                    continue
-                for c, n in enumerate(row):
-                    if n and c not in members:
-                        members.add(c)
-                        grew = True
-        if include_duals:
-            for i in list(members):
-                if ring.dual_index(i) not in members:
-                    members.add(ring.dual_index(i))
-                    grew = True
-
-    pending = [
-        (a, b)
-        for a in sorted(members)
-        for b in sorted(members)
-        if ring.product_row(a, b) is None
-    ]
+    labels = tuple(ring.label(i) for i in sorted(members))
     whole_basis = len(members) == ring.rank
     if pending and not (whole_basis and ring.truncation_bound is None):
-        return IncompleteClosure(
-            tuple(ring.label(i) for i in sorted(members)),
-            tuple((ring.label(a), ring.label(b)) for a, b in pending),
-        )
-    labels = tuple(ring.label(i) for i in sorted(members))
-    dual_closed = all(ring.dual_index(i) in members for i in members)
-    dim = sum(ring.degree_of(i) ** 2 for i in members)
-    return StandardSubring(labels, dim, dual_closed)
+        pending.sort()
+        return IncompleteClosure(labels, tuple((ring.label(a), ring.label(b)) for a, b in pending))
+    return StandardSubring(labels, sum(ring.degree_of(i) ** 2 for i in members), True)
 
 
 def enumerate_standard_subrings(
@@ -154,7 +138,7 @@ def enumerate_standard_subrings(
 
     found: dict[tuple[str, ...], StandardSubring] = {}
     for seed in seeds:
-        result = closure(ring, seed, include_duals=True)
+        result = closure(ring, seed)
         if isinstance(result, IncompleteClosure):
             continue
         found.setdefault(result.members, result)

@@ -1,6 +1,10 @@
 """CLI: subcommands, exit codes, JSON schema stability, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +231,36 @@ def test_malformed_file_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2
     assert "dangling" in err
+
+
+@pytest.mark.parametrize("content", [
+    b"ring t\nbasis a \xff a\nunit a\n",  # not UTF-8
+    "ring t\nbasis a \u00b2 a\nunit a\n".encode(),  # superscript two as a degree
+    "ring t\nbasis a 1 a\nunit a\ntruncation \u00b3\n".encode(),
+    "ring t\npartial true\nbasis a 1 a\nbasis b 3 b\nunit a\nprod b b : a \u00b2\n".encode(),
+], ids=["not-utf8", "superscript-degree", "superscript-truncation", "superscript-multiplicity"])
+def test_unreadable_spec_exit_two_one_line(tmp_path, capsys, content):
+    path = tmp_path / "bad.spec"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fusionring: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("module", ["fusionring", "fusionring.cli"])
+def test_python_m_entry_points(module):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def spawn(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    version = spawn("--version")
+    assert (version.returncode, version.stdout, version.stderr) == (0, f"fusionring {fr.__version__}\n", "")
+    rejected = spawn("search", "--degrees", "1,1,1", "--max-mult", "0")
+    assert (rejected.returncode, rejected.stdout) == (2, "")
+    assert rejected.stderr.startswith("fusionring: ") and rejected.stderr.count("\n") == 1
 
 
 def test_usage_error_exit_two(capsys):

@@ -1,10 +1,17 @@
 """Ring spec format: round trips, load-time validation, error reporting."""
 
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
+from fusionring.cli import run
 
 from conftest import all_fixture_rings
 
@@ -157,3 +164,158 @@ def test_parser_raises_only_format_errors(junk):
         fr.parse_spec(junk)
     except (fr.RingSyntaxError, fr.RingSemanticError):
         pass
+
+
+# -- one validation pass: the ring's checks, mapped back to spec lines ---------
+
+# Invalid specs and the error each gives.  The dangling-dual, unit-label and
+# unknown-product-label checks are made by FusionRing alone; parse_spec adds
+# the line of the basis label or product pair at fault.  Where a file has
+# several errors, the ring's structural checks come before the format's
+# degree-sum and completeness rules.
+INVALID_SPECS = [
+    ("dangling-dual", "ring t\nbasis a 1 a\nbasis b 3 zz\nunit a\n",
+     fr.RingSemanticError, "line 3: dangling dual label 'zz' on basis element 'b'"),
+    ("unit-missing", "ring t\nbasis a 1 a\nunit z\n",
+     fr.RingSemanticError, "unit label 'z' not in basis"),
+    ("unknown-left", "ring t\npartial true\nbasis a 1 a\nbasis b 3 b\nunit a\nprod q b : b 3\n",
+     fr.RingSemanticError, "line 6: product row (q,b) references unknown label 'q'"),
+    ("unknown-right", "ring t\npartial true\nbasis a 1 a\nbasis b 3 b\nunit a\nprod b q : b 3\n",
+     fr.RingSemanticError, "line 6: product row (b,q) references unknown label 'q'"),
+    ("unknown-term", "ring t\npartial true\nbasis a 1 a\nbasis b 3 b\nunit a\nprod b b : a 1, q 2, b 2\n",
+     fr.RingSemanticError, "line 6: product row (b,b) references unknown label 'q'"),
+    ("not-involution", "ring t\npartial true\nbasis a 1 a\nbasis b 3 c\nbasis c 3 c\nunit a\n",
+     fr.RingSemanticError, "dual map is not an involution at b"),
+    ("unit-not-self-dual", "ring t\npartial true\nbasis a 1 b\nbasis b 1 a\nunit a\n",
+     fr.RingSemanticError, "unit must be self-dual"),
+    ("unit-row", "ring t\npartial true\nbasis e 1 e\nbasis b 3 b\nunit e\nprod b e : e 3\n",
+     fr.RingSemanticError, "explicit unit row (1, 0) contradicts the unit law"),
+    ("degree-sum", "ring t\npartial true\nbasis a 1 a\nbasis b 3 b\nunit a\nprod b b : b 1\n",
+     fr.RingSemanticError, "line 6: degree sum of product row (b,b) is 3, expected 9"),
+    ("missing-row", "ring t\nbasis a 1 a\nbasis b 3 b\nunit a\n",
+     fr.RingSemanticError, "missing product row (b,b) in a complete (partial false) ring"),
+    ("unknown-before-degree-sum",
+     "ring t\npartial true\nbasis a 1 a\nbasis b 3 b\nunit a\nprod b b : b 1\nprod b q : b 3\n",
+     fr.RingSemanticError, "line 7: product row (b,q) references unknown label 'q'"),
+    ("unit-row-before-degree-sum", "ring t\npartial true\nbasis e 1 e\nbasis b 3 b\nunit e\nprod e b : b 3\n",
+     fr.RingSemanticError, "explicit unit row (0, 1) contradicts the unit law"),
+    ("dangling-before-unit", "ring t\nbasis a 1 a\nbasis b 3 zz\nunit z\n",
+     fr.RingSemanticError, "line 3: dangling dual label 'zz' on basis element 'b'"),
+]
+
+
+@pytest.mark.parametrize("text,error,message", [c[1:] for c in INVALID_SPECS], ids=[c[0] for c in INVALID_SPECS])
+def test_invalid_spec_error(text, error, message):
+    with pytest.raises(error) as exc:
+        fr.parse_spec(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,column", [
+    ("ring t\nbasis a ² a\nunit a\n", 9),  # superscript two as a degree
+    ("ring t\ntruncation ³\nbasis a 1 a\nunit a\n", 12),
+    ("ring t\npartial true\nbasis a 1 a\nbasis b 3 b\nunit a\nprod b b : a ²\n", 14),
+    ("ring t\nbasis a " + "1" * 5000 + " a\nunit a\n", 9),  # more digits than int() converts
+])
+def test_non_decimal_number_is_a_syntax_error(text, column):
+    # str.isdigit() accepts these tokens but int() rejects them
+    with pytest.raises(fr.RingSyntaxError) as exc:
+        fr.parse_spec(text)
+    assert exc.value.column == column
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    ring = fr.parse_spec("ring t\nbasis a ١ a\nunit a\n")  # ARABIC-INDIC DIGIT ONE
+    assert ring.degree_of(0) == 1
+
+
+def test_coefficient_overflow_is_a_semantic_error():
+    big = 2**63
+    text = f"ring t\npartial true\nbasis a 1 a\nbasis b {big} b\nunit a\nprod b b : b {big}\n"
+    with pytest.raises(fr.RingSemanticError, match="exceeds checked 64-bit range"):
+        fr.parse_spec(text)
+
+
+# -- fuzzing the spec edge -----------------------------------------------------
+
+LABEL = st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True)
+
+
+@st.composite
+def spec_rings(draw):
+    """Rings the format accepts: any labels, degrees and dual involution, and
+    rows meeting the degree sums; Unknown rows when partial."""
+    labels = draw(st.lists(LABEL, min_size=1, max_size=5, unique=True))
+    degrees = [1] + [draw(st.integers(1, 4)) for _ in labels[1:]]
+    dual = list(range(len(labels)))
+    for i in range(1, len(labels)):
+        if dual[i] == i:
+            free = [j for j in range(i, len(labels)) if dual[j] == j and degrees[j] == degrees[i]]
+            j = draw(st.sampled_from(free))
+            dual[i], dual[j] = j, i
+    partial = draw(st.booleans())
+    products = {}
+    for a in range(1, len(labels)):
+        for b in range(1, len(labels)):
+            if partial and draw(st.booleans()):
+                continue
+            left = degrees[a] * degrees[b]
+            row = {}
+            for c in draw(st.lists(st.integers(1, len(labels) - 1), max_size=3)):
+                if degrees[c] <= left:
+                    m = draw(st.integers(1, left // degrees[c]))
+                    row[labels[c]] = row.get(labels[c], 0) + m
+                    left -= m * degrees[c]
+            if left:
+                row[labels[0]] = left
+            products[(labels[a], labels[b])] = row
+    truncation = draw(st.none() | st.integers(0, 20).map(lambda k: 2 * k + 1))
+    basis = [(lab, deg, labels[d]) for lab, deg, d in zip(labels, degrees, dual)]
+    return fr.build_ring(draw(LABEL), basis, labels[0], products, truncation)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_rings())
+def test_random_rings_round_trip(ring):
+    text = fr.write_spec(ring)
+    parsed = fr.parse_spec(text)
+    assert parsed == ring
+    assert fr.write_spec(parsed) == text
+
+
+MUTATION_ALPHABET = "ab1_ 0123456789\n:,#²٣-x"
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid spec with a few tokens or separators replaced, extended or cut."""
+    pieces = re.split(r"(\s+)", fr.write_spec(draw(spec_rings())))
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.sampled_from(range(len(pieces))))
+        junk = draw(st.text(MUTATION_ALPHABET, max_size=3))
+        pieces[k] = draw(st.sampled_from([junk, pieces[k] + junk, junk + pieces[k]]))
+    return "".join(pieces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_specs())
+def test_mutated_specs_raise_only_format_errors(text):
+    try:
+        fr.parse_spec(text)
+    except (fr.RingSyntaxError, fr.RingSemanticError):
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_specs())
+def test_mutated_specs_through_cli_check(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.spec"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["check", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("fusionring: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -1,10 +1,11 @@
 """Lazy loading: the modules each CLI op imports, and the package's public API.
 
 Each op runs in a fresh interpreter, which then prints the op's exit code
-and the ``fusionring``, ``concurrent`` and ``multiprocessing`` modules it
-holds.  The sets are
-pinned, not timings: a module an op does not run costs every process its
-import, and nothing else catches an eager import creeping back.
+and the modules it holds.  The ``fusionring``, ``concurrent`` and
+``multiprocessing`` sets are pinned, and so is the absence of ``dataclasses``
+and ``json`` where an op does not need them.  Module sets are pinned, not
+timings: a module an op does not run costs every process its import, and
+nothing else catches an eager import creeping back.
 """
 
 import importlib
@@ -28,8 +29,7 @@ try:
     code = run(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-watched = ("fusionring", "concurrent", "multiprocessing")
-print(code, *sorted(m for m in sys.modules if m.split(".")[0] in watched))
+print(code, *sorted(sys.modules))
 """
 
 BASE = {"fusionring", "fusionring.cli", "fusionring.ring", "fusionring.specfmt"}
@@ -37,7 +37,8 @@ GEN = BASE | {"fusionring.oracles", "fusionring.chartable", "fusionring.cyclotom
 LADDER = BASE | {"fusionring.ladder", "fusionring.axioms", "fusionring.subrings"}
 
 
-def loaded_after(*argv: str) -> set[str]:
+def loaded_after(*argv: str, watched=("fusionring", "concurrent", "multiprocessing")) -> set[str]:
+    """The modules under the ``watched`` top-level names that the op leaves loaded."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("FUSIONRING_THREADS", None)
     done = subprocess.run(
@@ -45,7 +46,7 @@ def loaded_after(*argv: str) -> set[str]:
     )
     code, *modules = done.stdout.splitlines()[-1].split()
     assert (done.returncode, code) == (0, "0"), done.stderr
-    return set(modules)
+    return {m for m in modules if m.split(".")[0] in watched}
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,29 @@ def test_version_loads_only_cli_ring_specfmt():
 )
 def test_op_loads_only_its_modules(so3_spec, argv, expected):
     assert loaded_after(*[so3_spec if a == "SPEC" else a for a in argv]) == expected
+
+
+OPS = {
+    "version": ["--version"],
+    "check": ["check", "SPEC"],
+    "subrings": ["subrings", "SPEC"],
+    "verdict": ["verdict", "SPEC"],
+    "ladder": ["ladder", "SPEC", "--x3", "x3"],
+    "search": ["search", "--degrees", "1,1,1", "--workers", "1"],
+    "gen": ["gen", "so3", "7"],
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_text_op_loads_no_json_and_only_gen_loads_dataclasses(so3_spec, op):
+    argv = [so3_spec if a == "SPEC" else a for a in OPS[op]]
+    loaded = loaded_after("--format", "text", *argv, watched=("dataclasses", "json"))
+    # gen builds character tables, the one record that validates itself
+    assert loaded == ({"dataclasses"} if op == "gen" else set())
+
+
+def test_json_op_loads_json(so3_spec):
+    assert "json" in loaded_after("--format", "json", "check", so3_spec, watched=("json",))
 
 
 SEED_ALL = [

@@ -1,11 +1,23 @@
 """Subring closure, enumeration, grouplike groups, freeness obstructions."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fusionring as fr
-from fusionring.subrings import IncompleteClosure
+from fusionring.subrings import IncompleteClosure, StandardSubring
 
-from conftest import all_fixture_rings, withhold_rows
+from conftest import (
+    all_fixture_rings,
+    chain_length_one_ring,
+    corrupt_z5_ring,
+    count4_corrupt_ring,
+    factorization_branch_ring,
+    order2_branch_ring,
+    withhold_rows,
+)
 
 
 def divisors(n):
@@ -42,10 +54,88 @@ def test_closure_monotone_idempotent_extensive(fragment):
 
 def test_closure_duals_flag(f21):
     with_duals = fr.closure(f21, {"x3"})
-    without = fr.closure(f21, {"x3"}, include_duals=False)
-    # x3*x3 already contains the dual, so both closures agree here
-    assert with_duals == without
     assert with_duals.closed_under_dual
+
+
+def reference_closure(ring, seed):
+    """The round-by-round closure: rescan every member pair until nothing
+    grows, add duals, then collect the Unknown member pairs in a second pass."""
+    members = {ring.unit_index}
+    for label in seed:
+        members.add(ring.index(label))
+
+    grew = True
+    while grew:
+        grew = False
+        for a in sorted(members):
+            for b in sorted(members):
+                row = ring.product_row(a, b)
+                if row is None:
+                    continue
+                for c, n in enumerate(row):
+                    if n and c not in members:
+                        members.add(c)
+                        grew = True
+        for i in list(members):
+            if ring.dual_index(i) not in members:
+                members.add(ring.dual_index(i))
+                grew = True
+
+    pending = [
+        (a, b)
+        for a in sorted(members)
+        for b in sorted(members)
+        if ring.product_row(a, b) is None
+    ]
+    whole_basis = len(members) == ring.rank
+    if pending and not (whole_basis and ring.truncation_bound is None):
+        return IncompleteClosure(
+            tuple(ring.label(i) for i in sorted(members)),
+            tuple((ring.label(a), ring.label(b)) for a, b in pending),
+        )
+    labels = tuple(ring.label(i) for i in sorted(members))
+    dual_closed = all(ring.dual_index(i) in members for i in members)
+    dim = sum(ring.degree_of(i) ** 2 for i in members)
+    return StandardSubring(labels, dim, dual_closed)
+
+
+def assert_closures_match_reference(ring, seeds):
+    for seed in seeds:
+        got, want = fr.closure(ring, seed), reference_closure(ring, seed)
+        # records of different kinds are never compared: match the kind first
+        assert type(got) is type(want), (ring.name, seed)
+        assert got == want, (ring.name, seed)
+
+
+CORPUS = all_fixture_rings() + [
+    fr.cyclic_group_ring(12),
+    order2_branch_ring(),
+    factorization_branch_ring(),
+    chain_length_one_ring(),
+    count4_corrupt_ring(),
+    corrupt_z5_ring(),
+]
+
+
+@pytest.mark.parametrize("ring", CORPUS, ids=lambda r: r.name)
+def test_closure_matches_reference_on_corpus(ring):
+    labels = ring.labels
+    assert_closures_match_reference(ring, [(), *((lab,) for lab in labels), *combinations(labels, 2)])
+
+
+@st.composite
+def withheld_rings(draw):
+    ring = draw(st.sampled_from(CORPUS))
+    pairs = [(ring.label(i), ring.label(j)) for i, j in ring.known_pairs() if ring.unit_index not in (i, j)]
+    withheld = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
+    return withhold_rows(ring, *withheld)
+
+
+@settings(max_examples=60, deadline=None)
+@given(withheld_rings(), st.data())
+def test_closure_matches_reference_on_withheld_rings(ring, data):
+    seeds = data.draw(st.lists(st.lists(st.sampled_from(ring.labels), max_size=3), min_size=1, max_size=4))
+    assert_closures_match_reference(ring, seeds)
 
 
 def test_closure_incomplete_on_truncated():
