@@ -133,7 +133,7 @@ def _cmd_subrings(args) -> tuple[int, str]:
     from .subrings import enumerate_standard_subrings, freeness_obstructions
 
     ring = _read_ring(args.file)
-    subs = enumerate_standard_subrings(ring, allow_incomplete=ring.is_partial)
+    subs = enumerate_standard_subrings(ring)
     violations = freeness_obstructions(ring, subs)
     lines = [f"ring {ring.name}: {len(subs)} dual-closed standard subrings"]
     for s in subs:
@@ -190,6 +190,8 @@ def _cmd_gen(args) -> tuple[int, str]:
         except ValueError as exc:
             raise _InputError(f"gen so3: {exc}") from exc
     elif kind == "fragment":
+        if len(args.what) != 1:
+            raise _InputError("gen fragment takes no argument")
         ring = fragment_ring()
     elif kind == "chartable":
         if len(args.what) != 2:
@@ -208,6 +210,11 @@ def _cmd_gen(args) -> tuple[int, str]:
     return _emit(args, 0, [spec.rstrip("\n")], ring=ring.name, spec=spec)
 
 
+def _one_line(message: object) -> str:
+    """``message`` with unprintable characters, such as a newline in a path, escaped."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(message))
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -223,7 +230,7 @@ class _Parser(argparse.ArgumentParser):
     like every other input error; subparsers are built with this class too."""
 
     def error(self, message: str):
-        self.exit(2, f"fusionring: {message}\n")
+        self.exit(2, f"fusionring: {_one_line(message)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,12 +286,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, output = args.func(args)
-    except (_InputError, RingSyntaxError, RingSemanticError, InvalidSetting, RankTooLarge) as exc:
-        print(f"fusionring: {exc}", file=sys.stderr)
-        return 2
-    except FusionRingError as exc:
-        print(f"fusionring: {exc}", file=sys.stderr)
-        return 1
+    except (_InputError, FusionRingError) as exc:
+        print(f"fusionring: {_one_line(exc)}", file=sys.stderr)
+        input_errors = (_InputError, RingSyntaxError, RingSemanticError, InvalidSetting, RankTooLarge)
+        return 2 if isinstance(exc, input_errors) else 1
     sys.stdout.write(output)
     return code
 

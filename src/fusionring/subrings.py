@@ -10,7 +10,7 @@ category of a Hopf algebra cannot.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .ring import FusionRing, NotClosed, RankTooLarge, UnknownProduct
@@ -68,9 +68,15 @@ def closure(ring: FusionRing, seed: Iterable[str]) -> Union[StandardSubring, Inc
     Unknown the closure is Incomplete, except when the set is already the
     whole basis of an untruncated ring, where no product can escape.
     """
+    return _outcome(ring, *_close(ring, [ring.index(label) for label in seed]))
+
+
+def _close(ring: FusionRing, seed: Iterable[int]) -> tuple[frozenset[int], list[tuple[int, int]]]:
+    """The smallest index set holding the seed and the unit that is closed
+    under Known product supports and duals, and the member pairs whose
+    product is Unknown.  Both depend only on the closed set, not the seed."""
     support = ring._kernel.support
-    members: set[int] = {ring.unit_index}
-    members.update(ring.index(label) for label in seed)
+    members: set[int] = {ring.unit_index, *seed}
     # Each member taken from the worklist is paired with itself and, in both
     # orders, with every member taken before it: each pair is read once.
     worklist = list(members)
@@ -95,54 +101,40 @@ def closure(ring: FusionRing, seed: Iterable[str]) -> Union[StandardSubring, Inc
         if dual not in members:
             members.add(dual)
             worklist.append(dual)
+    return frozenset(members), pending
 
+
+def _outcome(
+    ring: FusionRing, members: frozenset[int], pending: list[tuple[int, int]]
+) -> Union[StandardSubring, IncompleteClosure]:
     labels = tuple(ring.label(i) for i in sorted(members))
     whole_basis = len(members) == ring.rank
     if pending and not (whole_basis and ring.truncation_bound is None):
-        pending.sort()
-        return IncompleteClosure(labels, tuple((ring.label(a), ring.label(b)) for a, b in pending))
+        return IncompleteClosure(labels, tuple((ring.label(a), ring.label(b)) for a, b in sorted(pending)))
     return StandardSubring(labels, sum(ring.degree_of(i) ** 2 for i in members), True)
 
 
-def enumerate_standard_subrings(
-    ring: FusionRing,
-    *,
-    allow_incomplete: bool = False,
-    exhaustive: bool = False,
-    rank_bound: int = 20,
-) -> list[StandardSubring]:
-    """All dual-closed standard subrings, sorted by dimension.
+def enumerate_standard_subrings(ring: FusionRing, *, rank_bound: int = 20) -> list[StandardSubring]:
+    """All dual-closed standard subrings generated by at most two basis
+    elements, sorted by dimension.
 
-    Seeds every single generator and every pair, then dedups closures; the
-    subring lattice of the desk-scale corpus is generated that way.  Pass
-    ``exhaustive`` to close every subset instead (rank <= 12 only).  Partial
-    rings require ``allow_incomplete``; closures that cannot be completed
-    from Known products are then omitted rather than guessed.
+    Closes each basis label once; the distinct closed sets are the atoms.
+    Then closes the union of each pair of atoms where neither holds the
+    other.  Closures that Unknown products leave incomplete are omitted
+    rather than guessed, but their atoms still take part in the joins.
     """
     if ring.rank > rank_bound:
         raise RankTooLarge(f"rank {ring.rank} exceeds enumeration bound {rank_bound}")
-    if ring.is_partial and not allow_incomplete:
-        raise UnknownProduct(
-            "ring has Unknown products; pass allow_incomplete to omit unfinished closures"
-        )
-
-    labels = ring.labels
-    if exhaustive:
-        if ring.rank > 12:
-            raise RankTooLarge("exhaustive subset enumeration is limited to rank <= 12")
-        seeds: Iterable[tuple[str, ...]] = chain.from_iterable(
-            combinations(labels, k) for k in range(len(labels) + 1)
-        )
-    else:
-        seeds = chain([()], ((lab,) for lab in labels), combinations(labels, 2))
-
-    found: dict[tuple[str, ...], StandardSubring] = {}
-    for seed in seeds:
-        result = closure(ring, seed)
-        if isinstance(result, IncompleteClosure):
-            continue
-        found.setdefault(result.members, result)
-    return sorted(found.values(), key=lambda s: (s.hopf_dimension, s.members))
+    # Each closed member set maps to its Unknown pairs.  A union that is
+    # already closed, as when one atom holds the other, is not closed again.
+    closed = dict(_close(ring, (i,)) for i in range(ring.rank))
+    for a, b in combinations(list(closed), 2):
+        if a | b not in closed:
+            members, pending = _close(ring, a | b)
+            closed[members] = pending
+    outcomes = (_outcome(ring, members, pending) for members, pending in closed.items())
+    subrings = [s for s in outcomes if isinstance(s, StandardSubring)]
+    return sorted(subrings, key=lambda s: (s.hopf_dimension, s.members))
 
 
 def grouplike_group(ring: FusionRing) -> GrouplikeGroup:
@@ -224,7 +216,7 @@ def freeness_obstructions(
     Hopf algebra; violating pairs are returned, smallest first.
     """
     if subrings is None:
-        pool = enumerate_standard_subrings(ring, allow_incomplete=ring.is_partial)
+        pool = enumerate_standard_subrings(ring)
     else:
         pool = [s for s in subrings if s.closed_under_dual]
     pool = list(pool)

@@ -221,10 +221,10 @@ def corrupt_z5_ring():
     return fr.build_ring("Z5corrupt", _basis(z5), "1", products)
 
 
-def withhold_rows(ring, *pairs):
+def withhold_rows(ring, *pairs, truncation_bound=None):
     """A partial copy of ``ring`` whose product rows at ``pairs`` are Unknown."""
     products = _products(ring)
     for pair in pairs:
         del products[pair]
     unit = ring.label(ring.unit_index)
-    return fr.build_ring(f"{ring.name}_partial", _basis(ring), unit, products)
+    return fr.build_ring(f"{ring.name}_partial", _basis(ring), unit, products, truncation_bound)

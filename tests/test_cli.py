@@ -1,5 +1,7 @@
 """CLI: subcommands, exit codes, JSON schema stability, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fusionring as fr
 from fusionring.cli import run
@@ -233,6 +237,24 @@ def test_malformed_file_exit_two(tmp_path, capsys):
     assert "dangling" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check", "two\nlines.spec"], "cannot read two\\nlines.spec: No such file or directory"),
+        (["gen", "chartable", "two\nlines.tab"], "cannot read two\\nlines.tab: No such file or directory"),
+        (["gen", "cyclic", "-\n"], "unrecognized arguments: -\\n"),
+    ],
+)
+def test_newline_in_argument_gives_one_stderr_line(capsys, argv, message):
+    # found by test_fuzzed_command_lines_exit_cleanly: the argument was printed raw
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"fusionring: {message}\n")
+
+
 @pytest.mark.parametrize("content", [
     b"ring t\nbasis a \xff a\nunit a\n",  # not UTF-8
     "ring t\nbasis a \u00b2 a\nunit a\n".encode(),  # superscript two as a degree
@@ -279,6 +301,13 @@ def test_gen_unknown_kind_exit_two(capsys):
     code, _, err = run_cli(capsys, "gen", "nonsense")
     assert code == 2
     assert "nonsense" in err
+
+
+def test_gen_fragment_extra_argument_exit_two(capsys):
+    # like gen cyclic, so3 and chartable, a wrong argument count is an input error
+    code, out, err = run_cli(capsys, "gen", "fragment", "extra")
+    assert (code, out) == (2, "")
+    assert err == "fusionring: gen fragment takes no argument\n"
 
 
 @pytest.mark.parametrize("command", ["verdict", "ladder"])
@@ -367,3 +396,65 @@ def test_reports_byte_identical(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, "--format", "json", "verdict", path)
     _, out2, _ = run_cli(capsys, "--format", "json", "verdict", path)
     assert out1 == out2
+
+
+# -- fuzzing the command line --------------------------------------------------
+
+# Short junk tokens: digits, signs, separators and a non-ASCII digit, so that
+# some of them parse as numbers and some nearly do.
+JUNK = st.text(alphabet="0123456789-+,. x_\u0663\n", max_size=6)
+
+
+def _number(low, high):
+    return st.integers(low, high).map(str)
+
+
+@st.composite
+def gen_argvs(draw):
+    # numbers stay <= 64: gen cyclic N builds N^2 rows
+    word = draw(st.sampled_from(["cyclic", "so3", "fragment", "chartable"]) | JUNK)
+    args = draw(st.lists(_number(-3, 64) | JUNK, max_size=2))
+    return ["gen", word, *args]
+
+
+@st.composite
+def search_argvs(draw):
+    # rank <= 4 and --max-mult <= 2 keep every search small; a valid --workers
+    # is 1, since a larger one starts a process pool
+    degrees = st.lists(st.integers(-1, 9), min_size=1, max_size=4).map(lambda d: ",".join(map(str, d)))
+    degrees = draw(degrees | JUNK)
+    argv = ["search", "--degrees", degrees, "--max-mult", draw(_number(-1, 2) | JUNK)]
+    workers = draw(st.none() | st.just("1") | _number(-2, 0) | JUNK)
+    return argv if workers is None else [*argv, "--workers", workers]
+
+
+@st.composite
+def depth_argvs(draw, path):
+    command = draw(st.sampled_from([["verdict", path], ["ladder", path, "--x3", "x3"]]))
+    return [*command, "--depth", draw(_number(-2, 64) | JUNK)]
+
+
+@pytest.fixture(scope="module")
+def so3_9_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "so3_9.spec"
+    path.write_text(fr.write_spec(fr.so3_truncated(9)))
+    return str(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_command_lines_exit_cleanly(so3_9_spec, data):
+    argv = data.draw(gen_argvs() | search_argvs() | depth_argvs(so3_9_spec))
+    fmt = data.draw(st.none() | st.sampled_from(["text", "json"]) | JUNK)
+    if fmt is not None:
+        argv = ["--format", fmt, *argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith("fusionring: "), argv
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv

@@ -1,8 +1,9 @@
 """Golden CLI reports: check, verdict, ladder and subrings, in text and JSON,
-on the fixture character rings, the fragment, so3_21, Z12, the hand-built
-diagnostic rings of conftest, and partial rings that reach each Unknown-product
-exit of the degree-3 analysis; and ``search`` on a few degree lists, which
-pins the order, labels and names of the enumerated rings.
+on the fixture character rings, the fragment, so3_21, Z12, Z16, Z20, the
+hand-built diagnostic rings of conftest, partial rings that reach each
+Unknown-product exit of the degree-3 analysis, and Z20 with a fifth of its
+rows withheld; and ``search`` on a few degree lists, which pins the order,
+labels and names of the enumerated rings.
 
 Each report's expected stdout, stderr and exit codes live in
 ``tests/golden/<name>.txt``.  Refactors must leave them byte-identical; a
@@ -13,6 +14,7 @@ deliberate report change regenerates them with
 from __future__ import annotations
 
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -56,7 +58,25 @@ RINGS = {
     "factorization_branch-g.x3": lambda: conftest.withhold_rows(
         conftest.factorization_branch_ring(), ("g", "x3")
     ),
+    # Subring lattices at the benchmark's sizes, where many labels close to
+    # the same subring; in the partial one some closures stay incomplete.
+    "Z16": lambda: fr.cyclic_group_ring(16),
+    "Z20": lambda: fr.cyclic_group_ring(20),
+    "Z20-withheld": lambda: _withhold_share(fr.cyclic_group_ring(20), 0.2, seed=20),
 }
+
+
+def _withhold_share(ring: fr.FusionRing, share: float, seed: int) -> fr.FusionRing:
+    """``ring`` with a seeded ``share`` of its non-unit rows withheld, keeping
+    the rows of ``g``, so that closing ``g`` still reaches the whole group."""
+    keep = {ring.unit_index, ring.index("g")}
+    pairs = [
+        (ring.label(i), ring.label(j))
+        for i, j in ring.known_pairs()
+        if i not in keep and j != ring.unit_index
+    ]
+    count = round(share * (ring.rank - 1) ** 2)
+    return conftest.withhold_rows(ring, *random.Random(seed).sample(pairs, count))
 
 
 # search reports: degree list and max_mult

@@ -1,12 +1,14 @@
 """Subring closure, enumeration, grouplike groups, freeness obstructions."""
 
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
+from fusionring import subrings
 from fusionring.subrings import IncompleteClosure, StandardSubring
 
 from conftest import (
@@ -125,10 +127,13 @@ def test_closure_matches_reference_on_corpus(ring):
 
 @st.composite
 def withheld_rings(draw):
+    """A corpus ring with up to six non-unit rows withheld, and sometimes a
+    truncation bound, under which no closure is complete by covering the basis."""
     ring = draw(st.sampled_from(CORPUS))
     pairs = [(ring.label(i), ring.label(j)) for i, j in ring.known_pairs() if ring.unit_index not in (i, j)]
     withheld = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
-    return withhold_rows(ring, *withheld)
+    bound = draw(st.one_of(st.none(), st.integers(1, 41)))
+    return withhold_rows(ring, *withheld, truncation_bound=bound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,26 +165,87 @@ def test_enumerate_quotient_dims():
 
 
 def test_enumerate_fragment(fragment):
-    subs = fr.enumerate_standard_subrings(fragment, allow_incomplete=True)
+    subs = fr.enumerate_standard_subrings(fragment)
     assert [s.hopf_dimension for s in subs] == [1, 5, 30, 75]
 
 
-def test_enumerate_exhaustive_agrees():
-    ring = fr.cyclic_group_ring(6)
-    fast = fr.enumerate_standard_subrings(ring)
-    full = fr.enumerate_standard_subrings(ring, exhaustive=True)
-    assert fast == full
-
-
-def test_enumerate_partial_requires_flag():
-    with pytest.raises(fr.UnknownProduct):
-        fr.enumerate_standard_subrings(fr.so3_truncated(9))
+def test_enumerate_exhaustive_agrees(complete_rings):
+    # every subring of Z1-Z8, S3, A4 and F21 has two generators, so closing
+    # every subset of the basis finds nothing more
+    for ring in complete_rings:
+        seeds = (seed for k in range(ring.rank + 1) for seed in combinations(ring.labels, k))
+        every = {s.members: s for s in map(partial(fr.closure, ring), seeds)}
+        assert fr.enumerate_standard_subrings(ring) == sorted(
+            every.values(), key=lambda s: (s.hopf_dimension, s.members)
+        ), ring.name
 
 
 def test_enumerate_so3_only_trivial_completes():
     # every nontrivial closure runs past the truncation
-    subs = fr.enumerate_standard_subrings(fr.so3_truncated(9), allow_incomplete=True)
+    subs = fr.enumerate_standard_subrings(fr.so3_truncated(9))
     assert [s.hopf_dimension for s in subs] == [1]
+
+
+def reference_subrings(ring):
+    """The pair seeding: close the empty seed, every label and every pair of
+    labels, keep the complete closures, dedup and sort."""
+    labels = ring.labels
+    seeds = [(), *((lab,) for lab in labels), *combinations(labels, 2)]
+    found = {}
+    for seed in seeds:
+        result = fr.closure(ring, seed)
+        if isinstance(result, StandardSubring):
+            found.setdefault(result.members, result)
+    return sorted(found.values(), key=lambda s: (s.hopf_dimension, s.members))
+
+
+def abelian_group_ring(*moduli):
+    """The group ring of Z_m1 x Z_m2 x ..., its elements labelled by their
+    coordinates ("1" for the unit)."""
+    elems = list(product(*(range(m) for m in moduli)))
+
+    def label(e):
+        return "1" if not any(e) else "e" + "_".join(map(str, e))
+
+    def add(e, f):
+        return tuple((x + y) % m for x, y, m in zip(e, f, moduli))
+
+    basis = [(label(e), 1, label(tuple(-x % m for x, m in zip(e, moduli)))) for e in elems]
+    products = {(label(e), label(f)): {label(add(e, f)): 1} for e in elems for f in elems}
+    return fr.build_ring("x".join(f"Z{m}" for m in moduli), basis, "1", products)
+
+
+# Klein four {1, a, b, ab} with a = e1_0, b = e0_1 and the rows a*a and
+# ab*ab withheld: the atoms of a and ab are incomplete, and only joining one
+# of them with b reaches the whole ring.
+KLEIN_WITHHELD = withhold_rows(abelian_group_ring(2, 2), ("e1_0", "e1_0"), ("e1_1", "e1_1"))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    CORPUS
+    + [fr.cyclic_group_ring(n) for n in range(9, 31) if n != 12]
+    + [abelian_group_ring(*m) for m in ((2, 2), (2, 4), (2, 6), (3, 3), (2, 2, 2))]
+    + [KLEIN_WITHHELD],
+    ids=lambda r: r.name,
+)
+def test_enumerate_matches_reference(ring):
+    assert fr.enumerate_standard_subrings(ring, rank_bound=30) == reference_subrings(ring)
+
+
+@settings(max_examples=80, deadline=None)
+@given(withheld_rings())
+def test_enumerate_matches_reference_on_withheld_rings(ring):
+    assert fr.enumerate_standard_subrings(ring) == reference_subrings(ring)
+
+
+def test_enumerate_closes_each_label_then_pairs_of_atoms(monkeypatch):
+    # Z20 has 6 atoms, one per divisor: 20 label closures and at most 15 joins
+    calls = []
+    close = subrings._close
+    monkeypatch.setattr(subrings, "_close", lambda ring, seed: calls.append(seed) or close(ring, seed))
+    assert len(fr.enumerate_standard_subrings(fr.cyclic_group_ring(20))) == 6
+    assert 20 < len(calls) <= 20 + 15
 
 
 def test_enumerate_rank_bound():
