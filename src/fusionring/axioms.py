@@ -119,13 +119,10 @@ def check_axioms(ring: FusionRing) -> CheckReport:
     degree homomorphism; dual compatibility (ab)* = b*a*; Frobenius
     reciprocity m(x,ab)=m(a*,bx*)=m(a,xb*); grouplike rule m(g,ab)=[b=a*g].
 
-    Associativity compares packed rows: each Known row is one integer with
-    ``w``-bit lanes, coordinate c in lane c, where ``w`` is
-    ``(max_support * max_mult**2).bit_length() + 1`` over the Known rows.
-    Structure constants are nonnegative, so every coordinate of (ab)c or
-    a(bc), a sum over one row's support of products of two constants, stays
-    below ``2**(w - 1)``; no lane carries into the next, and the packed sums
-    are equal exactly when the dense vectors are.
+    Associativity compares packed rows: each Known row is one integer,
+    coordinate c in lane c, from the ring's row kernel; its lane rule (see
+    :class:`fusionring.ring._RowKernel`) makes the packed sums for (ab)c and
+    a(bc) equal exactly when the dense vectors are.
     """
     entries = [
         _unit_law(ring),

@@ -179,11 +179,15 @@ class FusionRing:
         labels = [b.label for b in elements]
         if len(set(labels)) != len(labels):
             raise InvalidRing("duplicate basis labels")
+        dimension = 0
         for b in elements:
             if not LABEL_RE.match(b.label):
                 raise InvalidRing(f"bad label {b.label!r}: must match [A-Za-z0-9_]+")
             if not isinstance(b.degree, int) or b.degree < 1:
                 raise InvalidRing(f"degree of {b.label} must be a positive integer")
+            dimension += b.degree**2  # so every degree and subring dimension is in range too
+            if dimension > INT64_MAX:
+                raise InvalidRing(f"dimension exceeds checked 64-bit range at basis element {b.label!r}", b.label)
         self._elements: tuple[BasisElement, ...] = tuple(elements)
         self._index: dict[str, int] = {b.label: i for i, b in enumerate(elements)}
 
@@ -283,7 +287,8 @@ class FusionRing:
     @cached_property
     def _kernel(self) -> "_RowKernel":
         """The Known rows in the forms the identity checks use; built on first use."""
-        return _RowKernel(self)
+        known = [row for rows in self._rows for row in rows if row is not None]
+        return _RowKernel(self._rows, max(len(row) - row.count(0) for row in known), max(map(max, known)))
 
     def product_row(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         """Structure-constant row for basic pair (i, j); None when Unknown."""
@@ -388,41 +393,51 @@ class FusionRing:
 
 
 class _RowKernel:
-    """Every Known row of a ring, indexed ``[i][j]``, in four forms.
+    """Rows indexed ``[i][j]`` in four forms, filled pair by pair with :meth:`place`.
 
-    ``rows`` is the ring's own table of dense rows, ``support`` their nonzero
-    coordinates ``((c, n), ...)`` in basis order, ``packed`` the integer
+    ``rows`` is a table of dense rows, ``support`` their nonzero coordinates
+    ``((c, n), ...)`` in basis order, ``packed`` the integer
     ``sum(n << lane * c)`` and ``basic`` the index b when the row is the basis
-    vector b, else -1.  All four are None at an Unknown pair.  ``lane`` bits
-    hold any coordinate of a sum of ``m * packed[k][c]`` over one row's
-    support (see :func:`fusionring.axioms.check_axioms`).
+    vector b, else -1.  All four are None at an Unknown pair.  A ring's kernel
+    shares the ring's own table and is never placed into after it is built;
+    the search fills an empty one as it goes.
+
+    The lane rule: when no row has more than ``max_support`` nonzero entries
+    and no entry exceeds ``max_entry``, a coordinate of a sum of
+    ``m * packed[k][c]`` over one row's support is at most
+    ``max_support * max_entry**2``.  ``lane`` is one bit wider than that, so
+    no lane carries into the next and packed sums are equal exactly when the
+    dense vectors are.  A row beyond either measure must not be placed.
     """
 
-    def __init__(self, ring: FusionRing):
-        r = ring.rank
-        self.rank = r
-        self.rows = ring._rows
+    def __init__(self, rows: list[list[Optional[tuple[int, ...]]]], max_support: int, max_entry: int):
+        r = self.rank = len(rows)
+        self.rows = rows
+        self.lane = (max_support * max_entry**2).bit_length() + 1
         self.support: list[list[Optional[tuple[tuple[int, int], ...]]]] = [[None] * r for _ in range(r)]
         self.packed: list[list[Optional[int]]] = [[None] * r for _ in range(r)]
         self.basic: list[list[Optional[int]]] = [[None] * r for _ in range(r)]
-        shared: dict[tuple[int, int], tuple[int, int]] = {}
-        max_support = max_mult = 0
-        for i, rows in enumerate(self.rows):
-            for j, row in enumerate(rows):
-                if row is None:
-                    continue
-                support = tuple(shared.setdefault((c, n), (c, n)) for c, n in enumerate(row) if n)
-                self.support[i][j] = support
-                self.basic[i][j] = support[0][0] if len(support) == 1 and support[0][1] == 1 else -1
-                max_support = max(max_support, len(support))
-                max_mult = max(max_mult, max(row))
-        self.lane = (max_support * max_mult**2).bit_length() + 1
-        lane = self.lane
-        for i, supports in enumerate(self.support):
-            packed = self.packed[i]
-            for j, support in enumerate(supports):
-                if support is not None:
-                    packed[j] = sum(n << lane * c for c, n in support)
+        # Equal rows share their forms and equal (c, n) pairs one tuple.
+        self._forms: dict[tuple[int, ...], tuple[tuple[tuple[int, int], ...], int, int]] = {}
+        self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        for i, row_i in enumerate(rows):
+            for j, row in enumerate(row_i):
+                if row is not None:
+                    self.place(i, j, row)
+
+    def place(self, i: int, j: int, row: Optional[tuple[int, ...]]) -> None:
+        """Set pair (i, j) to the dense ``row`` in all four forms; None makes it Unknown."""
+        self.rows[i][j] = row
+        if row is None:
+            self.support[i][j] = self.packed[i][j] = self.basic[i][j] = None
+            return
+        forms = self._forms.get(row)
+        if forms is None:
+            pairs, lane = self._pairs, self.lane
+            support = tuple(pairs.setdefault((c, n), (c, n)) for c, n in enumerate(row) if n)
+            basic = support[0][0] if len(support) == 1 and support[0][1] == 1 else -1
+            forms = self._forms[row] = (support, sum(n << lane * c for c, n in support), basic)
+        self.support[i][j], self.packed[i][j], self.basic[i][j] = forms
 
     def unpack(self, value: int) -> list[int]:
         """The dense coordinates of a packed sum."""

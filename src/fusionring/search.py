@@ -11,7 +11,8 @@ degree sums bound the vectors, and associativity is checked on packed rows
 for every triple with the new row as an outer pair.  Forward checking
 (Haralick & Elliott, 1980) backs up at once when a placed row leaves some
 unplaced row that mirrors it without a candidate.  Survivors still have to
-pass the full axiom checker before they are emitted.
+pass the full axiom checker before they are emitted.  The rows live in one
+:class:`fusionring.ring._RowKernel`, placed and cleared as the search goes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .axioms import check_axioms
-from .ring import FusionRing, InvalidSetting, PreconditionUnmet, RankTooLarge, build_ring
+from .ring import FusionRing, InvalidSetting, PreconditionUnmet, RankTooLarge, _RowKernel, build_ring
 
 DEFAULT_RANK_BOUND = 6
 
@@ -58,11 +59,9 @@ def _block_permutations(rank: int, blocks: Sequence[Sequence[int]]) -> Iterator[
 class _Search:
     """One backtracking run for a fixed dual involution.
 
-    Rows live in flat lists indexed ``a * rank + b``: the dense row, its
-    support ``((c, n), ...)`` and the packed integer ``sum(n << lane * c)``,
-    each None until the row is placed.  Every entry is at most ``max_mult``,
-    so a lane of ``(rank * max_mult**2).bit_length() + 1`` bits holds any
-    coordinate of an associativity sum.
+    Rows live in ``kernel``, a row kernel built empty with room for ``rank``
+    entries of at most ``max_mult`` per row; the unit rows are placed first,
+    and each candidate is placed and cleared with ``kernel.place``.
     """
 
     def __init__(self, degrees: tuple[int, ...], max_mult: int, dual: tuple[int, ...]):
@@ -70,51 +69,40 @@ class _Search:
         self.deg = degrees
         self.max_mult = max_mult
         self.dual = dual
-        self.lane = (r * max_mult**2).bit_length() + 1
         self.pairs = [(a, b) for a in range(1, r) for b in range(1, r)]
-        self.rows: list[Optional[tuple[int, ...]]] = [None] * (r * r)
-        self.support: list[Optional[tuple[tuple[int, int], ...]]] = [None] * (r * r)
-        self.packed: list[Optional[int]] = [None] * (r * r)
+        kernel = self.kernel = _RowKernel([[None] * r for _ in range(r)], r, max_mult)
         for i in range(r):
             unit_row = tuple(int(c == i) for c in range(r))
-            self._place(i, unit_row)
-            self._place(i * r, unit_row)
-        # reads[k]: (c, m, coord) when coordinate c of row k mirrors coordinate
-        # coord of row m; unit rows only repeat the duality pin of coordinate
-        # 0, so they are left out.  readers[m]: the rows k that read row m.
-        self.reads: list[list[tuple[int, int, int]]] = [[] for _ in range(r * r)]
-        self.readers: list[list[int]] = [[] for _ in range(r * r)]
+            kernel.place(0, i, unit_row)
+            kernel.place(i, 0, unit_row)
+        # reads[a][b]: (c, kernel.rows[x], y, coord) when coordinate c of row
+        # (a,b) mirrors coordinate coord of row (x,y); unit rows only repeat
+        # the duality pin of coordinate 0, so they are left out.
+        # readers[x][y]: the pairs (a,b) that read (x,y), as dict keys.
+        self.reads: list[list[list[tuple]]] = [[[] for _ in range(r)] for _ in range(r)]
+        self.readers: list[list[dict[tuple[int, int], None]]] = [[{} for _ in range(r)] for _ in range(r)]
+        rows, readers = kernel.rows, self.readers
         for a, b in self.pairs:
-            k = a * r + b
+            reads, da, db = self.reads[a][b], dual[a], dual[b]
             for c in range(r):
-                for (x, y), coord in (
-                    ((b, dual[c]), dual[a]),  # m(x,yz) = m(y*, zx*)
-                    ((c, dual[b]), a),  # m(x,yz) = m(y, xz*)
-                    ((dual[b], dual[a]), dual[c]),  # (yz)* = z*y*
+                dc = dual[c]
+                for x, y, coord in (
+                    (b, dc, da),  # m(x,yz) = m(y*, zx*)
+                    (c, db, a),  # m(x,yz) = m(y, xz*)
+                    (db, da, dc),  # (yz)* = z*y*
                 ):
-                    m = x * r + y
-                    if x and y and m != k:
-                        self.reads[k].append((c, m, coord))
-                        if k not in self.readers[m]:
-                            self.readers[m].append(k)
-        self.solutions: list[list[tuple[int, ...]]] = []
-
-    def _place(self, k: int, row: Optional[tuple[int, ...]]) -> None:
-        self.rows[k] = row
-        if row is None:
-            self.support[k] = self.packed[k] = None
-        else:
-            self.support[k] = tuple((c, n) for c, n in enumerate(row) if n)
-            self.packed[k] = sum(n << self.lane * c for c, n in self.support[k])
+                    if x and y and (x != a or y != b):
+                        reads.append((c, rows[x], y, coord))
+                        readers[x][y][a, b] = None
+        self.solutions: list[list[list[tuple[int, ...]]]] = []
 
     # -- candidate rows -------------------------------------------------------
 
     def _pinned(self, a: int, b: int) -> Optional[dict[int, int]]:
         """Coordinate pins for row (a,b) from duality and placed mirrors."""
         pins = {0: int(b == self.dual[a])}
-        rows = self.rows
-        for c, m, coord in self.reads[a * self.rank + b]:
-            row = rows[m]
+        for c, rows_x, y, coord in self.reads[a][b]:
+            row = rows_x[y]
             if row is not None and pins.setdefault(c, row[coord]) != row[coord]:
                 return None
         return pins
@@ -181,19 +169,19 @@ class _Search:
     def _triple_holds(self, p: int, q: int, s: int) -> bool:
         """(pq)s == p(qs) on packed rows when every needed row is placed;
         True if undecidable yet."""
-        r = self.rank
-        pq, qs = self.support[p * r + q], self.support[q * r + s]
+        support, packed = self.kernel.support, self.kernel.packed
+        pq, qs = support[p][q], support[q][s]
         if pq is None or qs is None:
             return True
-        packed = self.packed
         lhs = rhs = 0
         for t, m in pq:
-            row = packed[t * r + s]
+            row = packed[t][s]
             if row is None:
                 return True
             lhs += m * row
+        packed_p = packed[p]
         for t, m in qs:
-            row = packed[p * r + t]
+            row = packed_p[t]
             if row is None:
                 return True
             rhs += m * row
@@ -204,31 +192,27 @@ class _Search:
         associate (inner-row completions are caught by the final axiom check
         on emitted solutions), and every unplaced row reading (a,b) still
         admits a candidate."""
-        r = self.rank
-        for x in range(1, r):
+        for x in range(1, self.rank):
             if not (self._triple_holds(a, b, x) and self._triple_holds(x, a, b)):
                 return False
-        rows = self.rows
-        return all(rows[k] is not None or self._admits(*divmod(k, r)) for k in self.readers[a * r + b])
+        rows = self.kernel.rows
+        return all(rows[x][y] is not None or self._admits(x, y) for x, y in self.readers[a][b])
 
     # -- driving --------------------------------------------------------------
 
-    def run(self, first_candidate: Optional[tuple[int, ...]] = None) -> None:
-        """Every solution, or those whose first row is ``first_candidate``."""
-        self._assign(0, first_candidate)
-
-    def _assign(self, pos: int, only: Optional[tuple[int, ...]] = None) -> None:
+    def run(self, pos: int = 0, only: Optional[tuple[int, ...]] = None) -> None:
+        """Every solution from pair ``pos`` on, or those whose row there is ``only``."""
         if pos == len(self.pairs):
-            self.solutions.append(list(self.rows))
+            self.solutions.append([list(row) for row in self.kernel.rows])
             return
         a, b = self.pairs[pos]
-        k = a * self.rank + b
+        place = self.kernel.place
         for cand in self._candidates(a, b):
             if only is None or cand == only:
-                self._place(k, cand)
+                place(a, b, cand)  # replaces the previous candidate
                 if self._consistent_after(a, b):
-                    self._assign(pos + 1)
-                self._place(k, None)
+                    self.run(pos + 1)
+        place(a, b, None)
 
 
 def _labels_for(degrees: tuple[int, ...]) -> tuple[str, ...]:
@@ -243,7 +227,7 @@ def _labels_for(degrees: tuple[int, ...]) -> tuple[str, ...]:
 def _canonical_key(
     degrees: tuple[int, ...],
     dual: tuple[int, ...],
-    rows: list[tuple[int, ...]],
+    rows: list[list[tuple[int, ...]]],
     blocks: Sequence[Sequence[int]],
 ) -> tuple:
     """The least relabelled ``(dual, rows)`` over relabellings within
@@ -263,7 +247,7 @@ def _canonical_key(
         tie = p_dual == best_dual
         p_rows = []
         for a, b in pairs:
-            row = rows[src[a] * r + src[b]]
+            row = rows[src[a]][src[b]]
             vec = tuple([row[c] for c in src])
             if tie:
                 best = best_rows[len(p_rows)][1]
@@ -280,7 +264,7 @@ def _canonical_key(
 def _search_task(args) -> list[tuple]:
     degrees, max_mult, dual, first_candidate, blocks = args
     search = _Search(degrees, max_mult, dual)
-    search.run(first_candidate)
+    search.run(only=first_candidate)
     return [_canonical_key(degrees, dual, rows, blocks) for rows in search.solutions]
 
 

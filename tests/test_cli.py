@@ -385,6 +385,34 @@ def test_rank_too_large_exit_two(tmp_path, capsys, command):
     assert err.startswith("fusionring: rank ") and err.count("\n") == 1
 
 
+def test_gen_beyond_rank_bound_exit_two_at_once(monkeypatch, capsys):
+    from fusionring import oracles
+    from fusionring.cli import GEN_RANK_BOUND as bound
+
+    small = oracles.cyclic_group_ring(2)
+    built = []
+    monkeypatch.setattr(oracles, "cyclic_group_ring", lambda n: built.append(n) or small)
+    monkeypatch.setattr(oracles, "so3_truncated", lambda d: built.append(d) or small)
+    # the bound is on the rank: N for gen cyclic N, (D + 1) / 2 for gen so3 D
+    for argv in (["cyclic", "100000"], ["so3", "1000001"], ["cyclic", str(bound + 1)], ["so3", str(2 * bound + 1)]):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("fusionring: rank ") and err.count("\n") == 1, argv
+    assert built == []  # rejected before anything is built
+    for argv in (["cyclic", str(bound)], ["so3", str(2 * bound - 1)]):
+        assert run_cli(capsys, "gen", *argv)[0] == 0
+    assert built == [bound, 2 * bound - 1]
+
+
+@pytest.mark.parametrize("command", ["subrings", "check", "verdict"])
+def test_dimension_beyond_64_bits_exit_two(tmp_path, capsys, command):
+    path = tmp_path / "big.spec"
+    path.write_text("ring big\npartial true\nbasis 1 1 1\nbasis x 1180591620717411303424 x\nunit 1\n")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"fusionring: {path}: line 4: dimension exceeds checked 64-bit range at basis element 'x'\n"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])

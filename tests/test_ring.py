@@ -1,10 +1,13 @@
 """Core ring arithmetic: elements, products, duals, degrees, partiality."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fusionring as fr
+from fusionring.ring import INT64_MAX, _RowKernel
 
-from conftest import brute_cyclic_products
+from conftest import all_fixture_rings, brute_cyclic_products, corrupt_z5_ring, withhold_rows
 
 
 def test_element_from_basis_unit():
@@ -193,6 +196,20 @@ def test_construction_validation():
         fr.build_ring("t", [("1", 1, "1"), ("x", 3, "x")], "1", {("1", "x"): {"1": 3}})
 
 
+def test_dimension_beyond_64_bits_is_rejected():
+    d = 3037000499  # 1 + d**2 fits in 64 bits and 1 + 2 * d**2 does not
+    assert 1 + d**2 <= INT64_MAX < 1 + 2 * d**2
+    ring = fr.build_ring("t", [("1", 1, "1"), ("x", d, "x")], "1", {})
+    assert ring.dimension() == 1 + d**2
+    assert ring.degree(ring.element("x")) == d
+    with pytest.raises(fr.InvalidRing, match="dimension exceeds checked 64-bit range") as exc:
+        fr.build_ring("t", [("1", 1, "1"), ("x", d, "y"), ("y", d, "x")], "1", {})
+    assert exc.value.subject == "y"  # the basis element at which the sum leaves the range
+    with pytest.raises(fr.InvalidRing) as exc:
+        fr.build_ring("t", [("1", 1, "1"), ("x", 2**70, "x")], "1", {})
+    assert exc.value.subject == "x"
+
+
 def test_dual_involution_enforced():
     with pytest.raises(fr.InvalidRing):
         fr.build_ring(
@@ -226,3 +243,47 @@ def test_element_algebra():
     assert (-g + g).is_zero()
     assert (g + g).is_basic() is False
     assert g.is_basic()
+
+
+# -- the row kernel filled by place ------------------------------------------------
+
+CORPUS = all_fixture_rings() + [corrupt_z5_ring()]  # the last has a row 2*g2
+
+
+@st.composite
+def kernel_fills(draw):
+    """A corpus ring, some of its rows withheld, its Known pairs in a random
+    order, and some of them to clear and place again."""
+    ring = draw(st.sampled_from(CORPUS))
+    u = ring.unit_index
+    rows = [(ring.label(i), ring.label(j)) for i, j in ring.known_pairs() if u not in (i, j)]
+    withheld = draw(st.lists(st.sampled_from(rows), unique=True, max_size=4)) if rows else []
+    if withheld:
+        ring = withhold_rows(ring, *withheld)
+    known = list(ring.known_pairs())
+    return ring, draw(st.permutations(known)), draw(st.lists(st.sampled_from(known), unique=True, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_fills())
+def test_place_fills_an_empty_kernel_as_the_ring_builds_it(fill):
+    ring, order, cleared = fill
+    rows = [ring.product_row(i, j) for i, j in ring.known_pairs()]
+    max_support = max(sum(1 for n in row if n) for row in rows)
+    kernel = _RowKernel([[None] * ring.rank for _ in range(ring.rank)], max_support, max(max(row) for row in rows))
+    assert kernel.lane == ring._kernel.lane
+    for i, j in order:
+        kernel.place(i, j, ring.product_row(i, j))
+    for i, j in cleared:
+        kernel.place(i, j, None)
+        assert kernel.rows[i][j] is kernel.support[i][j] is kernel.packed[i][j] is kernel.basic[i][j] is None
+    for i, j in cleared:
+        kernel.place(i, j, ring.product_row(i, j))
+    for form in ("rows", "support", "packed", "basic"):
+        assert getattr(kernel, form) == getattr(ring._kernel, form), form
+    for i, j in ring.known_pairs():
+        row = ring.product_row(i, j)
+        assert kernel.support[i][j] == tuple((c, n) for c, n in enumerate(row) if n)
+        assert kernel.unpack(kernel.packed[i][j]) == list(row)
+        is_basic = row.count(1) == 1 and row.count(0) == len(row) - 1
+        assert kernel.basic[i][j] == (row.index(1) if is_basic else -1)

@@ -236,6 +236,13 @@ def test_coefficient_overflow_is_a_semantic_error():
         fr.parse_spec(text)
 
 
+def test_coefficient_overflow_in_range_basis_is_a_semantic_error():
+    # the dimension fits in 64 bits, so the row's coefficient is what overflows
+    text = f"ring t\npartial true\nbasis a 1 a\nbasis b 1 b\nunit a\nprod b b : b {2**63}\n"
+    with pytest.raises(fr.RingSemanticError, match="coefficient 9223372036854775808 exceeds checked 64-bit range"):
+        fr.parse_spec(text)
+
+
 # -- fuzzing the spec edge -----------------------------------------------------
 
 LABEL = st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True)
