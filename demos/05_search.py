@@ -38,7 +38,7 @@ try:
 except fr.PreconditionUnmet as exc:
     print("rejected:", exc)
 
-# FUSIONRING_THREADS (or workers=) splits the first row's candidate values
-# across worker processes; results are canonically sorted either way.
+# FUSIONRING_THREADS (or workers=) runs the dual classes, one backtracking
+# run each, in worker processes; results are canonically sorted either way.
 same = fr.enumerate_rings([1, 1, 1, 3], max_mult=2, workers=2)
 print("parallel result identical:", [fr.write_spec(r) for r in same] == [fr.write_spec(r) for r in rings])

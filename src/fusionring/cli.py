@@ -18,7 +18,7 @@ from . import __version__
 # Every op reads or writes a spec, so only `ring` and `specfmt` load here.
 # Each _cmd_* imports the modules it runs, so an op loads no others.
 from .ring import (
-    FusionRing, FusionRingError, InvalidSetting, RankTooLarge, UnknownProduct, format_terms,
+    FusionRing, FusionRingError, InvalidSetting, RankTooLarge, UnknownLabel, UnknownProduct, format_terms,
 )
 from .specfmt import RingSemanticError, RingSyntaxError, parse_spec, write_spec
 
@@ -118,6 +118,8 @@ def _cmd_ladder(args) -> tuple[int, str]:
     ring = _read_ring(args.file)
     try:
         cert = ladder_build(ring, args.x3, max_depth=args.depth)
+    except UnknownLabel as exc:  # the file lacks the label: an input error
+        raise _InputError(f"{args.file}: {exc}") from exc
     except FusionRingError as exc:
         return _emit(args, 1, [f"ring {ring.name}: ladder error: {exc}"], ring=ring.name, error=str(exc))
     lines = [f"ring {ring.name}: ladder from {args.x3}, depth {cert.depth_reached}"]

@@ -227,8 +227,8 @@ def selfdual_chain(ring: FusionRing, x3_label: str) -> ChainResult:
 
 
 def _check_depth(max_depth: Optional[int]) -> None:
-    if max_depth is not None and max_depth < 1:
-        raise PreconditionUnmet(f"max_depth must be a positive integer, got {max_depth}")
+    if max_depth is not None and (not isinstance(max_depth, int) or max_depth < 1):
+        raise PreconditionUnmet(f"max_depth must be a positive integer, got {max_depth!r}")
 
 
 def ladder_build(

@@ -41,8 +41,8 @@ def _worker_count(workers: Optional[int], tasks: int) -> int:
             workers = 0
         if workers < 1:
             raise InvalidSetting(f"FUSIONRING_THREADS must be a positive integer, got {env!r}")
-    elif workers < 1:
-        raise InvalidSetting(f"workers must be a positive integer, got {workers}")
+    elif not isinstance(workers, int) or workers < 1:
+        raise InvalidSetting(f"workers must be a positive integer, got {workers!r}")
     return max(1, min(workers, tasks, cpus))
 
 
@@ -200,18 +200,17 @@ class _Search:
 
     # -- driving --------------------------------------------------------------
 
-    def run(self, pos: int = 0, only: Optional[tuple[int, ...]] = None) -> None:
-        """Every solution from pair ``pos`` on, or those whose row there is ``only``."""
+    def run(self, pos: int = 0) -> None:
+        """Every solution from pair ``pos`` on."""
         if pos == len(self.pairs):
             self.solutions.append([list(row) for row in self.kernel.rows])
             return
         a, b = self.pairs[pos]
         place = self.kernel.place
         for cand in self._candidates(a, b):
-            if only is None or cand == only:
-                place(a, b, cand)  # replaces the previous candidate
-                if self._consistent_after(a, b):
-                    self.run(pos + 1)
+            place(a, b, cand)  # replaces the previous candidate
+            if self._consistent_after(a, b):
+                self.run(pos + 1)
         place(a, b, None)
 
 
@@ -262,9 +261,9 @@ def _canonical_key(
 
 
 def _search_task(args) -> list[tuple]:
-    degrees, max_mult, dual, first_candidate, blocks = args
+    degrees, max_mult, dual, blocks = args
     search = _Search(degrees, max_mult, dual)
-    search.run(only=first_candidate)
+    search.run()
     return [_canonical_key(degrees, dual, rows, blocks) for rows in search.solutions]
 
 
@@ -278,26 +277,26 @@ def enumerate_rings(
 ) -> list[FusionRing]:
     """All fusion rings with the given basis degrees, up to block relabeling.
 
-    ``degrees`` must include the unit's 1 (every 1 is a grouplike);
-    ``max_mult`` caps each structure constant.  Emitted rings all pass the
-    full axiom checker.  Deduplication permutes labels within equal-degree
-    blocks only, which is exact for these canonical labelings.  ``workers``
-    (else FUSIONRING_THREADS) must be a positive integer; InvalidSetting
-    otherwise.
+    ``degrees`` are positive integers including the unit's 1 (every 1 is a
+    grouplike), and the positive integer ``max_mult`` caps each structure
+    constant; PreconditionUnmet otherwise.  Emitted rings pass the full axiom
+    checker.  Deduplication permutes labels within equal-degree blocks only,
+    which is exact for these canonical labelings.  Up to ``workers`` (else
+    FUSIONRING_THREADS) processes run the dual classes; InvalidSetting
+    unless it is a positive integer.
     """
+    degrees = tuple(degrees)
+    if not degrees or not all(isinstance(d, int) and d >= 1 for d in degrees):
+        raise PreconditionUnmet(f"degrees must be a nonempty list of positive integers, got {list(degrees)}")
     degrees = tuple(sorted(int(d) for d in degrees))
-    if not degrees:
-        raise PreconditionUnmet("degrees must be nonempty")
-    if any(d < 1 for d in degrees):
-        raise PreconditionUnmet("degrees must be positive")
     if degrees[0] != 1:
         raise PreconditionUnmet("degrees must include 1 for the unit")
     if odd_only and any(d % 2 == 0 for d in degrees):
         raise PreconditionUnmet(f"even degree in {degrees}: rejected under the odd-only constraint")
     if len(degrees) > rank_bound:
         raise RankTooLarge(f"rank {len(degrees)} exceeds bound {rank_bound}")
-    if max_mult < 1:
-        raise PreconditionUnmet("max_mult must be >= 1")
+    if not isinstance(max_mult, int) or max_mult < 1:
+        raise PreconditionUnmet(f"max_mult must be a positive integer, got {max_mult!r}")
 
     rank = len(degrees)
     blocks_nonunit = [tuple(i for i in range(1, rank) if degrees[i] == d) for d in sorted(set(degrees[1:]))]
@@ -315,13 +314,8 @@ def enumerate_rings(
                 dual[x], dual[y] = y, x
         dual_choices.append(tuple(dual))
 
-    # Partition work on the first undetermined row's candidate values.
-    tasks = []
-    for dual in dual_choices:
-        probe = _Search(degrees, max_mult, dual)
-        firsts = probe._candidates(*probe.pairs[0]) if probe.pairs else [None]
-        tasks += [(degrees, max_mult, dual, cand, blocks_nonunit) for cand in firsts]
-
+    # One task per dual class: its run tries every candidate of every row.
+    tasks = [(degrees, max_mult, dual, blocks_nonunit) for dual in dual_choices]
     n_workers = _worker_count(workers, len(tasks))
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so a serial search loads no multiprocessing

@@ -118,6 +118,15 @@ def test_ladder_precondition_exit_one(tmp_path, capsys):
     assert "not self-dual" in out + err
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_ladder_unknown_label_is_an_input_error(tmp_path, capsys, fmt):
+    path = write_ring(tmp_path, fr.so3_truncated(21))
+    code, out, err = run_cli(capsys, *fmt, "ladder", path, "--x3", "nope")
+    assert code == 2
+    assert out == ""
+    assert err == f"fusionring: {path}: no basis element labelled 'nope' in ring 'so3_21'\n"
+
+
 def test_ladder_fragment_json(tmp_path, capsys):
     path = write_ring(tmp_path, fr.fragment_ring())
     code, out, _ = run_cli(capsys, "--format", "json", "ladder", path, "--x3", "x3")

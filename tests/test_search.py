@@ -90,10 +90,33 @@ def test_max_mult_cap_excludes():
     assert fr.enumerate_rings([1, 1, 1, 3], max_mult=1, workers=1) == []
 
 
-def test_worker_partition_deterministic():
-    one = fr.enumerate_rings([1, 1, 1, 3], max_mult=2, workers=1)
-    two = fr.enumerate_rings([1, 1, 1, 3], max_mult=2, workers=2)
+@pytest.mark.parametrize("degrees,max_mult", [
+    pytest.param([1, 1, 1, 3], 2, id="1113-m2"),
+    pytest.param([1, 1, 1, 3, 3], 2, id="11133-m2"),
+    pytest.param([1] * 6, 1, id="111111-m1"),
+])
+def test_worker_partition_deterministic(degrees, max_mult):
+    one = fr.enumerate_rings(degrees, max_mult=max_mult, workers=1)
+    two = fr.enumerate_rings(degrees, max_mult=max_mult, workers=2)
     assert [fr.write_spec(r) for r in one] == [fr.write_spec(r) for r in two]
+
+
+@pytest.mark.parametrize("degrees,max_mult,dual_classes", [
+    ([1] * 6, 1, 3),
+    ([1, 1, 1, 3, 3], 2, 4),
+    ([1, 3, 3, 3, 5, 5], 2, 4),
+])
+def test_one_search_per_dual_class(monkeypatch, degrees, max_mult, dual_classes):
+    built = []
+    init = search._Search.__init__
+
+    def counting_init(self, *args):
+        built.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(search._Search, "__init__", counting_init)
+    fr.enumerate_rings(degrees, max_mult=max_mult, workers=1)
+    assert len(built) == len(set(built)) == dual_classes
 
 
 def test_env_thread_cap(monkeypatch):
@@ -147,10 +170,22 @@ def test_bad_thread_env_rejected(monkeypatch, value):
         fr.enumerate_rings([1, 1, 1], max_mult=2)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, 1.5, 2.0, "2"])
 def test_non_positive_workers_rejected(workers):
     with pytest.raises(fr.InvalidSetting, match="workers"):
         fr.enumerate_rings([1, 1, 1], max_mult=2, workers=workers)
+
+
+@pytest.mark.parametrize("degrees,max_mult,match", [
+    ([1, 2.7], 1, "degrees"),
+    ([1, "3"], 1, "degrees"),
+    ([1.0, 1], 1, "degrees"),
+    ([1, 1], 1.5, "max_mult"),
+    ([1, 1], "2", "max_mult"),
+])
+def test_non_integer_degrees_or_max_mult_rejected(degrees, max_mult, match):
+    with pytest.raises(fr.PreconditionUnmet, match=match):
+        fr.enumerate_rings(degrees, max_mult=max_mult, odd_only=False, workers=1)
 
 
 def test_chain_fixture_degree_sets_admit_no_complete_ring():
