@@ -5,7 +5,9 @@ Enumerating fusion rings with prescribed degrees
 Backtracking over structure constants with heavy pruning: duality pins the
 unit coordinate of every row, reciprocity mirrors pin coordinates across
 rows, grouplike rows must be basic translates, degree sums bound each row,
-and associativity is re-checked as rows land.  Survivors must pass the full
+and associativity is re-checked as rows land.  A row that leaves some row
+mirroring it with no candidate at all is backed out at once (an exact
+forward check).  Survivors must pass the full
 axiom checker and are deduplicated up to relabeling inside equal-degree
 blocks.
 """

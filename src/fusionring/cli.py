@@ -18,9 +18,9 @@ from . import __version__
 # Every op reads or writes a spec, so only `ring` and `specfmt` load here.
 # Each _cmd_* imports the modules it runs, so an op loads no others.
 from .ring import (
-    FusionRing, FusionRingError, InvalidSetting, RankTooLarge, UnknownLabel, UnknownProduct, format_terms,
+    FusionRing, FusionRingError, InvalidSetting, RankTooLarge, UnknownLabel, UnknownProduct, _check_rank, format_terms,
 )
-from .specfmt import RingSemanticError, RingSyntaxError, parse_spec, write_spec
+from .specfmt import RingSemanticError, RingSyntaxError, _decimal, parse_spec, write_spec
 
 SCHEMA = "fusionring-report/1"
 
@@ -161,11 +161,8 @@ def _cmd_subrings(args) -> tuple[int, str]:
 def _cmd_search(args) -> tuple[int, str]:
     from .search import enumerate_rings
 
-    try:
-        degrees = [int(tok) for tok in args.degrees.split(",") if tok]
-    except ValueError as exc:
-        raise _InputError(f"--degrees: {exc}") from exc
-    if not degrees or min(degrees) < 1:
+    degrees = [_decimal(tok.strip()) for tok in args.degrees.split(",")]
+    if not all(degrees):  # an item that is empty, not decimal or 0
         raise _InputError(f"--degrees: expected positive integers, got {args.degrees!r}")
     rings = enumerate_rings(degrees, args.max_mult, workers=args.workers)
     specs = [write_spec(r) for r in rings]
@@ -185,11 +182,11 @@ def _cmd_gen(args) -> tuple[int, str]:
         if len(args.what) != 2:
             example = "an order, e.g. gen cyclic 5" if kind == "cyclic" else "an odd max degree, e.g. gen so3 21"
             raise _InputError(f"gen {kind} needs {example}")
+        n = _decimal(args.what[1].strip())
+        if n is None:
+            raise _InputError(f"gen {kind}: expected a decimal integer, got {args.what[1]!r}")
         try:
-            n = int(args.what[1])
-            rank = n if kind == "cyclic" else (n + 1) // 2
-            if rank > GEN_RANK_BOUND:
-                raise RankTooLarge(f"rank {rank} exceeds bound {GEN_RANK_BOUND}")
+            _check_rank(n if kind == "cyclic" else (n + 1) // 2, GEN_RANK_BOUND)
             ring = cyclic_group_ring(n) if kind == "cyclic" else so3_truncated(n)
         except ValueError as exc:
             raise _InputError(f"gen {kind}: {exc}") from exc
@@ -220,11 +217,8 @@ def _one_line(message: object) -> str:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+    value = _decimal(text.strip())
+    if not value:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 

@@ -65,6 +65,15 @@ class InvalidSetting(FusionRingError):
     """A run setting, such as a worker count, is malformed or out of range."""
 
 
+def _check_rank(rank: int, bound: int, what: str = "bound") -> None:
+    """RankTooLarge when ``rank`` exceeds ``bound``; InvalidSetting, naming
+    ``rank_bound``, unless ``bound`` is a positive ``int``."""
+    if not isinstance(bound, int) or bound < 1:
+        raise InvalidSetting(f"rank_bound must be a positive integer, got {bound!r}")
+    if rank > bound:
+        raise RankTooLarge(f"rank {rank} exceeds {what} {bound}")
+
+
 def _check64(value: int) -> int:
     if value > INT64_MAX or value < INT64_MIN:
         raise OverflowDetected(f"coefficient {value} exceeds checked 64-bit range")

@@ -9,9 +9,10 @@ pins the unit coordinate, reciprocity mirrors pin coordinates against
 placed rows, grouplike rows are forced to be single basic translates, row
 degree sums bound the vectors, and associativity is checked on packed rows
 for every triple with the new row as an outer pair.  Forward checking
-(Haralick & Elliott, 1980) backs up at once when a placed row leaves some
-unplaced row that mirrors it without a candidate.  Survivors still have to
-pass the full axiom checker before they are emitted.  The rows live in one
+(Haralick & Elliott, 1980) is exact: a placed row backs up at once when some
+unplaced row that mirrors it has no candidate at all (``_candidates`` yields
+it no first row).  Survivors still have to pass the full axiom checker
+before they are emitted.  The rows live in one
 :class:`fusionring.ring._RowKernel`, placed and cleared as the search goes.
 """
 
@@ -22,7 +23,7 @@ from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .axioms import check_axioms
-from .ring import FusionRing, InvalidSetting, PreconditionUnmet, RankTooLarge, _RowKernel, build_ring
+from .ring import FusionRing, InvalidSetting, PreconditionUnmet, _check_rank, _RowKernel, build_ring
 
 DEFAULT_RANK_BOUND = 6
 
@@ -71,10 +72,11 @@ class _Search:
         self.dual = dual
         self.pairs = [(a, b) for a in range(1, r) for b in range(1, r)]
         kernel = self.kernel = _RowKernel([[None] * r for _ in range(r)], r, max_mult)
+        # basis[i]: the basis vector e_i, the unit rows and grouplike candidates
+        self.basis = [tuple(int(c == i) for c in range(r)) for i in range(r)]
         for i in range(r):
-            unit_row = tuple(int(c == i) for c in range(r))
-            kernel.place(0, i, unit_row)
-            kernel.place(i, 0, unit_row)
+            kernel.place(0, i, self.basis[i])
+            kernel.place(i, 0, self.basis[i])
         # reads[a][b]: (c, kernel.rows[x], y, coord) when coordinate c of row
         # (a,b) mirrors coordinate coord of row (x,y); unit rows only repeat
         # the duality pin of coordinate 0, so they are left out.
@@ -107,62 +109,43 @@ class _Search:
                 return None
         return pins
 
-    def _basic_fits(self, a: int, b: int, pins: dict[int, int]) -> list[int]:
-        """The c whose basis vector fits a grouplike row (a,b) and its pins."""
-        target = self.deg[a] * self.deg[b]
-        nonzero = [c for c, v in pins.items() if v]
-        if nonzero:  # a nonzero pin already completes the row
-            c = nonzero[0]
-            return nonzero if len(nonzero) == 1 and pins[c] == 1 and self.deg[c] == target else []
-        return [c for c in range(self.rank) if c not in pins and self.deg[c] == target]
-
-    def _admits(self, a: int, b: int) -> bool:
-        """False when row (a,b) can get no candidate now or after more rows
-        are placed: pins only grow, and each test is one ``_candidates`` makes."""
+    def _candidates(self, a: int, b: int) -> Iterator[tuple[int, ...]]:
+        """The rows that fit the pins and degree sum of (a,b), made lazily."""
         pins = self._pinned(a, b)
         if pins is None:
-            return False
-        deg = self.deg
-        if deg[a] == 1 or deg[b] == 1:
-            return bool(self._basic_fits(a, b, pins))
-        gap = deg[a] * deg[b] - sum(v * deg[c] for c, v in pins.items())
-        return 0 <= gap <= self.max_mult * sum(deg[c] for c in range(self.rank) if c not in pins)
-
-    def _candidates(self, a: int, b: int) -> list[tuple[int, ...]]:
-        pins = self._pinned(a, b)
-        if pins is None:
-            return []
-        r = self.rank
-        if self.deg[a] == 1 or self.deg[b] == 1:
-            # A grouplike translate of a basic element is basic.
-            return [tuple(int(k == c) for k in range(r)) for c in self._basic_fits(a, b, pins)]
-        deg, max_mult = self.deg, self.max_mult
+            return
+        deg, r, max_mult = self.deg, self.rank, self.max_mult
         vec = [0] * r
-        left = deg[a] * deg[b]
+        target = left = deg[a] * deg[b]
         for c, v in pins.items():
             vec[c] = v
             left -= v * deg[c]
+        if deg[a] == 1 or deg[b] == 1:
+            # A grouplike translate of a basic element is basic.  e_c fits when its
+            # pin is 1 or unset and the other pins are 0: left is (1 - vec[c]) * target.
+            for c in range(r):
+                if deg[c] == target and pins.get(c, 1) == 1 and left == (1 - vec[c]) * target:
+                    yield self.basis[c]
+            return
         free = [c for c in range(r) if c not in pins]
         # tail[i]: the most that free[i:] can add to the degree sum
         tail = [0] * (len(free) + 1)
         for i in range(len(free) - 1, -1, -1):
             tail[i] = tail[i + 1] + max_mult * deg[free[i]]
-        out: list[tuple[int, ...]] = []
 
-        def fill(i: int, left: int) -> None:
+        def fill(i: int, left: int) -> Iterator[tuple[int, ...]]:
             if i == len(free):
-                out.append(tuple(vec))
+                yield tuple(vec)
                 return
             c, d = free[i], deg[free[i]]
             low = max(0, -(-(left - tail[i + 1]) // d))
             for v in range(low, min(max_mult, left // d) + 1):
                 vec[c] = v
-                fill(i + 1, left - v * d)
+                yield from fill(i + 1, left - v * d)
             vec[c] = 0
 
         if 0 <= left <= tail[0]:
-            fill(0, left)
-        return out
+            yield from fill(0, left)
 
     # -- associativity and forward checking -----------------------------------
 
@@ -190,13 +173,13 @@ class _Search:
     def _consistent_after(self, a: int, b: int) -> bool:
         """Row (a,b) was just placed.  The triples with (a,b) as an outer pair
         associate (inner-row completions are caught by the final axiom check
-        on emitted solutions), and every unplaced row reading (a,b) still
-        admits a candidate."""
+        on emitted solutions), and every unplaced row reading (a,b) has a first
+        candidate: the forward check is exact, since pins only grow."""
         for x in range(1, self.rank):
             if not (self._triple_holds(a, b, x) and self._triple_holds(x, a, b)):
                 return False
-        rows = self.kernel.rows
-        return all(rows[x][y] is not None or self._admits(x, y) for x, y in self.readers[a][b])
+        rows, readers = self.kernel.rows, self.readers[a][b]
+        return all(rows[x][y] is not None or next(self._candidates(x, y), None) is not None for x, y in readers)
 
     # -- driving --------------------------------------------------------------
 
@@ -207,6 +190,9 @@ class _Search:
             return
         a, b = self.pairs[pos]
         place = self.kernel.place
+        # Made lazily while deeper rows come and go, yet the same as if made at
+        # once: the pins are read at the first row, every deeper row is cleared
+        # before the next is asked for, and (a,b) is not among its own reads.
         for cand in self._candidates(a, b):
             place(a, b, cand)  # replaces the previous candidate
             if self._consistent_after(a, b):
@@ -281,9 +267,10 @@ def enumerate_rings(
     grouplike), and the positive integer ``max_mult`` caps each structure
     constant; PreconditionUnmet otherwise.  Emitted rings pass the full axiom
     checker.  Deduplication permutes labels within equal-degree blocks only,
-    which is exact for these canonical labelings.  Up to ``workers`` (else
-    FUSIONRING_THREADS) processes run the dual classes; InvalidSetting
-    unless it is a positive integer.
+    which is exact for these canonical labelings.  More than ``rank_bound``
+    degrees is RankTooLarge.  Up to ``workers`` (else FUSIONRING_THREADS)
+    processes run the dual classes.  ``rank_bound`` and ``workers`` must be
+    positive integers; InvalidSetting otherwise.
     """
     degrees = tuple(degrees)
     if not degrees or not all(isinstance(d, int) and d >= 1 for d in degrees):
@@ -293,8 +280,7 @@ def enumerate_rings(
         raise PreconditionUnmet("degrees must include 1 for the unit")
     if odd_only and any(d % 2 == 0 for d in degrees):
         raise PreconditionUnmet(f"even degree in {degrees}: rejected under the odd-only constraint")
-    if len(degrees) > rank_bound:
-        raise RankTooLarge(f"rank {len(degrees)} exceeds bound {rank_bound}")
+    _check_rank(len(degrees), rank_bound)
     if not isinstance(max_mult, int) or max_mult < 1:
         raise PreconditionUnmet(f"max_mult must be a positive integer, got {max_mult!r}")
 

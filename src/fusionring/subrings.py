@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .ring import FusionRing, NotClosed, RankTooLarge, UnknownProduct
+from .ring import FusionRing, NotClosed, UnknownProduct, _check_rank
 
 
 class StandardSubring(NamedTuple):
@@ -121,10 +121,11 @@ def enumerate_standard_subrings(ring: FusionRing, *, rank_bound: int = 20) -> li
     Closes each basis label once; the distinct closed sets are the atoms.
     Then closes the union of each pair of atoms where neither holds the
     other.  Closures that Unknown products leave incomplete are omitted
-    rather than guessed, but their atoms still take part in the joins.
+    rather than guessed, but their atoms still take part in the joins.  A
+    ring of rank above ``rank_bound`` is RankTooLarge, and a ``rank_bound``
+    that is not a positive integer is InvalidSetting.
     """
-    if ring.rank > rank_bound:
-        raise RankTooLarge(f"rank {ring.rank} exceeds enumeration bound {rank_bound}")
+    _check_rank(ring.rank, rank_bound, "enumeration bound")
     # Each closed member set maps to its Unknown pairs.  A union that is
     # already closed, as when one atom holds the other, is not closed again.
     closed = dict(_close(ring, (i,)) for i in range(ring.rank))

@@ -348,6 +348,19 @@ SEARCH_111 = ["search", "--degrees", "1,1,1", "--workers", "1"]
         pytest.param([*SEARCH_111, "--max-mult", "-3"], ("--max-mult", "positive integer"), id="--max-mult--3"),
         pytest.param([*SEARCH_111, "--degrees", ",,"], ("--degrees", "positive integer"), id="--degrees-,,"),
         pytest.param([*SEARCH_111, "--degrees", "1,0"], ("--degrees", "positive integer"), id="--degrees-1,0"),
+        # integers follow the spec file's decimal rule: no empty item, no digit separator
+        pytest.param([*SEARCH_111, "--degrees", "1,,3"], ("--degrees", "positive integer"), id="--degrees-1,,3"),
+        pytest.param([*SEARCH_111, "--degrees", "1,1_1"], ("--degrees", "positive integer"), id="--degrees-1,1_1"),
+        pytest.param([*SEARCH_111, "--degrees", "1,3,"], ("--degrees", "positive integer"), id="--degrees-1,3,"),
+        pytest.param([*SEARCH_111, "--max-mult", "1_0"], ("--max-mult", "positive integer"), id="--max-mult-1_0"),
+        pytest.param(
+            ["search", "--degrees", "1,1,1", "--workers", "1_0"], ("--workers", "positive integer"), id="--workers-1_0"
+        ),
+        pytest.param(
+            ["verdict", "ring.spec", "--depth", "1_0"], ("--depth", "positive integer"), id="verdict--depth-1_0"
+        ),
+        pytest.param(["gen", "cyclic", "1_2"], ("gen cyclic", "'1_2'"), id="gen-cyclic-1_2"),
+        pytest.param(["gen", "so3", "2_1"], ("gen so3", "'2_1'"), id="gen-so3-2_1"),
         pytest.param(
             ["search", "--degrees", "1,1,1", "--workers", "0"], ("--workers", "positive integer"), id="--workers-0"
         ),
@@ -370,6 +383,13 @@ def test_search_input_errors_exit_two(capsys, argv, words):
     (line,) = err.splitlines()
     assert err == line + "\n" and line.startswith("fusionring: ")
     assert all(word in line for word in words)
+
+
+def test_integers_with_surrounding_spaces_accepted(capsys):
+    code, out, _ = run_cli(capsys, "search", "--degrees", " 1, 1 ,1", "--max-mult", " 2 ", "--workers", "1 ")
+    assert (code, out.splitlines()[0]) == (0, "# 1 ring(s) with degrees [1, 1, 1]")
+    code, out, _ = run_cli(capsys, "gen", "cyclic", " 3 ")
+    assert code == 0 and out.startswith("ring Z3\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-4", "lots", "2.5"])

@@ -1,7 +1,8 @@
 """Constrained enumeration: soundness, completeness at desk scale, dedup."""
 
 import concurrent.futures
-from itertools import permutations, product
+from collections import Counter
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -119,6 +120,24 @@ def test_one_search_per_dual_class(monkeypatch, degrees, max_mult, dual_classes)
     assert len(built) == len(set(built)) == dual_classes
 
 
+@pytest.mark.parametrize("degrees,max_mult,runs", [
+    pytest.param([1, 3, 3, 5, 5, 5], 2, 6, id="133555-m2"),
+    pytest.param([1, 1, 3, 3, 5, 5], 2, 28, id="113355-m2"),
+    pytest.param([1] * 6, 1, 203, id="111111-m1"),
+])
+def test_forward_check_backs_up_when_a_reader_has_no_candidate(monkeypatch, degrees, max_mult, runs):
+    calls = []
+    run = search._Search.run
+
+    def counting_run(self, *args):
+        calls.append(args)
+        run(self, *args)
+
+    monkeypatch.setattr(search._Search, "run", counting_run)
+    fr.enumerate_rings(degrees, max_mult=max_mult, workers=1)
+    assert len(calls) == runs
+
+
 def test_env_thread_cap(monkeypatch):
     monkeypatch.setenv("FUSIONRING_THREADS", "2")
     rings = fr.enumerate_rings([1, 1, 1], max_mult=2)
@@ -176,6 +195,12 @@ def test_non_positive_workers_rejected(workers):
         fr.enumerate_rings([1, 1, 1], max_mult=2, workers=workers)
 
 
+@pytest.mark.parametrize("rank_bound", [None, 0, 2.5, "8"])
+def test_bad_rank_bound_rejected(rank_bound):
+    with pytest.raises(fr.InvalidSetting, match="rank_bound"):
+        fr.enumerate_rings([1, 3], max_mult=1, rank_bound=rank_bound, workers=1)
+
+
 @pytest.mark.parametrize("degrees,max_mult,match", [
     ([1, 2.7], 1, "degrees"),
     ([1, "3"], 1, "degrees"),
@@ -203,6 +228,24 @@ def test_chain_fixture_rank_six_also_empty():
 def test_all_grouplike_degrees_give_the_groups_of_order_k(k, groups):
     rings = fr.enumerate_rings([1] * k, max_mult=1, rank_bound=7, workers=1)
     assert len(rings) == groups
+
+
+def test_census_of_odd_degree_lists_with_a_3_finds_only_grouplike_verdicts():
+    # The paper's main theorem: a degree-3 simple and no even degree give a finite ring a grouplike of order 2 or 3.
+    lists = [
+        [1, *rest] for n in range(1, 7) for rest in combinations_with_replacement((1, 3, 5, 7), n) if 3 in rest
+    ]
+    assert len(lists) == 126
+    rings = [ring for degrees in lists for ring in fr.enumerate_rings(degrees, max_mult=2, rank_bound=8, workers=1)]
+    assert Counter(ring.rank for ring in rings) == {4: 1, 5: 2, 6: 2, 7: 4}
+    verdicts = [fr.dichotomy_verdict(ring) for ring in rings]
+    assert [v.kind for v in verdicts] == ["grouplike"] * 9
+    odd = [v for v in verdicts if v.dimension is not None]
+    assert sorted(v.dimension for v in odd) == [15, 15, 21, 21, 39, 39]
+    assert all(v.divisible_by_3 is True for v in odd)
+    # A4 and the two [1,1,1,3,3,3] rings have even dimension, so report none
+    even = [ring for ring, v in zip(rings, verdicts) if v.dimension is None]
+    assert [(ring.rank, ring.dimension()) for ring in even] == [(4, 12), (6, 30), (6, 30)]
 
 
 def _ring(degrees, dual, table, new):

@@ -253,6 +253,12 @@ def test_enumerate_rank_bound():
         fr.enumerate_standard_subrings(fr.cyclic_group_ring(8), rank_bound=5)
 
 
+@pytest.mark.parametrize("rank_bound", [None, 0, 2.5, "8"])
+def test_bad_rank_bound_rejected(rank_bound):
+    with pytest.raises(fr.InvalidSetting, match="rank_bound"):
+        fr.enumerate_standard_subrings(fr.cyclic_group_ring(3), rank_bound=rank_bound)
+
+
 def test_subring_restriction_is_valid_ring():
     # restricting a complete valid ring to a standard subring stays valid
     for ring in (fr.cyclic_group_ring(6), fr.a4_character_ring(), fr.f21_character_ring()):
