@@ -39,8 +39,3 @@ try:
     fr.enumerate_rings([1, 2], max_mult=1)
 except fr.PreconditionUnmet as exc:
     print("rejected:", exc)
-
-# FUSIONRING_THREADS (or workers=) runs the dual classes, one backtracking
-# run each, in worker processes; results are canonically sorted either way.
-same = fr.enumerate_rings([1, 1, 1, 3], max_mult=2, workers=2)
-print("parallel result identical:", [fr.write_spec(r) for r in same] == [fr.write_spec(r) for r in rings])

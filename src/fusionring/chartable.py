@@ -22,6 +22,9 @@ File format (``#`` comments, whitespace separated)::
     char <degree> <value>... # one row per class, one value per class,
                              # polynomials in z = zeta_N
     dualpair <i> <j>         # 0-based character row indices; omitted = self-dual
+
+Integers (order, conductor, sizes, degrees, indices) follow the spec file's
+rule: decimal digits only, so ``+2``, ``0_2`` and ``-1`` are rejected.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic import Cyclotomic
 from .ring import BasisElement, FusionRing, FusionRingError, InvalidRing
+from .specfmt import _decimal
 
 # The sparse (exponent, coefficient) terms of one value in Z[x]/(x^N - 1).
 _Terms = tuple[tuple[int, int], ...]
@@ -267,9 +271,10 @@ def parse_value(text: str, conductor: int) -> Cyclotomic:
 
 
 def _positive(token: str, what: str) -> int:
-    value = int(token)
-    if value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value}")
+    """The value of a positive decimal token, under the spec file's rule."""
+    value = _decimal(token)
+    if not value:
+        raise ValueError(f"{what} must be a positive integer, got {token}")
     return value
 
 
@@ -285,7 +290,7 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
     conductor = None
     sizes: list[int] = []
     raw_chars: list[tuple[int, list[str]]] = []
-    pairs: list[tuple[int, int, int]] = []
+    pairs: list[tuple[int, Optional[int], Optional[int]]] = []  # None: not decimal
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -309,7 +314,7 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
                     raise ValueError("char needs a degree and one value per class")
                 raw_chars.append((lineno, tokens[1:]))
             elif kind == "dualpair":
-                pairs.append((lineno, int(tokens[1]), int(tokens[2])))
+                pairs.append((lineno, _decimal(tokens[1]), _decimal(tokens[2])))
             else:
                 raise ValueError(f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -327,7 +332,7 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
     characters = []
     for row_idx, (lineno, tokens) in enumerate(raw_chars):
         try:
-            degree = int(tokens[0])
+            degree = _positive(tokens[0], f"char row {row_idx} degree")
             values = tokens[1:]
             if len(values) != len(sizes):
                 raise ValueError(
@@ -343,7 +348,7 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
     conj = list(range(len(characters)))
     paired: dict[int, int] = {}
     for lineno, i, j in pairs:
-        if not (0 <= i < len(conj) and 0 <= j < len(conj)):
+        if not all(k is not None and 0 <= k < len(conj) for k in (i, j)):
             raise ValueError(
                 f"line {lineno}: dualpair index out of range for {len(conj)} character rows"
             )
@@ -368,4 +373,4 @@ def load_character_table(path) -> CharacterTable:
     from pathlib import Path
 
     p = Path(path)
-    return parse_character_table(p.read_text(), name=None)
+    return parse_character_table(p.read_text(encoding="utf-8"), name=None)

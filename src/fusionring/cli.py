@@ -164,7 +164,7 @@ def _cmd_search(args) -> tuple[int, str]:
     degrees = [_decimal(tok.strip()) for tok in args.degrees.split(",")]
     if not all(degrees):  # an item that is empty, not decimal or 0
         raise _InputError(f"--degrees: expected positive integers, got {args.degrees!r}")
-    rings = enumerate_rings(degrees, args.max_mult, workers=args.workers)
+    rings = enumerate_rings(degrees, args.max_mult)
     specs = [write_spec(r) for r in rings]
     lines = [f"# {len(rings)} ring(s) with degrees {sorted(degrees)}"]
     for spec in specs:
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="worker processes (default FUSIONRING_THREADS or CPU count; at most one per task and CPU)",
+        help="accepted for compatibility and ignored: the search runs in one process",
     )
     p.set_defaults(func=_cmd_search)
 

@@ -115,7 +115,7 @@ _FIXTURE_LABELS = {
 
 def fixture_character_table(name: str) -> CharacterTable:
     """Load a character table shipped with the package (s3, a4, f21, z3)."""
-    text = resources.files("fusionring.fixtures").joinpath(f"{name}.chartab").read_text()
+    text = resources.files("fusionring.fixtures").joinpath(f"{name}.chartab").read_text(encoding="utf-8")
     return parse_character_table(text)
 
 

@@ -62,7 +62,7 @@ class PreconditionUnmet(FusionRingError):
 
 
 class InvalidSetting(FusionRingError):
-    """A run setting, such as a worker count, is malformed or out of range."""
+    """A run setting, such as a rank bound, is malformed or out of range."""
 
 
 def _check_rank(rank: int, bound: int, what: str = "bound") -> None:

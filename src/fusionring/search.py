@@ -18,33 +18,13 @@ before they are emitted.  The rows live in one
 
 from __future__ import annotations
 
-import os
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .axioms import check_axioms
-from .ring import FusionRing, InvalidSetting, PreconditionUnmet, _check_rank, _RowKernel, build_ring
+from .ring import FusionRing, PreconditionUnmet, _check_rank, _RowKernel, build_ring
 
 DEFAULT_RANK_BOUND = 6
-
-
-def _worker_count(workers: Optional[int], tasks: int) -> int:
-    """Pool size: the request (``workers``, else FUSIONRING_THREADS, else the
-    CPU count), capped at one process per task and per CPU."""
-    cpus = os.cpu_count() or 1
-    if workers is None:
-        env = os.environ.get("FUSIONRING_THREADS")
-        if not env:
-            return max(1, min(tasks, cpus))
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise InvalidSetting(f"FUSIONRING_THREADS must be a positive integer, got {env!r}")
-    elif not isinstance(workers, int) or workers < 1:
-        raise InvalidSetting(f"workers must be a positive integer, got {workers!r}")
-    return max(1, min(workers, tasks, cpus))
 
 
 def _block_permutations(rank: int, blocks: Sequence[Sequence[int]]) -> Iterator[list[int]]:
@@ -246,20 +226,12 @@ def _canonical_key(
     return best_dual, tuple(best_rows)
 
 
-def _search_task(args) -> list[tuple]:
-    degrees, max_mult, dual, blocks = args
-    search = _Search(degrees, max_mult, dual)
-    search.run()
-    return [_canonical_key(degrees, dual, rows, blocks) for rows in search.solutions]
-
-
 def enumerate_rings(
     degrees: Sequence[int],
     max_mult: int = 3,
     *,
     odd_only: bool = True,
     rank_bound: int = DEFAULT_RANK_BOUND,
-    workers: Optional[int] = None,
 ) -> list[FusionRing]:
     """All fusion rings with the given basis degrees, up to block relabeling.
 
@@ -268,9 +240,9 @@ def enumerate_rings(
     constant; PreconditionUnmet otherwise.  Emitted rings pass the full axiom
     checker.  Deduplication permutes labels within equal-degree blocks only,
     which is exact for these canonical labelings.  More than ``rank_bound``
-    degrees is RankTooLarge.  Up to ``workers`` (else FUSIONRING_THREADS)
-    processes run the dual classes.  ``rank_bound`` and ``workers`` must be
-    positive integers; InvalidSetting otherwise.
+    degrees is RankTooLarge, and ``rank_bound`` must be a positive integer;
+    InvalidSetting otherwise.  The dual classes run one after another in
+    this process.
     """
     degrees = tuple(degrees)
     if not degrees or not all(isinstance(d, int) and d >= 1 for d in degrees):
@@ -287,36 +259,25 @@ def enumerate_rings(
     rank = len(degrees)
     blocks_nonunit = [tuple(i for i in range(1, rank) if degrees[i] == d) for d in sorted(set(degrees[1:]))]
 
-    # One dual involution per conjugacy class under relabelling within blocks
-    # (the unit is fixed): a relabelling p turns dual d into p d p^-1, and
-    # _canonical_key minimises over relabellings, so the keys are the same.
-    # The class with j transpositions in a block: block[0]<->block[1], ...,
-    # block[2j-2]<->block[2j-1].
-    dual_choices: list[tuple[int, ...]] = []
+    # One backtracking run per conjugacy class of dual involutions under
+    # relabelling within blocks (the unit is fixed), in turn: a relabelling p
+    # turns dual d into p d p^-1, and _canonical_key minimises over
+    # relabellings, so the keys are the same.  The class with j transpositions
+    # in a block: block[0]<->block[1], ..., block[2j-2]<->block[2j-1].
+    keys = set()
     for counts in product(*(range(len(block) // 2 + 1) for block in blocks_nonunit)):
         dual = list(range(rank))
         for block, j in zip(blocks_nonunit, counts):
             for x, y in zip(block[0 : 2 * j : 2], block[1 : 2 * j : 2]):
                 dual[x], dual[y] = y, x
-        dual_choices.append(tuple(dual))
-
-    # One task per dual class: its run tries every candidate of every row.
-    tasks = [(degrees, max_mult, dual, blocks_nonunit) for dual in dual_choices]
-    n_workers = _worker_count(workers, len(tasks))
-    if n_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here, so a serial search loads no multiprocessing
-
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_search_task, tasks))
-    else:
-        results = [_search_task(t) for t in tasks]
-
-    keys = sorted({key for batch in results for key in batch})
+        search = _Search(degrees, max_mult, tuple(dual))
+        search.run()
+        keys.update(_canonical_key(degrees, search.dual, rows, blocks_nonunit) for rows in search.solutions)
 
     labels = _labels_for(degrees)
     stem = "ring_" + "_".join(str(d) for d in degrees)
     rings = []
-    for dual, rows in keys:
+    for dual, rows in sorted(keys):
         basis = [(labels[i], degrees[i], labels[dual[i]]) for i in range(rank)]
         products = {(labels[a], labels[b]): {labels[c]: v for c, v in enumerate(vec) if v} for (a, b), vec in rows}
         ring = build_ring(f"{stem}_{len(rings)}", basis, "1", products)

@@ -140,12 +140,12 @@ def test_criterion_7_identity_suite():
 def test_criterion_8_search_desk_scale():
     with criterion(8, "search soundness/completeness at desk scale, <60s"):
         start = time.monotonic()
-        z3_rings = fr.enumerate_rings([1, 1, 1], max_mult=2, workers=1)
+        z3_rings = fr.enumerate_rings([1, 1, 1], max_mult=2)
         assert len(z3_rings) == 1
         gg = fr.grouplike_group(z3_rings[0])
         assert sorted(gg.orders) == [1, 3, 3]
 
-        rings = fr.enumerate_rings([1, 1, 1, 3], max_mult=2, workers=1)
+        rings = fr.enumerate_rings([1, 1, 1, 3], max_mult=2)
         assert len(rings) == 1
         ring = rings[0]
         a4 = fr.a4_character_ring()

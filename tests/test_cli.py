@@ -191,18 +191,40 @@ def test_gen_chartable(tmp_path, capsys):
 
 # Rows (1, i) and (1, -i) are orthonormal and conjugate, but neither is trivial.
 NO_TRIVIAL_ROW = "group fake 2\nconductor 4\nclass 1\nclass 1\nchar 1 1 z\nchar 1 1 z^3\ndualpair 0 1\n"
+Z3_TABLE = (
+    "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\n"
+    "char 1 1 1 1\nchar 1 1 z z^2\nchar 1 1 z^2 z\ndualpair 1 2\n"
+)
+
+
+def _z3_with(old, new):
+    return Z3_TABLE.replace(old, new, 1)
 
 
 @pytest.mark.parametrize("text,message", [
     (NO_TRIVIAL_ROW, "table has no trivial character row"),
     (Z4_WITHOUT_CHI2, "table has 3 character rows for 4 classes"),
-], ids=["no-trivial-row", "incomplete"])
+    # integers follow the spec file's decimal rule: no sign, no digit separator
+    (_z3_with("Z3 3", "Z3 0_3"), "line 1: group order must be a positive integer, got 0_3"),
+    (_z3_with("Z3 3", "Z3 +3"), "line 1: group order must be a positive integer, got +3"),
+    (_z3_with("conductor 3", "conductor +3"), "line 2: conductor must be a positive integer, got +3"),
+    (_z3_with("conductor 3", "conductor 0_3"), "line 2: conductor must be a positive integer, got 0_3"),
+    (_z3_with("class 1", "class 0_1"), "line 3: class size must be a positive integer, got 0_1"),
+    (_z3_with("class 1\nchar", "class +1\nchar"), "line 5: class size must be a positive integer, got +1"),
+    (_z3_with("char 1 1 1 1", "char +1 1 1 1"), "line 6: char row 0 degree must be a positive integer, got +1"),
+    (_z3_with("char 1 1 z z^2", "char 0_1 1 z z^2"), "line 7: char row 1 degree must be a positive integer"),
+    (_z3_with("dualpair 1 2", "dualpair +1 2"), "line 9: dualpair index out of range for 3 character rows"),
+    (_z3_with("dualpair 1 2", "dualpair 1 0_2"), "line 9: dualpair index out of range for 3 character rows"),
+], ids=[
+    "no-trivial-row", "incomplete", "order-0_3", "order-+3", "conductor-+3", "conductor-0_3", "class-0_1",
+    "class-+1", "degree-+1", "degree-0_1", "dualpair-+1", "dualpair-0_2",
+])
 def test_gen_chartable_bad_table_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "bad.chartab"
     path.write_text(text)
     code, out, err = run_cli(capsys, "gen", "chartable", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith(f"fusionring: {path}: {message}")
+    assert err.startswith(f"fusionring: {path}: {message}") and err.count("\n") == 1
 
 
 def test_gen_chartable_not_integral_exit_two(tmp_path, capsys, monkeypatch):
@@ -213,13 +235,28 @@ def test_gen_chartable_not_integral_exit_two(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(chartable, "char_table_ring", not_integral)
     path = tmp_path / "z3.chartab"
-    path.write_text(
-        "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\n"
-        "char 1 1 1 1\nchar 1 1 z z^2\nchar 1 1 z^2 z\ndualpair 1 2\n"
-    )
+    path.write_text(Z3_TABLE)
     code, _, err = run_cli(capsys, "gen", "chartable", str(path))
     assert code == 2
     assert err == f"fusionring: {path}: inner product total 1 is not divisible by |G| = 3\n"
+
+
+def test_table_files_are_read_as_utf8(tmp_path):
+    # under the C locale with UTF-8 mode off, the locale's encoding is ASCII
+    path = tmp_path / "z3.chartab"
+    path.write_bytes(("# χ: the characters of Z3\n" + Z3_TABLE).encode("utf-8"))
+    child = (
+        "import sys\n"
+        "from fusionring import load_character_table\n"
+        "from fusionring.oracles import fixture_character_table\n"
+        "print(load_character_table(sys.argv[1]).name, fixture_character_table('z3').name)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(path)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "Z3 Z3\n", "")
 
 
 def test_gen_pipe_composition(tmp_path, capsys):
@@ -338,6 +375,21 @@ def test_non_positive_workers_exit_two(capsys, workers):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degrees,max_mult", [
+    pytest.param("1,1,1,3", "2", id="1113-m2"),
+    pytest.param("1,1,1,3,3", "2", id="11133-m2"),
+    pytest.param("1,1,1,1,1,1", "1", id="111111-m1"),
+])
+def test_workers_flag_changes_no_output(capsys, degrees, max_mult):
+    # --workers is still validated, but the search runs in one process
+    outputs = [
+        run_cli(capsys, "search", "--degrees", degrees, "--max-mult", max_mult, "--workers", workers)
+        for workers in ("1", "4")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].startswith("# ")
+
+
 SEARCH_111 = ["search", "--degrees", "1,1,1", "--workers", "1"]
 
 
@@ -390,15 +442,6 @@ def test_integers_with_surrounding_spaces_accepted(capsys):
     assert (code, out.splitlines()[0]) == (0, "# 1 ring(s) with degrees [1, 1, 1]")
     code, out, _ = run_cli(capsys, "gen", "cyclic", " 3 ")
     assert code == 0 and out.startswith("ring Z3\n")
-
-
-@pytest.mark.parametrize("value", ["0", "-4", "lots", "2.5"])
-def test_bad_thread_env_exit_two_one_line(monkeypatch, capsys, value):
-    monkeypatch.setenv("FUSIONRING_THREADS", value)
-    code, out, err = run_cli(capsys, "search", "--degrees", "1,1,1")
-    assert code == 2
-    assert out == ""
-    assert err == f"fusionring: FUSIONRING_THREADS must be a positive integer, got {value!r}\n"
 
 
 @pytest.mark.parametrize("command", ["subrings", "search"])
@@ -476,12 +519,11 @@ def gen_argvs(draw):
 
 @st.composite
 def search_argvs(draw):
-    # rank <= 4 and --max-mult <= 2 keep every search small; a valid --workers
-    # is 1, since a larger one starts a process pool
+    # rank <= 4 and --max-mult <= 2 keep every search small
     degrees = st.lists(st.integers(-1, 9), min_size=1, max_size=4).map(lambda d: ",".join(map(str, d)))
     degrees = draw(degrees | JUNK)
     argv = ["search", "--degrees", degrees, "--max-mult", draw(_number(-1, 2) | JUNK)]
-    workers = draw(st.none() | st.just("1") | _number(-2, 0) | JUNK)
+    workers = draw(st.none() | _number(1, 64) | _number(-2, 0) | JUNK)
     return argv if workers is None else [*argv, "--workers", workers]
 
 

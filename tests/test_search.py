@@ -1,6 +1,5 @@
 """Constrained enumeration: soundness, completeness at desk scale, dedup."""
 
-import concurrent.futures
 from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 
@@ -11,7 +10,7 @@ from fusionring import search
 
 
 def test_degrees_111_exactly_z3():
-    rings = fr.enumerate_rings([1, 1, 1], max_mult=2, workers=1)
+    rings = fr.enumerate_rings([1, 1, 1], max_mult=2)
     assert len(rings) == 1
     ring = rings[0]
     gg = fr.grouplike_group(ring)
@@ -19,7 +18,7 @@ def test_degrees_111_exactly_z3():
 
 
 def test_degrees_1113_matches_a4_constants():
-    rings = fr.enumerate_rings([1, 1, 1, 3], max_mult=2, workers=1)
+    rings = fr.enumerate_rings([1, 1, 1, 3], max_mult=2)
     assert len(rings) == 1
     ring = rings[0]
     x = ring.element("d3n1")
@@ -38,7 +37,7 @@ def test_degrees_1113_matches_a4_constants():
 
 def test_emitted_rings_pass_identities():
     for degrees in ([1, 1], [1, 1, 1], [1, 1, 1, 3]):
-        for ring in fr.enumerate_rings(degrees, max_mult=2, workers=1):
+        for ring in fr.enumerate_rings(degrees, max_mult=2):
             report = fr.check_axioms(ring)
             assert report.all_pass
             assert report.total_skipped == 0
@@ -47,14 +46,14 @@ def test_emitted_rings_pass_identities():
 
 
 def test_degrees_1111_gives_both_order4_groups():
-    rings = fr.enumerate_rings([1, 1, 1, 1], max_mult=1, workers=1)
+    rings = fr.enumerate_rings([1, 1, 1, 1], max_mult=1)
     assert len(rings) == 2
     order_profiles = sorted(sorted(fr.grouplike_group(r).orders) for r in rings)
     assert order_profiles == [[1, 2, 2, 2], [1, 2, 4, 4]]
 
 
 def test_degrees_11_gives_z2():
-    rings = fr.enumerate_rings([1, 1], max_mult=1, workers=1)
+    rings = fr.enumerate_rings([1, 1], max_mult=1)
     assert len(rings) == 1
     gg = fr.grouplike_group(rings[0])
     assert sorted(gg.orders) == [1, 2]
@@ -66,7 +65,7 @@ def test_even_degree_rejected():
 
 
 def test_even_degree_allowed_with_flag():
-    rings = fr.enumerate_rings([1, 1], max_mult=1, odd_only=False, workers=1)
+    rings = fr.enumerate_rings([1, 1], max_mult=1, odd_only=False)
     assert len(rings) == 1
 
 
@@ -81,25 +80,14 @@ def test_unit_required():
 
 
 def test_trivial_ring():
-    rings = fr.enumerate_rings([1], max_mult=1, workers=1)
+    rings = fr.enumerate_rings([1], max_mult=1)
     assert len(rings) == 1
     assert rings[0].rank == 1
 
 
 def test_max_mult_cap_excludes():
     # the only degrees-(1,1,1,3) ring needs a structure constant of 2
-    assert fr.enumerate_rings([1, 1, 1, 3], max_mult=1, workers=1) == []
-
-
-@pytest.mark.parametrize("degrees,max_mult", [
-    pytest.param([1, 1, 1, 3], 2, id="1113-m2"),
-    pytest.param([1, 1, 1, 3, 3], 2, id="11133-m2"),
-    pytest.param([1] * 6, 1, id="111111-m1"),
-])
-def test_worker_partition_deterministic(degrees, max_mult):
-    one = fr.enumerate_rings(degrees, max_mult=max_mult, workers=1)
-    two = fr.enumerate_rings(degrees, max_mult=max_mult, workers=2)
-    assert [fr.write_spec(r) for r in one] == [fr.write_spec(r) for r in two]
+    assert fr.enumerate_rings([1, 1, 1, 3], max_mult=1) == []
 
 
 @pytest.mark.parametrize("degrees,max_mult,dual_classes", [
@@ -116,7 +104,7 @@ def test_one_search_per_dual_class(monkeypatch, degrees, max_mult, dual_classes)
         init(self, *args)
 
     monkeypatch.setattr(search._Search, "__init__", counting_init)
-    fr.enumerate_rings(degrees, max_mult=max_mult, workers=1)
+    fr.enumerate_rings(degrees, max_mult=max_mult)
     assert len(built) == len(set(built)) == dual_classes
 
 
@@ -134,71 +122,14 @@ def test_forward_check_backs_up_when_a_reader_has_no_candidate(monkeypatch, degr
         run(self, *args)
 
     monkeypatch.setattr(search._Search, "run", counting_run)
-    fr.enumerate_rings(degrees, max_mult=max_mult, workers=1)
+    fr.enumerate_rings(degrees, max_mult=max_mult)
     assert len(calls) == runs
-
-
-def test_env_thread_cap(monkeypatch):
-    monkeypatch.setenv("FUSIONRING_THREADS", "2")
-    rings = fr.enumerate_rings([1, 1, 1], max_mult=2)
-    assert len(rings) == 1
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-    sizes: list = []
-    task_counts: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        self.task_counts.append(len(tasks))
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize("cpus,request_env,workers", [(3, None, 64), (64, None, 64), (3, "500", None), (64, "500", None)])
-def test_pool_capped_at_tasks_and_cpus(monkeypatch, cpus, request_env, workers):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "task_counts", [])
-    if request_env is None:
-        monkeypatch.delenv("FUSIONRING_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("FUSIONRING_THREADS", request_env)
-    rings = fr.enumerate_rings([1, 1, 1, 3, 3], max_mult=2, workers=workers)
-    assert len(rings) == 2
-    (tasks,) = _RecordingPool.task_counts
-    assert 3 < tasks < 64
-    assert _RecordingPool.sizes == [min(cpus, tasks)]
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
-def test_bad_thread_env_rejected(monkeypatch, value):
-    monkeypatch.setenv("FUSIONRING_THREADS", value)
-    with pytest.raises(fr.InvalidSetting, match="FUSIONRING_THREADS"):
-        fr.enumerate_rings([1, 1, 1], max_mult=2)
-
-
-@pytest.mark.parametrize("workers", [0, -3, 1.5, 2.0, "2"])
-def test_non_positive_workers_rejected(workers):
-    with pytest.raises(fr.InvalidSetting, match="workers"):
-        fr.enumerate_rings([1, 1, 1], max_mult=2, workers=workers)
 
 
 @pytest.mark.parametrize("rank_bound", [None, 0, 2.5, "8"])
 def test_bad_rank_bound_rejected(rank_bound):
     with pytest.raises(fr.InvalidSetting, match="rank_bound"):
-        fr.enumerate_rings([1, 3], max_mult=1, rank_bound=rank_bound, workers=1)
+        fr.enumerate_rings([1, 3], max_mult=1, rank_bound=rank_bound)
 
 
 @pytest.mark.parametrize("degrees,max_mult,match", [
@@ -210,23 +141,23 @@ def test_bad_rank_bound_rejected(rank_bound):
 ])
 def test_non_integer_degrees_or_max_mult_rejected(degrees, max_mult, match):
     with pytest.raises(fr.PreconditionUnmet, match=match):
-        fr.enumerate_rings(degrees, max_mult=max_mult, odd_only=False, workers=1)
+        fr.enumerate_rings(degrees, max_mult=max_mult, odd_only=False)
 
 
 def test_chain_fixture_degree_sets_admit_no_complete_ring():
     # The synthetic self-dual-chain example cannot be a complete ring at
     # this degree pattern; the partial fixture in conftest is the honest
     # carrier of that behavior.
-    assert fr.enumerate_rings([1, 3, 3, 5, 5], max_mult=4, workers=1) == []
+    assert fr.enumerate_rings([1, 3, 3, 5, 5], max_mult=4) == []
 
 
 def test_chain_fixture_rank_six_also_empty():
-    assert fr.enumerate_rings([1, 3, 3, 3, 5, 5], max_mult=4, workers=1) == []
+    assert fr.enumerate_rings([1, 3, 3, 3, 5, 5], max_mult=4) == []
 
 
 @pytest.mark.parametrize("k,groups", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 1), (6, 2), (7, 1)])
 def test_all_grouplike_degrees_give_the_groups_of_order_k(k, groups):
-    rings = fr.enumerate_rings([1] * k, max_mult=1, rank_bound=7, workers=1)
+    rings = fr.enumerate_rings([1] * k, max_mult=1, rank_bound=7)
     assert len(rings) == groups
 
 
@@ -236,7 +167,7 @@ def test_census_of_odd_degree_lists_with_a_3_finds_only_grouplike_verdicts():
         [1, *rest] for n in range(1, 7) for rest in combinations_with_replacement((1, 3, 5, 7), n) if 3 in rest
     ]
     assert len(lists) == 126
-    rings = [ring for degrees in lists for ring in fr.enumerate_rings(degrees, max_mult=2, rank_bound=8, workers=1)]
+    rings = [ring for degrees in lists for ring in fr.enumerate_rings(degrees, max_mult=2, rank_bound=8)]
     assert Counter(ring.rank for ring in rings) == {4: 1, 5: 2, 6: 2, 7: 4}
     verdicts = [fr.dichotomy_verdict(ring) for ring in rings]
     assert [v.kind for v in verdicts] == ["grouplike"] * 9
@@ -310,7 +241,7 @@ def _brute_force(degrees, max_mult):
     ],
 )
 def test_search_matches_brute_force(degrees, max_mult):
-    rings = fr.enumerate_rings(degrees, max_mult=max_mult, workers=1)
+    rings = fr.enumerate_rings(degrees, max_mult=max_mult)
     specs = [
         _canonical_spec(
             degrees,

@@ -40,7 +40,6 @@ LADDER = BASE | {"fusionring.ladder", "fusionring.axioms", "fusionring.subrings"
 def loaded_after(*argv: str, watched=("fusionring", "concurrent", "multiprocessing")) -> set[str]:
     """The modules under the ``watched`` top-level names that the op leaves loaded."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    env.pop("FUSIONRING_THREADS", None)
     done = subprocess.run(
         [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True, timeout=60
     )
@@ -69,10 +68,11 @@ def test_version_loads_only_cli_ring_specfmt():
         (["ladder", "SPEC", "--x3", "x3"], LADDER),
         (["gen", "so3", "7"], GEN),
         (["gen", "chartable", str(FIXTURES / "z3.chartab")], GEN),
-        # a serial search loads no worker-pool machinery
+        # a search, with or without --workers, loads no worker-pool machinery
         (["search", "--degrees", "1,1,1", "--workers", "1"], BASE | {"fusionring.search", "fusionring.axioms"}),
+        (["search", "--degrees", "1,1,1"], BASE | {"fusionring.search", "fusionring.axioms"}),
     ],
-    ids=["check", "subrings", "verdict", "ladder", "gen-so3", "gen-chartable", "search-serial"],
+    ids=["check", "subrings", "verdict", "ladder", "gen-so3", "gen-chartable", "search-serial", "search-default"],
 )
 def test_op_loads_only_its_modules(so3_spec, argv, expected):
     assert loaded_after(*[so3_spec if a == "SPEC" else a for a in argv]) == expected
