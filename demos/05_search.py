@@ -7,9 +7,10 @@ unit coordinate of every row, reciprocity mirrors pin coordinates across
 rows, grouplike rows must be basic translates, degree sums bound each row,
 and associativity is re-checked as rows land.  A row that leaves some row
 mirroring it with no candidate at all is backed out at once (an exact
-forward check).  Survivors must pass the full
-axiom checker and are deduplicated up to relabeling inside equal-degree
-blocks.
+forward check).  Each class of dual involutions is searched once, at its
+least member, and a solution is kept only when no relabeling inside
+equal-degree blocks that fixes its dual makes it smaller, so each ring
+appears once.  Survivors must pass the full axiom checker.
 """
 
 import fusionring as fr

@@ -278,6 +278,16 @@ def _positive(token: str, what: str) -> int:
     return value
 
 
+# The largest conductor a table may declare.  Building the N-th cyclotomic polynomial is most of the
+# cost: spawned `gen chartable` on a one-class table (2 CPUs) took 0.47 s at N = 5040, at most 1.1 s
+# below it (4290, 4620), and 20 s at N = 27720.
+CONDUCTOR_BOUND = 5040
+
+# The fewest tokens of each directive, and what a shorter line lacks.
+_DIRECTIVES = {"group": (3, "a name and an order"), "conductor": (2, "a number"), "class": (2, "a size"),
+               "char": (2, "a degree and one value per class"), "dualpair": (3, "two row indices")}
+
+
 def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTable:
     """Parse the character table file format; raises ValueError on bad input.
 
@@ -299,6 +309,10 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
         tokens = line.split()
         kind = tokens[0]
         try:
+            if kind not in _DIRECTIVES:
+                raise ValueError(f"unknown directive {kind!r}")
+            if len(tokens) < _DIRECTIVES[kind][0]:
+                raise ValueError(f"{kind} needs {_DIRECTIVES[kind][1]}")
             if kind == "group":
                 if group_name is not None:
                     raise ValueError("duplicate group line")
@@ -307,17 +321,15 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
                 if conductor is not None:
                     raise ValueError("duplicate conductor line")
                 conductor = _positive(tokens[1], "conductor")
+                if conductor > CONDUCTOR_BOUND:
+                    raise ValueError(f"conductor {conductor} exceeds bound {CONDUCTOR_BOUND}")
             elif kind == "class":
                 sizes.append(_positive(tokens[1], "class size"))
             elif kind == "char":
-                if len(tokens) < 2:
-                    raise ValueError("char needs a degree and one value per class")
                 raw_chars.append((lineno, tokens[1:]))
-            elif kind == "dualpair":
-                pairs.append((lineno, _decimal(tokens[1]), _decimal(tokens[2])))
             else:
-                raise ValueError(f"unknown directive {kind!r}")
-        except (IndexError, ValueError) as exc:
+                pairs.append((lineno, _decimal(tokens[1]), _decimal(tokens[2])))
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
 
     if group_name is None or order is None:

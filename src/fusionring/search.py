@@ -1,19 +1,21 @@
 """Exhaustive enumeration of fusion rings with prescribed degrees.
 
 Backtracking over structure-constant rows in canonical pair order, once per
-conjugacy class of dual involutions: a relabelling within equal-degree
-blocks conjugates the dual, and the results are deduplicated up to those
-relabellings anyway, so one involution per class (j transpositions per
-block) gives the same rings.  The pruning is the point: duality pairing
-pins the unit coordinate, reciprocity mirrors pin coordinates against
-placed rows, grouplike rows are forced to be single basic translates, row
-degree sums bound the vectors, and associativity is checked on packed rows
-for every triple with the new row as an outer pair.  Forward checking
-(Haralick & Elliott, 1980) is exact: a placed row backs up at once when some
-unplaced row that mirrors it has no candidate at all (``_candidates`` yields
-it no first row).  Survivors still have to pass the full axiom checker
-before they are emitted.  The rows live in one
-:class:`fusionring.ring._RowKernel`, placed and cleared as the search goes.
+conjugacy class of dual involutions, at the class's least member: a
+relabelling within equal-degree blocks conjugates the dual, so a ring's
+least relabelling has the least dual of its class.  A solution is kept when
+no relabelling that fixes its dual makes its rows smaller (a lex-leader
+rule, Crawford, Ginsberg, Luks & Roy, 1996), so each ring is emitted once,
+as its least relabelling.  The pruning is the point: duality pairing pins
+the unit coordinate, reciprocity mirrors pin coordinates against placed
+rows, grouplike rows are forced to be single basic translates, row degree
+sums bound the vectors, and associativity is checked on packed rows for
+every triple with the new row as an outer pair.  Forward checking (Haralick
+& Elliott, 1980) is exact: a placed row backs up at once when some unplaced
+row that mirrors it has no candidate at all (``_candidates`` yields it no
+first row).  Survivors still have to pass the full axiom checker before
+they are emitted.  The rows live in one :class:`fusionring.ring._RowKernel`,
+placed and cleared as the search goes.
 """
 
 from __future__ import annotations
@@ -189,41 +191,18 @@ def _labels_for(degrees: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _canonical_key(
-    degrees: tuple[int, ...],
-    dual: tuple[int, ...],
-    rows: list[list[tuple[int, ...]]],
-    blocks: Sequence[Sequence[int]],
-) -> tuple:
-    """The least relabelled ``(dual, rows)`` over relabellings within
-    ``blocks``; rows are ``((a, b), row)`` in pair order.  A relabelling is
-    dropped at its first row above the best so far."""
-    r = len(degrees)
-    pairs = [(a, b) for a in range(r) for b in range(r)]
-    best_dual: Optional[tuple[int, ...]] = None
-    best_rows: list = []
-    for src in _block_permutations(r, blocks):
-        new = [0] * r
-        for i, old in enumerate(src):
-            new[old] = i
-        p_dual = tuple(new[dual[old]] for old in src)
-        if best_dual is not None and p_dual > best_dual:
-            continue
-        tie = p_dual == best_dual
-        p_rows = []
+def _is_least(rows: list[list[tuple[int, ...]]], pairs: list[tuple[int, int]], relabellings: list[list[int]]) -> bool:
+    """No relabelling ``src`` makes ``rows`` smaller, read in ``pairs`` order;
+    relabelled, row (a,b) is row (src[a],src[b]) read at coordinates ``src``."""
+    for src in relabellings:
         for a, b in pairs:
             row = rows[src[a]][src[b]]
             vec = tuple([row[c] for c in src])
-            if tie:
-                best = best_rows[len(p_rows)][1]
-                if vec > best:
-                    break
-                tie = vec == best
-            p_rows.append(((a, b), vec))
-        else:
-            if not tie:
-                best_dual, best_rows = p_dual, p_rows
-    return best_dual, tuple(best_rows)
+            if vec != rows[a][b]:
+                if vec < rows[a][b]:
+                    return False
+                break
+    return True
 
 
 def enumerate_rings(
@@ -238,9 +217,10 @@ def enumerate_rings(
     ``degrees`` are positive integers including the unit's 1 (every 1 is a
     grouplike), and the positive integer ``max_mult`` caps each structure
     constant; PreconditionUnmet otherwise.  Emitted rings pass the full axiom
-    checker.  Deduplication permutes labels within equal-degree blocks only,
-    which is exact for these canonical labelings.  More than ``rank_bound``
-    degrees is RankTooLarge, and ``rank_bound`` must be a positive integer;
+    checker.  Each dual class is searched at its least dual, and a solution
+    is kept when no relabelling within equal-degree blocks that fixes that
+    dual makes its rows smaller.  More than ``rank_bound`` degrees is
+    RankTooLarge, and ``rank_bound`` must be a positive integer;
     InvalidSetting otherwise.  The dual classes run one after another in
     this process.
     """
@@ -260,26 +240,32 @@ def enumerate_rings(
     blocks_nonunit = [tuple(i for i in range(1, rank) if degrees[i] == d) for d in sorted(set(degrees[1:]))]
 
     # One backtracking run per conjugacy class of dual involutions under
-    # relabelling within blocks (the unit is fixed), in turn: a relabelling p
-    # turns dual d into p d p^-1, and _canonical_key minimises over
-    # relabellings, so the keys are the same.  The class with j transpositions
-    # in a block: block[0]<->block[1], ..., block[2j-2]<->block[2j-1].
-    keys = set()
+    # relabelling within blocks (the unit is fixed), at the class's least
+    # member: j transpositions in a block pair its last 2j indices, adjacent.
+    # A relabelling p turns dual d into p d p^-1, so a ring's least relabelling
+    # has this dual, and only the relabellings that fix it can be smaller.
+    kept = []
     for counts in product(*(range(len(block) // 2 + 1) for block in blocks_nonunit)):
         dual = list(range(rank))
         for block, j in zip(blocks_nonunit, counts):
-            for x, y in zip(block[0 : 2 * j : 2], block[1 : 2 * j : 2]):
+            paired = block[len(block) - 2 * j :]
+            for x, y in zip(paired[0::2], paired[1::2]):
                 dual[x], dual[y] = y, x
+        fixing = [p for p in _block_permutations(rank, blocks_nonunit) if all(dual[s] == p[d] for s, d in zip(p, dual))]
         search = _Search(degrees, max_mult, tuple(dual))
         search.run()
-        keys.update(_canonical_key(degrees, search.dual, rows, blocks_nonunit) for rows in search.solutions)
+        kept.extend((search.dual, rows) for rows in search.solutions if _is_least(rows, search.pairs, fixing))
 
     labels = _labels_for(degrees)
     stem = "ring_" + "_".join(str(d) for d in degrees)
     rings = []
-    for dual, rows in sorted(keys):
+    for dual, rows in sorted(kept):
         basis = [(labels[i], degrees[i], labels[dual[i]]) for i in range(rank)]
-        products = {(labels[a], labels[b]): {labels[c]: v for c, v in enumerate(vec) if v} for (a, b), vec in rows}
+        products = {
+            (labels[a], labels[b]): {labels[c]: v for c, v in enumerate(vec) if v}
+            for a, row in enumerate(rows)
+            for b, vec in enumerate(row)
+        }
         ring = build_ring(f"{stem}_{len(rings)}", basis, "1", products)
         if check_axioms(ring).all_pass:
             rings.append(ring)

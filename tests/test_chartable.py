@@ -205,10 +205,17 @@ def test_incomplete_table_rejected():
     ("group Z1 1\nconductor 1\nconductor 2\nclass 1\nchar 1 1\n", "line 3: duplicate conductor line"),
     (Z4_WITHOUT_CHI2.replace("dualpair 1 2", "char 1 1 -1 1 -1\ndualpair 1 3\ndualpair 3 2"),
      "line 13: row 3 is already paired on line 12"),
+    ("group Z1 1\nconductor 5041\nclass 1\nchar 1 1\n", "line 2: conductor 5041 exceeds bound 5040"),
+    ("group Z2\nconductor 2\nclass 1\nchar 1 1\n", "line 1: group needs a name and an order"),
+    ("group Z1 1\nconductor\nclass 1\nchar 1 1\n", "line 2: conductor needs a number"),
+    ("group Z1 1\nconductor 1\nclass\nchar 1 1\n", "line 3: class needs a size"),
+    ("group Z2 2\nconductor 2\nclass 1\nclass 1\nchar 1 1 1\nchar 1 1 -1\ndualpair 1\n",
+     "line 7: dualpair needs two row indices"),
 ], ids=[
     "conductor-0", "conductor-negative", "no-char", "empty-char", "dualpair-high", "dualpair-negative",
     "order-0", "class-0", "degree-mismatch", "bad-value", "duplicate-group", "duplicate-conductor",
-    "dualpair-overlap",
+    "dualpair-overlap", "conductor-over-bound", "group-no-order", "conductor-bare", "class-bare",
+    "dualpair-one-index",
 ])
 def test_parse_errors_name_the_line(text, message):
     with pytest.raises(ValueError, match=message):

@@ -215,9 +215,11 @@ def _z3_with(old, new):
     (_z3_with("char 1 1 z z^2", "char 0_1 1 z z^2"), "line 7: char row 1 degree must be a positive integer"),
     (_z3_with("dualpair 1 2", "dualpair +1 2"), "line 9: dualpair index out of range for 3 character rows"),
     (_z3_with("dualpair 1 2", "dualpair 1 0_2"), "line 9: dualpair index out of range for 3 character rows"),
+    # a conductor over the bound is refused before the cyclotomic polynomial is built
+    ("group Z1 1\nconductor 99999999\nclass 1\nchar 1 1\n", "line 2: conductor 99999999 exceeds bound 5040"),
 ], ids=[
     "no-trivial-row", "incomplete", "order-0_3", "order-+3", "conductor-+3", "conductor-0_3", "class-0_1",
-    "class-+1", "degree-+1", "degree-0_1", "dualpair-+1", "dualpair-0_2",
+    "class-+1", "degree-+1", "degree-0_1", "dualpair-+1", "dualpair-0_2", "conductor-over-bound",
 ])
 def test_gen_chartable_bad_table_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "bad.chartab"

@@ -111,7 +111,7 @@ def test_one_search_per_dual_class(monkeypatch, degrees, max_mult, dual_classes)
 @pytest.mark.parametrize("degrees,max_mult,runs", [
     pytest.param([1, 3, 3, 5, 5, 5], 2, 6, id="133555-m2"),
     pytest.param([1, 1, 3, 3, 5, 5], 2, 28, id="113355-m2"),
-    pytest.param([1] * 6, 1, 203, id="111111-m1"),
+    pytest.param([1] * 6, 1, 173, id="111111-m1"),
 ])
 def test_forward_check_backs_up_when_a_reader_has_no_candidate(monkeypatch, degrees, max_mult, runs):
     calls = []
@@ -155,9 +155,9 @@ def test_chain_fixture_rank_six_also_empty():
     assert fr.enumerate_rings([1, 3, 3, 3, 5, 5], max_mult=4) == []
 
 
-@pytest.mark.parametrize("k,groups", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 1), (6, 2), (7, 1)])
+@pytest.mark.parametrize("k,groups", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 1), (6, 2), (7, 1), (8, 5)])
 def test_all_grouplike_degrees_give_the_groups_of_order_k(k, groups):
-    rings = fr.enumerate_rings([1] * k, max_mult=1, rank_bound=7)
+    rings = fr.enumerate_rings([1] * k, max_mult=1, rank_bound=max(k, 7))
     assert len(rings) == groups
 
 
