@@ -25,6 +25,7 @@ File format (``#`` comments, whitespace separated)::
 
 Integers (order, conductor, sizes, degrees, indices) follow the spec file's
 rule: decimal digits only, so ``+2``, ``0_2`` and ``-1`` are rejected.
+Every directive but ``char`` takes exactly the tokens shown.
 """
 
 from __future__ import annotations
@@ -311,8 +312,11 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
         try:
             if kind not in _DIRECTIVES:
                 raise ValueError(f"unknown directive {kind!r}")
-            if len(tokens) < _DIRECTIVES[kind][0]:
-                raise ValueError(f"{kind} needs {_DIRECTIVES[kind][1]}")
+            count, takes = _DIRECTIVES[kind]
+            if len(tokens) < count:
+                raise ValueError(f"{kind} needs {takes}")
+            if len(tokens) > count and kind != "char":  # char's values are counted per class
+                raise ValueError(f"{kind} takes only {takes}, got surplus token {tokens[count]!r}")
             if kind == "group":
                 if group_name is not None:
                     raise ValueError("duplicate group line")

@@ -174,7 +174,6 @@ def _cmd_search(args) -> tuple[int, str]:
 
 
 def _cmd_gen(args) -> tuple[int, str]:
-    from .chartable import char_table_ring, parse_character_table
     from .oracles import cyclic_group_ring, fragment_ring, so3_truncated
 
     kind = args.what[0]
@@ -197,6 +196,8 @@ def _cmd_gen(args) -> tuple[int, str]:
     elif kind == "chartable":
         if len(args.what) != 2:
             raise _InputError("gen chartable needs a table file")
+        from .chartable import char_table_ring, parse_character_table
+
         try:
             with open(args.what[1], "r", encoding="utf-8") as fh:
                 text = fh.read()

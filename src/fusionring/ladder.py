@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .axioms import check_axioms
 from .ring import (
     FusionRing,
     FusionRingError,
@@ -23,7 +22,19 @@ from .ring import (
     PreconditionUnmet,
     UnknownProduct,
 )
-from .subrings import IncompleteClosure, _group_on, closure, freeness_obstructions
+
+# `axioms` and `subrings` are imported where they run: a ladder that reaches
+# the truncation loads neither.
+
+
+def __getattr__(name: str):
+    # `ladder.check_axioms` resolves to the axioms module's current function,
+    # a tracer's wrapper included, though ladder imports it only to run it
+    if name == "check_axioms":
+        from .axioms import check_axioms
+
+        return check_axioms
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotDegreeThree(FusionRingError):
@@ -186,6 +197,8 @@ def degree3_case_split(ring: FusionRing, x3_label: str) -> CaseSplitResult:
         return Obstruction(
             f"a grouplike appears with multiplicity > 1 in {xx}, violating the stabilizer rule"
         )
+    from .subrings import _group_on
+
     try:
         group = _group_on(ring, members)
     except NotClosed as exc:
@@ -456,6 +469,8 @@ def _terminal_branch(
             "(three degree-3 components at n = 1 are forced)",
             verified=tuple(verified),
         )
+    from .subrings import IncompleteClosure, closure, freeness_obstructions
+
     sub_small = closure(ring, {ring.label(xs[2])})
     sub_big = closure(ring, {ring.label(xs[1])})
     if isinstance(sub_small, IncompleteClosure) or isinstance(sub_big, IncompleteClosure):
@@ -570,6 +585,8 @@ def dichotomy_verdict(ring: FusionRing, max_depth: Optional[int] = None) -> Verd
     product, or an obstruction diagnosis.  Hard axiom failures abort.
     ``max_depth`` caps the ladder as in :func:`ladder_build`.
     """
+    from .axioms import check_axioms
+
     _check_depth(max_depth)
     report = check_axioms(ring)
     if report.has_failures:

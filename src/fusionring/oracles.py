@@ -11,9 +11,14 @@ divisibility obstruction.
 from __future__ import annotations
 
 from importlib import resources
-from .chartable import CharacterTable, char_table_ring, parse_character_table
-from .cyclotomic import Cyclotomic
+from typing import TYPE_CHECKING
+
 from .ring import FusionRing, build_ring
+
+# `chartable` and `cyclotomic` are imported by the table functions that run
+# them, so `gen cyclic|so3|fragment` loads neither.
+if TYPE_CHECKING:
+    from .chartable import CharacterTable
 
 
 def cyclic_group_ring(n: int) -> FusionRing:
@@ -115,11 +120,15 @@ _FIXTURE_LABELS = {
 
 def fixture_character_table(name: str) -> CharacterTable:
     """Load a character table shipped with the package (s3, a4, f21, z3)."""
+    from .chartable import parse_character_table
+
     text = resources.files("fusionring.fixtures").joinpath(f"{name}.chartab").read_text(encoding="utf-8")
     return parse_character_table(text)
 
 
 def fixture_character_ring(name: str) -> FusionRing:
+    from .chartable import char_table_ring
+
     return char_table_ring(fixture_character_table(name), _FIXTURE_LABELS.get(name))
 
 
@@ -137,6 +146,9 @@ def f21_character_ring() -> FusionRing:
 
 def cyclic_character_table(n: int) -> CharacterTable:
     """Character table of the cyclic group of order n, built from roots of unity."""
+    from .chartable import CharacterTable
+    from .cyclotomic import Cyclotomic
+
     chars = tuple(
         tuple(Cyclotomic.zeta_power(n, (j * k) % n) for k in range(n)) for j in range(n)
     )

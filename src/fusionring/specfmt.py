@@ -9,11 +9,17 @@
     unit <label>
     prod <a> <b> : <label> <mult> [, <label> <mult>]*
 
-``#`` starts a comment.  Unit rows are implied and never written.  Omitted
+``#`` starts a comment.  Every directive but ``prod`` takes exactly the
+tokens shown.  Unit rows are implied and never written.  Omitted
 non-unit pairs are Unknown when partial, an error otherwise.  Parsing
 validates label uniqueness, the dual involution, and per-row degree sums
 at load time; writing emits canonical order so parse(write(r)) == r and
 write(parse(write(r))) is byte-identical.
+
+Lines are split with ``str.split``, and a token's column is found only for
+an error.  A ``prod`` row whose labels and multiplicities all appeared on
+earlier lines is read in one step; any other row is read piece by piece,
+which admits its new labels and numbers or raises the error at its column.
 """
 
 from __future__ import annotations
@@ -59,6 +65,15 @@ def _decimal(token: str) -> Optional[int]:
         return None
 
 
+# Every directive but prod takes a fixed number of tokens, its own included.
+_ARITY = {"ring": 2, "partial": 2, "truncation": 2, "basis": 4, "unit": 2}
+
+
+def _column(raw: str, k: int) -> int:
+    """The 1-based column of token ``k`` of a line, found only for an error."""
+    return _tokenize(raw)[k][1]
+
+
 def parse_spec(text: str) -> FusionRing:
     """Parse the ring spec format into a FusionRing."""
     name: Optional[str] = None
@@ -69,14 +84,35 @@ def parse_spec(text: str) -> FusionRing:
     rows: dict[tuple[str, str], dict[str, int]] = {}
     # the line of each basis label and of each product pair
     lines: dict[Union[str, tuple[str, str]], int] = {}
+    # the label strings already matched, and the positive integer strings already read
+    labels: set[str] = set()
+    numbers: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
+        tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        head, col = tokens[0]
+        head = tokens[0]
+        if head == "prod" and len(tokens) > 4 and tokens[3] == ":":
+            # terms come as label mult pairs, comma-separated; a row of labels
+            # and numbers all seen before is taken in one step
+            pieces = " ".join(tokens[4:]).replace(",", " ").split()
+            labs, mults = pieces[::2], pieces[1::2]
+            pair = (tokens[1], tokens[2])
+            try:
+                row = dict(zip(labs, map(numbers.__getitem__, mults)))
+            except KeyError:  # a number not read before
+                row = None
+            fast = row is not None and len(row) == len(labs) == len(mults)
+            if fast and labels.issuperset(labs) and pair not in rows:
+                rows[pair] = row
+                lines[pair] = lineno
+                continue
+        elif head in _ARITY and len(tokens) > _ARITY[head]:
+            k = _ARITY[head]
+            raise RingSyntaxError(lineno, _column(raw, k), f"{head}: surplus token {tokens[k]!r}")
 
-        def need(k: int) -> tuple[str, int]:
+        def need(k: int) -> str:
             if k >= len(tokens):
                 raise RingSyntaxError(lineno, len(raw) + 1, f"{head}: missing token {k}")
             return tokens[k]
@@ -84,69 +120,70 @@ def parse_spec(text: str) -> FusionRing:
         if head == "ring":
             if name is not None:
                 raise RingSemanticError("duplicate ring line", lineno)
-            name = need(1)[0]
+            name = need(1)
         elif head == "partial":
-            value, vcol = need(1)
+            value = need(1)
             if value not in ("true", "false"):
-                raise RingSyntaxError(lineno, vcol, f"partial must be true or false, got {value!r}")
+                raise RingSyntaxError(lineno, _column(raw, 1), f"partial must be true or false, got {value!r}")
             partial = value == "true"
         elif head == "truncation":
-            value, vcol = need(1)
+            value = need(1)
             truncation = _decimal(value)
             if truncation is None or truncation % 2 == 0:
-                raise RingSyntaxError(lineno, vcol, f"truncation must be an odd integer, got {value!r}")
+                raise RingSyntaxError(lineno, _column(raw, 1), f"truncation must be an odd integer, got {value!r}")
         elif head == "basis":
-            label, lcol = need(1)
-            degree_s, dcol = need(2)
-            dual, _ = need(3)
+            label, degree_s, dual = need(1), need(2), need(3)
             if not LABEL_RE.match(label):
-                raise RingSyntaxError(lineno, lcol, f"bad label {label!r}")
+                raise RingSyntaxError(lineno, _column(raw, 1), f"bad label {label!r}")
             degree = _decimal(degree_s)
             if degree is None or degree < 1:
-                raise RingSyntaxError(lineno, dcol, f"degree must be a positive integer, got {degree_s!r}")
+                raise RingSyntaxError(lineno, _column(raw, 2), f"degree must be a positive integer, got {degree_s!r}")
             if label in lines:
                 raise RingSemanticError(f"duplicate basis label {label!r}", lineno)
             lines[label] = lineno
+            labels.add(label)
+            numbers[degree_s] = degree
             basis.append((label, degree, dual))
         elif head == "unit":
             if unit is not None:
                 raise RingSemanticError("duplicate unit line", lineno)
-            unit = need(1)[0]
+            unit = need(1)
         elif head == "prod":
-            a, _ = need(1)
-            b, _ = need(2)
-            colon, ccol = need(3)
+            a, b, colon = need(1), need(2), need(3)
             if colon != ":":
-                raise RingSyntaxError(lineno, ccol, f"expected ':', got {colon!r}")
-            terms = tokens[4:]
-            if not terms:
+                raise RingSyntaxError(lineno, _column(raw, 3), f"expected ':', got {colon!r}")
+            if len(tokens) == 4:
                 raise RingSyntaxError(lineno, len(raw) + 1, "product row has no terms")
-            row: dict[str, int] = {}
-            # terms come as label mult pairs, comma-separated
+            # the slow path: each piece with the column of its token
             flat: list[tuple[str, int]] = []
-            for tok, tcol in terms:
+            for tok, tcol in _tokenize(raw)[4:]:
                 for piece in tok.split(","):
                     if piece:
                         flat.append((piece, tcol))
             if len(flat) % 2 != 0:
                 raise RingSyntaxError(lineno, flat[-1][1], "product terms must be label/multiplicity pairs")
+            row = {}
             for k in range(0, len(flat), 2):
                 lab, lcol = flat[k]
                 mult_s, mcol = flat[k + 1]
-                if not LABEL_RE.match(lab):
-                    raise RingSyntaxError(lineno, lcol, f"bad label {lab!r}")
-                mult = _decimal(mult_s)
-                if mult is None or mult < 1:
-                    raise RingSyntaxError(lineno, mcol, f"multiplicity must be a positive integer, got {mult_s!r}")
+                if lab not in labels:
+                    if not LABEL_RE.match(lab):
+                        raise RingSyntaxError(lineno, lcol, f"bad label {lab!r}")
+                    labels.add(lab)
+                if mult_s not in numbers:
+                    mult = _decimal(mult_s)
+                    if mult is None or mult < 1:
+                        raise RingSyntaxError(lineno, mcol, f"multiplicity must be a positive integer, got {mult_s!r}")
+                    numbers[mult_s] = mult
                 if lab in row:
                     raise RingSemanticError(f"label {lab!r} repeated in product row ({a},{b})", lineno)
-                row[lab] = mult
+                row[lab] = numbers[mult_s]
             if (a, b) in rows:
                 raise RingSemanticError(f"duplicate product line ({a},{b})", lineno)
             rows[(a, b)] = row
             lines[(a, b)] = lineno
         else:
-            raise RingSyntaxError(lineno, col, f"unknown directive {head!r}")
+            raise RingSyntaxError(lineno, _column(raw, 0), f"unknown directive {head!r}")
 
     if name is None:
         raise RingSemanticError("missing ring line")
@@ -173,8 +210,9 @@ def parse_spec(text: str) -> FusionRing:
             )
 
     if not partial:
-        for a in sorted(degrees):
-            for b in sorted(degrees):
+        order = sorted(degrees)
+        for a in order:
+            for b in order:
                 if unit not in (a, b) and (a, b) not in rows:
                     raise RingSemanticError(
                         f"missing product row ({a},{b}) in a complete (partial false) ring"

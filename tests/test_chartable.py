@@ -211,11 +211,17 @@ def test_incomplete_table_rejected():
     ("group Z1 1\nconductor 1\nclass\nchar 1 1\n", "line 3: class needs a size"),
     ("group Z2 2\nconductor 2\nclass 1\nclass 1\nchar 1 1 1\nchar 1 1 -1\ndualpair 1\n",
      "line 7: dualpair needs two row indices"),
+    ("group Z1 1 extra\nconductor 1\nclass 1\nchar 1 1\n",
+     "line 1: group takes only a name and an order, got surplus token 'extra'"),
+    ("group Z1 1\nconductor 1 7\nclass 1\nchar 1 1\n", "line 2: conductor takes only a number, got surplus token '7'"),
+    ("group Z1 1\nconductor 1\nclass 1 2\nchar 1 1\n", "line 3: class takes only a size, got surplus token '2'"),
+    ("group Z2 2\nconductor 2\nclass 1\nclass 1\nchar 1 1 1\nchar 1 1 -1\ndualpair 1 1 0\n",
+     "line 7: dualpair takes only two row indices, got surplus token '0'"),
 ], ids=[
     "conductor-0", "conductor-negative", "no-char", "empty-char", "dualpair-high", "dualpair-negative",
     "order-0", "class-0", "degree-mismatch", "bad-value", "duplicate-group", "duplicate-conductor",
     "dualpair-overlap", "conductor-over-bound", "group-no-order", "conductor-bare", "class-bare",
-    "dualpair-one-index",
+    "dualpair-one-index", "group-surplus", "conductor-surplus", "class-surplus", "dualpair-surplus",
 ])
 def test_parse_errors_name_the_line(text, message):
     with pytest.raises(ValueError, match=message):

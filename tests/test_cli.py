@@ -217,9 +217,15 @@ def _z3_with(old, new):
     (_z3_with("dualpair 1 2", "dualpair 1 0_2"), "line 9: dualpair index out of range for 3 character rows"),
     # a conductor over the bound is refused before the cyclotomic polynomial is built
     ("group Z1 1\nconductor 99999999\nclass 1\nchar 1 1\n", "line 2: conductor 99999999 exceeds bound 5040"),
+    # a directive of fixed arity names its first surplus token
+    (_z3_with("Z3 3", "Z3 3 extra"), "line 1: group takes only a name and an order, got surplus token 'extra'"),
+    (_z3_with("conductor 3", "conductor 3 7"), "line 2: conductor takes only a number, got surplus token '7'"),
+    (_z3_with("class 1", "class 1 2"), "line 3: class takes only a size, got surplus token '2'"),
+    (_z3_with("dualpair 1 2", "dualpair 1 2 0"), "line 9: dualpair takes only two row indices, got surplus token '0'"),
 ], ids=[
     "no-trivial-row", "incomplete", "order-0_3", "order-+3", "conductor-+3", "conductor-0_3", "class-0_1",
     "class-+1", "degree-+1", "degree-0_1", "dualpair-+1", "dualpair-0_2", "conductor-over-bound",
+    "group-surplus", "conductor-surplus", "class-surplus", "dualpair-surplus",
 ])
 def test_gen_chartable_bad_table_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "bad.chartab"

@@ -201,6 +201,17 @@ INVALID_SPECS = [
      fr.RingSemanticError, "explicit unit row (0, 1) contradicts the unit law"),
     ("dangling-before-unit", "ring t\nbasis a 1 a\nbasis b 3 zz\nunit z\n",
      fr.RingSemanticError, "line 3: dangling dual label 'zz' on basis element 'b'"),
+    # a directive of fixed arity names its first surplus token
+    ("ring-surplus", "ring R junk\nbasis 1 1 1\nunit 1\n",
+     fr.RingSyntaxError, "line 1, column 8: ring: surplus token 'junk'"),
+    ("partial-surplus", "ring t\npartial true false\nbasis a 1 a\nunit a\n",
+     fr.RingSyntaxError, "line 2, column 14: partial: surplus token 'false'"),
+    ("truncation-surplus", "ring t\ntruncation 3\t5 # comment\nbasis a 1 a\nunit a\n",
+     fr.RingSyntaxError, "line 2, column 14: truncation: surplus token '5'"),
+    ("basis-surplus", "ring t\nbasis 1 1 1 extra\nunit 1\n",
+     fr.RingSyntaxError, "line 2, column 13: basis: surplus token 'extra'"),
+    ("unit-surplus", "ring t\nbasis 1 1 1\nunit 1 more\n",
+     fr.RingSyntaxError, "line 3, column 8: unit: surplus token 'more'"),
 ]
 
 

@@ -33,8 +33,9 @@ print(code, *sorted(sys.modules))
 """
 
 BASE = {"fusionring", "fusionring.cli", "fusionring.ring", "fusionring.specfmt"}
-GEN = BASE | {"fusionring.oracles", "fusionring.chartable", "fusionring.cyclotomic"}
-LADDER = BASE | {"fusionring.ladder", "fusionring.axioms", "fusionring.subrings"}
+GEN = BASE | {"fusionring.oracles"}
+CHARTABLE = GEN | {"fusionring.chartable", "fusionring.cyclotomic"}
+LADDER = BASE | {"fusionring.ladder"}
 
 
 def loaded_after(*argv: str, watched=("fusionring", "concurrent", "multiprocessing")) -> set[str]:
@@ -64,15 +65,22 @@ def test_version_loads_only_cli_ring_specfmt():
     [
         (["check", "SPEC"], BASE | {"fusionring.axioms"}),
         (["subrings", "SPEC"], BASE | {"fusionring.subrings"}),
-        (["verdict", "SPEC"], LADDER),
+        # the verdict checks the axioms; the ladder reaches the truncation
+        # with no closure, so neither loads `subrings`
+        (["verdict", "SPEC"], LADDER | {"fusionring.axioms"}),
         (["ladder", "SPEC", "--x3", "x3"], LADDER),
         (["gen", "so3", "7"], GEN),
-        (["gen", "chartable", str(FIXTURES / "z3.chartab")], GEN),
+        (["gen", "cyclic", "5"], GEN),
+        (["gen", "fragment"], GEN),
+        (["gen", "chartable", str(FIXTURES / "z3.chartab")], CHARTABLE),
         # a search, with or without --workers, loads no worker-pool machinery
         (["search", "--degrees", "1,1,1", "--workers", "1"], BASE | {"fusionring.search", "fusionring.axioms"}),
         (["search", "--degrees", "1,1,1"], BASE | {"fusionring.search", "fusionring.axioms"}),
     ],
-    ids=["check", "subrings", "verdict", "ladder", "gen-so3", "gen-chartable", "search-serial", "search-default"],
+    ids=[
+        "check", "subrings", "verdict", "ladder", "gen-so3", "gen-cyclic", "gen-fragment", "gen-chartable",
+        "search-serial", "search-default",
+    ],
 )
 def test_op_loads_only_its_modules(so3_spec, argv, expected):
     assert loaded_after(*[so3_spec if a == "SPEC" else a for a in argv]) == expected
@@ -86,6 +94,7 @@ OPS = {
     "ladder": ["ladder", "SPEC", "--x3", "x3"],
     "search": ["search", "--degrees", "1,1,1", "--workers", "1"],
     "gen": ["gen", "so3", "7"],
+    "gen-chartable": ["gen", "chartable", str(FIXTURES / "z3.chartab")],
 }
 
 
@@ -93,8 +102,8 @@ OPS = {
 def test_text_op_loads_no_json_and_only_gen_loads_dataclasses(so3_spec, op):
     argv = [so3_spec if a == "SPEC" else a for a in OPS[op]]
     loaded = loaded_after("--format", "text", *argv, watched=("dataclasses", "json"))
-    # gen builds character tables, the one record that validates itself
-    assert loaded == ({"dataclasses"} if op == "gen" else set())
+    # gen chartable builds a character table, the one record that validates itself
+    assert loaded == ({"dataclasses"} if op == "gen-chartable" else set())
 
 
 def test_json_op_loads_json(so3_spec):
@@ -157,3 +166,13 @@ def test_lookup_reads_through_to_the_home_module(monkeypatch):
     monkeypatch.undo()
     assert fr.check_axioms is original
     assert "check_axioms" not in vars(fr)
+
+
+def test_ladder_check_axioms_reads_through_to_axioms(monkeypatch):
+    # ladder imports axioms where it runs, yet still answers for the name
+    import fusionring.ladder
+
+    assert fusionring.ladder.check_axioms is fusionring.axioms.check_axioms
+    monkeypatch.setattr(fusionring.axioms, "check_axioms", len)
+    assert fusionring.ladder.check_axioms is len
+    assert "check_axioms" not in vars(fusionring.ladder)
