@@ -31,7 +31,6 @@ Every directive but ``char`` takes exactly the tokens shown.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cyclotomic import Cyclotomic
@@ -50,17 +49,22 @@ class OrthogonalityFailure(FusionRingError):
     """Character rows are not orthonormal under the exact inner product."""
 
 
-@dataclass(frozen=True)
 class CharacterTable:
     """An exact character table, validated once, when it is constructed."""
 
-    name: str
-    group_order: int
-    class_sizes: tuple[int, ...]
-    characters: tuple[tuple[Cyclotomic, ...], ...]
-    conjugate_map: tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        group_order: int,
+        class_sizes: tuple[int, ...],
+        characters: tuple[tuple[Cyclotomic, ...], ...],
+        conjugate_map: tuple[int, ...],
+    ):
+        self.name = name
+        self.group_order = group_order
+        self.class_sizes = class_sizes
+        self.characters = characters
+        self.conjugate_map = conjugate_map
         self.validate()
 
     @property
@@ -279,9 +283,9 @@ def _positive(token: str, what: str) -> int:
     return value
 
 
-# The largest conductor a table may declare.  Building the N-th cyclotomic polynomial is most of the
-# cost: spawned `gen chartable` on a one-class table (2 CPUs) took 0.47 s at N = 5040, at most 1.1 s
-# below it (4290, 4620), and 20 s at N = 27720.
+# The largest conductor a table may declare.  Spawned `gen chartable` on a one-class table (2 CPUs)
+# takes 0.11-0.12 s at N = 4620 and 5040; what a larger N costs in `Cyclotomic` reduction and
+# `validate` is not yet measured.
 CONDUCTOR_BOUND = 5040
 
 # The fewest tokens of each directive, and what a shorter line lacks.

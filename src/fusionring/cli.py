@@ -174,8 +174,6 @@ def _cmd_search(args) -> tuple[int, str]:
 
 
 def _cmd_gen(args) -> tuple[int, str]:
-    from .oracles import cyclic_group_ring, fragment_ring, so3_truncated
-
     kind = args.what[0]
     if kind in ("cyclic", "so3"):
         if len(args.what) != 2:
@@ -184,6 +182,8 @@ def _cmd_gen(args) -> tuple[int, str]:
         n = _decimal(args.what[1].strip())
         if n is None:
             raise _InputError(f"gen {kind}: expected a decimal integer, got {args.what[1]!r}")
+        from .oracles import cyclic_group_ring, so3_truncated
+
         try:
             _check_rank(n if kind == "cyclic" else (n + 1) // 2, GEN_RANK_BOUND)
             ring = cyclic_group_ring(n) if kind == "cyclic" else so3_truncated(n)
@@ -192,6 +192,8 @@ def _cmd_gen(args) -> tuple[int, str]:
     elif kind == "fragment":
         if len(args.what) != 1:
             raise _InputError("gen fragment takes no argument")
+        from .oracles import fragment_ring
+
         ring = fragment_ring()
     elif kind == "chartable":
         if len(args.what) != 2:

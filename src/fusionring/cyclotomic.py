@@ -10,56 +10,48 @@ decided over the integers.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Division by a monic integer polynomial; exact over Z."""
-    num = list(num)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    while len(_poly_trim(num)) >= len(den):
-        shift = len(num) - len(den)
-        coef = num[-1]
-        q[shift] += coef
-        for i, d in enumerate(den):
-            num[shift + i] -= coef * d
-        num = _poly_trim(num)
-    return _poly_trim(q), num
+from typing import Iterable
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
+    """Coefficients (ascending) of the n-th cyclotomic polynomial.
+
+    For n > 1, Phi_n is the product of (1 - x^d)^mu(n/d) over the divisors
+    d of n.  Multiplying by 1 - x^d is one shifted subtraction, and dividing
+    exactly by it is the recurrence q[i] = p[i] + q[i - d], so each factor
+    costs time linear in the degree.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return (-1, 1)
-    num = [0] * n + [1]
-    num[0] = -1  # x^n - 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    q, r = _poly_divmod_exact(num, den)
-    if r:
-        raise AssertionError("cyclotomic division left a remainder")
-    return tuple(q)
+    primes, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    # (d, mu(n/d)) for every d with n/d squarefree; mu is 0 at the others.
+    factors = [(n, 1)]
+    for p in primes:
+        factors += [(d // p, -mu) for d, mu in factors]
+    coeffs = [1] + [0] * sum(d for d, mu in factors if mu > 0)
+    top = 0
+    for d, mu in factors:
+        if mu > 0:
+            top += d
+            for i in range(top, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+    for d, mu in factors:
+        if mu < 0:
+            for i in range(d, top + 1):
+                coeffs[i] += coeffs[i - d]
+            top -= d
+    return tuple(coeffs[: top + 1])
 
 
 @lru_cache(maxsize=None)

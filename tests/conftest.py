@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+from itertools import product
 
 import pytest
 
@@ -219,6 +220,22 @@ def corrupt_z5_ring():
     products = _products(z5)
     products[("g", "g")] = {"g2": 2}
     return fr.build_ring("Z5corrupt", _basis(z5), "1", products)
+
+
+def abelian_group_ring(*moduli):
+    """The group ring of Z_m1 x Z_m2 x ..., its elements labelled by their
+    coordinates ("1" for the unit)."""
+    elems = list(product(*(range(m) for m in moduli)))
+
+    def label(e):
+        return "1" if not any(e) else "e" + "_".join(map(str, e))
+
+    def add(e, f):
+        return tuple((x + y) % m for x, y, m in zip(e, f, moduli))
+
+    basis = [(label(e), 1, label(tuple(-x % m for x, m in zip(e, moduli)))) for e in elems]
+    products = {(label(e), label(f)): {label(add(e, f)): 1} for e in elems for f in elems}
+    return fr.build_ring("x".join(f"Z{m}" for m in moduli), basis, "1", products)
 
 
 def withhold_rows(ring, *pairs, truncation_bound=None):

@@ -22,17 +22,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
-from fusionring.axioms import FAIL, PASS, SKIPPED, CheckEntry, CheckReport, Witness
+from fusionring.axioms import FAIL, PASS, SKIPPED, CheckEntry, CheckReport, Witness, _blocks_agree
 from fusionring.cli import run
 from fusionring.ring import INT64_MAX, FusionRing, UnknownProduct
 
 from conftest import (
+    abelian_group_ring,
     all_fixture_rings,
     chain_length_one_ring,
     corrupt_z5_ring,
     count4_corrupt_ring,
     factorization_branch_ring,
     order2_branch_ring,
+    withhold_rows,
 )
 
 
@@ -459,3 +461,82 @@ def test_lane_width_holds_multiplicities_near_two_to_the_62():
     report = fr.check_axioms(ring)
     assert report.as_dict() == naive_check_axioms(ring).as_dict()
     assert report.entry("associativity").status == PASS
+
+
+# -- the block decision on complete rings ------------------------------------------
+
+
+def _assert_block_decision_matches_the_oracle(ring: FusionRing) -> bool:
+    """The helper decides associativity as the oracle does, and the reports
+    are equal; returns the helper's answer."""
+    naive = naive_check_axioms(ring)
+    agree = _blocks_agree(ring._kernel)
+    assert agree == (naive.entry("associativity").status == PASS), ring.name
+    assert fr.check_axioms(ring).as_dict() == naive.as_dict()
+    return agree
+
+
+COMPLETE = (
+    [ring for ring in FIXTURES if ring.is_complete]
+    + [fr.cyclic_group_ring(n) for n in range(1, 61)]
+    + [abelian_group_ring(2, 2, 2, 2), abelian_group_ring(2, 24), abelian_group_ring(2, 4, 6)]
+)
+
+
+def test_block_decision_on_complete_rings():
+    for ring in COMPLETE:
+        if ring.rank > 24:  # the dense oracle is too slow here, and group rings are associative
+            assert _blocks_agree(ring._kernel), ring.name
+        else:
+            _assert_block_decision_matches_the_oracle(ring)
+
+
+def _single_constant_corruptions(ring: FusionRing) -> Iterator[FusionRing]:
+    """``ring`` with one structure constant off by one, or raised by HUGE so
+    that each row takes several 64-bit words, at every non-unit pair."""
+    basis = [(b.label, b.degree, b.dual_label) for b in ring.elements]
+    unit, labels = ring.label(ring.unit_index), ring.labels
+    for a, b in ring.known_pairs():
+        if ring.unit_index in (a, b):
+            continue
+        for c in range(ring.rank):
+            for step in (1, -1, HUGE):
+                if ring.product_row(a, b)[c] + step < 0:
+                    continue
+                products = {
+                    (labels[i], labels[j]): {labels[k]: m for k, m in enumerate(ring.product_row(i, j)) if m}
+                    for i, j in ring.known_pairs()
+                }
+                row = products[(labels[a], labels[b])]
+                row[labels[c]] = row.get(labels[c], 0) + step
+                yield fr.build_ring(f"{ring.name}_{a}_{b}_{c}_{step}", basis, unit, products)
+
+
+def test_block_decision_refuses_every_non_associative_corruption():
+    # each corruption the oracle fails on associativity must be refused, so
+    # a helper that always answers True fails here
+    refused = 0
+    for base in (fr.cyclic_group_ring(6), fr.s3_character_ring(), fr.a4_character_ring()):
+        for ring in _single_constant_corruptions(base):
+            refused += not _assert_block_decision_matches_the_oracle(ring)
+    assert refused
+
+
+def test_block_decision_on_a_rank_one_ring():
+    ring = fr.cyclic_group_ring(1)
+    assert _blocks_agree(ring._kernel)
+    assert fr.check_axioms(ring).entry("associativity") == CheckEntry("associativity", PASS, 1, 0, 0)
+
+
+def test_block_decision_spans_several_words_per_row():
+    ring = fr.build_ring("huge", [("1", 1, "1"), ("x", 1, "x")], "1", {("x", "x"): {"1": 1, "x": HUGE}})
+    assert -(-ring._kernel.lane * ring.rank // 64) > 1
+    assert _assert_block_decision_matches_the_oracle(ring)
+
+
+def test_partial_ring_keeps_the_per_triple_loop():
+    ring = withhold_rows(fr.cyclic_group_ring(6), ("g", "g"))
+    with mock.patch("fusionring.axioms._blocks_agree", side_effect=AssertionError):
+        entry = fr.check_axioms(ring).entry("associativity")
+    assert entry.status == SKIPPED
+    _assert_same_reports(ring)

@@ -1,6 +1,8 @@
-"""Exact cyclotomic arithmetic against closed forms and float evaluation."""
+"""Exact cyclotomic arithmetic against closed forms, float evaluation and
+the dense long-division routine the sparse product replaced."""
 
 import cmath
+from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,57 @@ def test_cyclotomic_polynomials_known_values():
     assert cyclotomic_polynomial(7) == (1,) * 7
     # phi(21) = 12
     assert len(cyclotomic_polynomial(21)) == 13
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_divmod_exact(num, den):
+    """Division by a monic integer polynomial; exact over Z."""
+    num = list(num)
+    q = [0] * max(len(num) - len(den) + 1, 0)
+    while len(_poly_trim(num)) >= len(den):
+        shift = len(num) - len(den)
+        coef = num[-1]
+        q[shift] += coef
+        for i, d in enumerate(den):
+            num[shift + i] -= coef * d
+        num = _poly_trim(num)
+    return _poly_trim(q), num
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic_polynomial(n):
+    """x^n - 1 divided by the product of Phi_d over the proper divisors d."""
+    if n == 1:
+        return (-1, 1)
+    num = [0] * n + [1]
+    num[0] = -1  # x^n - 1
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _poly_mul(den, reference_cyclotomic_polynomial(d))
+    q, r = _poly_divmod_exact(num, den)
+    assert not r
+    return tuple(q)
+
+
+def test_cyclotomic_polynomials_match_long_division():
+    for n in range(1, 501):
+        assert cyclotomic_polynomial(n) == reference_cyclotomic_polynomial(n), n
 
 
 def test_zeta_relations():

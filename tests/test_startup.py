@@ -3,9 +3,9 @@
 Each op runs in a fresh interpreter, which then prints the op's exit code
 and the modules it holds.  The ``fusionring``, ``concurrent`` and
 ``multiprocessing`` sets are pinned, and so is the absence of ``dataclasses``
-and ``json`` where an op does not need them.  Module sets are pinned, not
-timings: a module an op does not run costs every process its import, and
-nothing else catches an eager import creeping back.
+from every op and of ``json`` where an op does not need it.  Module sets are
+pinned, not timings: a module an op does not run costs every process its
+import, and nothing else catches an eager import creeping back.
 """
 
 import importlib
@@ -34,7 +34,7 @@ print(code, *sorted(sys.modules))
 
 BASE = {"fusionring", "fusionring.cli", "fusionring.ring", "fusionring.specfmt"}
 GEN = BASE | {"fusionring.oracles"}
-CHARTABLE = GEN | {"fusionring.chartable", "fusionring.cyclotomic"}
+CHARTABLE = BASE | {"fusionring.chartable", "fusionring.cyclotomic"}
 LADDER = BASE | {"fusionring.ladder"}
 
 
@@ -99,11 +99,9 @@ OPS = {
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
-def test_text_op_loads_no_json_and_only_gen_loads_dataclasses(so3_spec, op):
+def test_text_op_loads_neither_json_nor_dataclasses(so3_spec, op):
     argv = [so3_spec if a == "SPEC" else a for a in OPS[op]]
-    loaded = loaded_after("--format", "text", *argv, watched=("dataclasses", "json"))
-    # gen chartable builds a character table, the one record that validates itself
-    assert loaded == ({"dataclasses"} if op == "gen-chartable" else set())
+    assert loaded_after("--format", "text", *argv, watched=("dataclasses", "json")) == set()
 
 
 def test_json_op_loads_json(so3_spec):

@@ -1,7 +1,7 @@
 """Subring closure, enumeration, grouplike groups, freeness obstructions."""
 
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from fusionring import subrings
 from fusionring.subrings import IncompleteClosure, StandardSubring
 
 from conftest import (
+    abelian_group_ring,
     all_fixture_rings,
     chain_length_one_ring,
     corrupt_z5_ring,
@@ -197,22 +198,6 @@ def reference_subrings(ring):
         if isinstance(result, StandardSubring):
             found.setdefault(result.members, result)
     return sorted(found.values(), key=lambda s: (s.hopf_dimension, s.members))
-
-
-def abelian_group_ring(*moduli):
-    """The group ring of Z_m1 x Z_m2 x ..., its elements labelled by their
-    coordinates ("1" for the unit)."""
-    elems = list(product(*(range(m) for m in moduli)))
-
-    def label(e):
-        return "1" if not any(e) else "e" + "_".join(map(str, e))
-
-    def add(e, f):
-        return tuple((x + y) % m for x, y, m in zip(e, f, moduli))
-
-    basis = [(label(e), 1, label(tuple(-x % m for x, m in zip(e, moduli)))) for e in elems]
-    products = {(label(e), label(f)): {label(add(e, f)): 1} for e in elems for f in elems}
-    return fr.build_ring("x".join(f"Z{m}" for m in moduli), basis, "1", products)
 
 
 # Klein four {1, a, b, ab} with a = e1_0, b = e0_1 and the rows a*a and
