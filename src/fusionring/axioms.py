@@ -9,7 +9,7 @@ every downstream symptom.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .ring import FusionRing, UnknownProduct, _RowKernel, format_terms
 
@@ -118,6 +118,8 @@ def check_axioms(ring: FusionRing) -> CheckReport:
     Checks, in order: unit law; duality pairing m(1,ab)=[b=a*]; associativity;
     degree homomorphism; dual compatibility (ab)* = b*a*; Frobenius
     reciprocity m(x,ab)=m(a*,bx*)=m(a,xb*); grouplike rule m(g,ab)=[b=a*g].
+    The duality pairing, degree homomorphism and dual compatibility are
+    tallied together in one walk over the pairs (a, b).
 
     Associativity compares packed rows: each Known row is one integer,
     coordinate c in lane c, from the ring's row kernel; its lane rule (see
@@ -126,23 +128,9 @@ def check_axioms(ring: FusionRing) -> CheckReport:
     compares whole blocks of such sums, one pair of buffers per b; a partial
     ring, or a ring whose blocks differ, is walked triple by triple.
     """
-    entries = [
-        _unit_law(ring),
-        _duality_pairing(ring),
-        _associativity(ring),
-        _degree_homomorphism(ring),
-        _dual_compatibility(ring),
-        _frobenius(ring),
-        _grouplike_rule(ring),
-    ]
-    return CheckReport(ring.name, tuple(entries))
-
-
-def _pairs(ring: FusionRing) -> Iterator[tuple[int, int]]:
-    r = ring.rank
-    for a in range(r):
-        for b in range(r):
-            yield a, b
+    pairing, degrees, duals = _pair_laws(ring)
+    entries = (_unit_law(ring), pairing, _associativity(ring), degrees, duals, _frobenius(ring), _grouplike_rule(ring))
+    return CheckReport(ring.name, entries)
 
 
 def _unit_law(ring: FusionRing) -> CheckEntry:
@@ -165,24 +153,51 @@ def _unit_law(ring: FusionRing) -> CheckEntry:
     return t.entry()
 
 
-def _duality_pairing(ring: FusionRing) -> CheckEntry:
-    t = _Tally("duality_pairing")
-    u, dual = ring.unit_index, ring._dual
-    rows = ring._kernel.rows
-    for a, b in _pairs(ring):
-        row = rows[a][b]
-        if row is None:
-            t.skip()
-            continue
-        expect = 1 if b == dual[a] else 0
-        if row[u] == expect:
-            t.passed += 1
-            continue
-        t.fail(lambda: (
-            (ring.label(a), ring.label(b)),
-            f"m(1, {ring.label(a)}*{ring.label(b)}) = {row[u]}, expected {expect}",
-        ))
-    return t.entry()
+def _pair_laws(ring: FusionRing) -> tuple[CheckEntry, CheckEntry, CheckEntry]:
+    """Duality pairing, degree homomorphism and dual compatibility, tallied
+    in one row-major walk over the pairs (a, b).  All three skip an Unknown
+    ab; dual compatibility also skips an Unknown b*a*."""
+    pairing, degrees, duals = _Tally("duality_pairing"), _Tally("degree_homomorphism"), _Tally("dual_compatibility")
+    kernel = ring._kernel
+    u, dual, lane, packed = ring.unit_index, ring._dual, kernel.lane, kernel.packed
+    degree = [e.degree for e in ring.elements]
+    unknown = 0
+    for a, (rows_a, support_a) in enumerate(zip(kernel.rows, kernel.support)):
+        da, deg_a = dual[a], degree[a]
+        for b, s in enumerate(support_a):
+            if s is None:
+                unknown += 1
+                continue
+            row = rows_a[b]
+            expect = 1 if b == da else 0
+            if row[u] == expect:
+                pairing.passed += 1
+            else:
+                pairing.fail(lambda: (
+                    (ring.label(a), ring.label(b)),
+                    f"m(1, {ring.label(a)}*{ring.label(b)}) = {row[u]}, expected {expect}",
+                ))
+            total = sum(n * degree[c] for c, n in s)
+            if total == deg_a * degree[b]:
+                degrees.passed += 1
+            else:
+                degrees.fail(lambda: (
+                    (ring.label(a), ring.label(b)),
+                    f"deg({ring.label(a)}*{ring.label(b)}) sums to {total}, expected {deg_a * degree[b]}",
+                ))
+            mirror = packed[dual[b]][da]
+            if mirror is None:
+                duals.skip()
+            elif sum(n << lane * dual[c] for c, n in s) == mirror:
+                duals.passed += 1
+            else:
+                duals.fail(lambda: (
+                    (ring.label(a), ring.label(b)),
+                    f"({ring.label(a)}{ring.label(b)})* != {ring.label(dual[b])}{ring.label(da)}",
+                ))
+    for t in (pairing, degrees, duals):
+        t.skipped += unknown
+    return pairing.entry(), degrees.entry(), duals.entry()
 
 
 def _blocks_agree(kernel: _RowKernel) -> bool:
@@ -278,47 +293,6 @@ def _associativity(ring: FusionRing) -> CheckEntry:
                 ))
     t.passed += passed
     t.skipped += skipped
-    return t.entry()
-
-
-def _degree_homomorphism(ring: FusionRing) -> CheckEntry:
-    t = _Tally("degree_homomorphism")
-    support = ring._kernel.support
-    degree = [e.degree for e in ring.elements]
-    for a, b in _pairs(ring):
-        s = support[a][b]
-        if s is None:
-            t.skip()
-            continue
-        total = sum(n * degree[c] for c, n in s)
-        expect = degree[a] * degree[b]
-        if total == expect:
-            t.passed += 1
-            continue
-        t.fail(lambda: (
-            (ring.label(a), ring.label(b)),
-            f"deg({ring.label(a)}*{ring.label(b)}) sums to {total}, expected {expect}",
-        ))
-    return t.entry()
-
-
-def _dual_compatibility(ring: FusionRing) -> CheckEntry:
-    t = _Tally("dual_compatibility")
-    kernel = ring._kernel
-    dual, lane = ring._dual, kernel.lane
-    for a, b in _pairs(ring):
-        s = kernel.support[a][b]
-        mirror = kernel.packed[dual[b]][dual[a]]
-        if s is None or mirror is None:
-            t.skip()
-            continue
-        if sum(n << lane * dual[c] for c, n in s) == mirror:
-            t.passed += 1
-            continue
-        t.fail(lambda: (
-            (ring.label(a), ring.label(b)),
-            f"({ring.label(a)}{ring.label(b)})* != {ring.label(dual[b])}{ring.label(dual[a])}",
-        ))
     return t.entry()
 
 

@@ -293,7 +293,7 @@ _DIRECTIVES = {"group": (3, "a name and an order"), "conductor": (2, "a number")
                "char": (2, "a degree and one value per class"), "dualpair": (3, "two row indices")}
 
 
-def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTable:
+def parse_character_table(text: str) -> CharacterTable:
     """Parse the character table file format; raises ValueError on bad input.
 
     Errors in a line name its number.  A table that parses but is not a
@@ -381,7 +381,7 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
         conj[i], conj[j] = j, i
 
     return CharacterTable(
-        name=name or group_name,
+        name=group_name,
         group_order=order,
         class_sizes=tuple(sizes),
         characters=tuple(characters),
@@ -390,7 +390,5 @@ def parse_character_table(text: str, name: Optional[str] = None) -> CharacterTab
 
 
 def load_character_table(path) -> CharacterTable:
-    from pathlib import Path
-
-    p = Path(path)
-    return parse_character_table(p.read_text(encoding="utf-8"), name=None)
+    with open(path, encoding="utf-8") as fh:
+        return parse_character_table(fh.read())

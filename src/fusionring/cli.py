@@ -33,16 +33,20 @@ class _InputError(Exception):
     pass
 
 
-def _read_ring(path: str) -> FusionRing:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``; an unreadable file is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+def _read_ring(path: str) -> FusionRing:
     try:
-        return parse_spec(text)
+        return parse_spec(_read_text(path))
     except (RingSyntaxError, RingSemanticError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
@@ -201,11 +205,7 @@ def _cmd_gen(args) -> tuple[int, str]:
         from .chartable import char_table_ring, parse_character_table
 
         try:
-            with open(args.what[1], "r", encoding="utf-8") as fh:
-                text = fh.read()
-            ring = char_table_ring(parse_character_table(text))
-        except OSError as exc:
-            raise _InputError(f"cannot read {args.what[1]}: {exc.strerror or exc}") from exc
+            ring = char_table_ring(parse_character_table(_read_text(args.what[1])))
         except (ValueError, FusionRingError) as exc:
             raise _InputError(f"{args.what[1]}: {exc}") from exc
     else:

@@ -296,7 +296,7 @@ class FusionRing:
     @cached_property
     def _kernel(self) -> "_RowKernel":
         """The Known rows in the forms the identity checks use; built on first use."""
-        known = [row for rows in self._rows for row in rows if row is not None]
+        known = {row for rows in self._rows for row in rows if row is not None}
         return _RowKernel(self._rows, max(len(row) - row.count(0) for row in known), max(map(max, known)))
 
     def product_row(self, i: int, j: int) -> Optional[tuple[int, ...]]:

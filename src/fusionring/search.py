@@ -23,7 +23,6 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .axioms import check_axioms
 from .ring import FusionRing, PreconditionUnmet, _check_rank, _RowKernel, build_ring
 
 DEFAULT_RANK_BOUND = 6
@@ -255,6 +254,10 @@ def enumerate_rings(
         search = _Search(degrees, max_mult, tuple(dual))
         search.run()
         kept.extend((search.dual, rows) for rows in search.solutions if _is_least(rows, search.pairs, fixing))
+
+    if not kept:
+        return []
+    from .axioms import check_axioms  # loaded only when a ring needs the final check
 
     labels = _labels_for(degrees)
     stem = "ring_" + "_".join(str(d) for d in degrees)

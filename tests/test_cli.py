@@ -249,6 +249,14 @@ def test_gen_chartable_not_integral_exit_two(tmp_path, capsys, monkeypatch):
     assert err == f"fusionring: {path}: inner product total 1 is not divisible by |G| = 3\n"
 
 
+def test_gen_chartable_not_utf8_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.chartab"
+    path.write_bytes(Z3_TABLE.replace("Z3", "Z\xff3").encode("latin-1"))
+    code, out, err = run_cli(capsys, "gen", "chartable", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fusionring: {path}: 'utf-8' codec can't decode ") and err.count("\n") == 1
+
+
 def test_table_files_are_read_as_utf8(tmp_path):
     # under the C locale with UTF-8 mode off, the locale's encoding is ASCII
     path = tmp_path / "z3.chartab"

@@ -76,10 +76,12 @@ def test_version_loads_only_cli_ring_specfmt():
         # a search, with or without --workers, loads no worker-pool machinery
         (["search", "--degrees", "1,1,1", "--workers", "1"], BASE | {"fusionring.search", "fusionring.axioms"}),
         (["search", "--degrees", "1,1,1"], BASE | {"fusionring.search", "fusionring.axioms"}),
+        # a search that keeps no ring has nothing for the axiom checker
+        (["search", "--degrees", "1,3"], BASE | {"fusionring.search"}),
     ],
     ids=[
         "check", "subrings", "verdict", "ladder", "gen-so3", "gen-cyclic", "gen-fragment", "gen-chartable",
-        "search-serial", "search-default",
+        "search-serial", "search-default", "search-no-ring",
     ],
 )
 def test_op_loads_only_its_modules(so3_spec, argv, expected):
