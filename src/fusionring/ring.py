@@ -126,7 +126,7 @@ class RingElement:
         self._check_same_ring(other)
         coords = dict(self._coords)
         for i, v in other._coords.items():
-            coords[i] = _check64(coords.get(i, 0) + v)
+            coords[i] = coords.get(i, 0) + v
         return RingElement(self.ring, coords)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
@@ -138,7 +138,7 @@ class RingElement:
     def __rmul__(self, scalar: int) -> "RingElement":
         if not isinstance(scalar, int):
             return NotImplemented
-        return RingElement(self.ring, {i: _check64(scalar * v) for i, v in self._coords.items()})
+        return RingElement(self.ring, {i: scalar * v for i, v in self._coords.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):
@@ -227,29 +227,44 @@ class FusionRing:
         self.truncation_bound = truncation_bound
 
         rank = len(elements)
+        index = self._index
         rows: list[list[Optional[tuple[int, ...]]]] = [[None] * rank for _ in range(rank)]
+        # Each distinct dense row is stored once: equal rows share one tuple.
+        distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # A row of one term with an int multiplicity, as every row of a group
+        # ring is, is checked and made dense once per term.
+        one_term: dict[tuple[str, int], tuple[int, ...]] = {}
         for (a_lab, b_lab), row in products.items():
-            for lab in (a_lab, b_lab, *row):
-                if lab not in self._index:
-                    raise InvalidRing(
-                        f"product row ({a_lab},{b_lab}) references unknown label {lab!r}", (a_lab, b_lab)
-                    )
-            vec = [0] * rank
-            for c_lab, mult in row.items():
-                if not isinstance(mult, int) or mult < 0:
-                    raise InvalidRing(f"multiplicity of {c_lab} in ({a_lab},{b_lab}) must be a nonnegative integer")
-                vec[self._index[c_lab]] = _check64(mult)
-            rows[self._index[a_lab]][self._index[b_lab]] = tuple(vec)
+            term = next(iter(row.items())) if len(row) == 1 else None
+            dense = one_term.get(term) if term is not None and type(term[1]) is int else None
+            if dense is None or a_lab not in index or b_lab not in index:
+                for lab in (a_lab, b_lab, *row):
+                    if lab not in index:
+                        raise InvalidRing(
+                            f"product row ({a_lab},{b_lab}) references unknown label {lab!r}", (a_lab, b_lab)
+                        )
+                vec = [0] * rank
+                for c_lab, mult in row.items():
+                    if not isinstance(mult, int) or mult < 0:
+                        raise InvalidRing(f"multiplicity of {c_lab} in ({a_lab},{b_lab}) must be a nonnegative integer")
+                    vec[index[c_lab]] = _check64(mult)
+                dense = tuple(vec)
+                dense = distinct.setdefault(dense, dense)
+                if term is not None:
+                    one_term[term] = dense
+            rows[index[a_lab]][index[b_lab]] = dense
 
         # Unit rows are implied by the unit law; explicit ones must agree.
         for i in range(rank):
             implied = tuple(1 if k == i else 0 for k in range(rank))
+            implied = distinct.setdefault(implied, implied)
             for a, b in ((u, i), (i, u)):
                 if rows[a][b] is None:
                     rows[a][b] = implied
                 elif rows[a][b] != implied:
                     raise InvalidRing(f"explicit unit row {(a, b)} contradicts the unit law")
         self._rows = rows
+        self._distinct_rows = tuple(distinct)
 
     # -- basis access -------------------------------------------------------
 
@@ -296,7 +311,7 @@ class FusionRing:
     @cached_property
     def _kernel(self) -> "_RowKernel":
         """The Known rows in the forms the identity checks use; built on first use."""
-        known = {row for rows in self._rows for row in rows if row is not None}
+        known = self._distinct_rows
         return _RowKernel(self._rows, max(len(row) - row.count(0) for row in known), max(map(max, known)))
 
     def product_row(self, i: int, j: int) -> Optional[tuple[int, ...]]:

@@ -84,8 +84,10 @@ def parse_spec(text: str) -> FusionRing:
     rows: dict[tuple[str, str], dict[str, int]] = {}
     # the line of each basis label and of each product pair
     lines: dict[Union[str, tuple[str, str]], int] = {}
-    # the label strings already matched, and the positive integer strings already read
-    labels: set[str] = set()
+    # each label already matched, mapped to its first string so that every row
+    # and pair refers to one string per label, and the positive integer
+    # strings already read
+    labels: dict[str, str] = {}
     numbers: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,13 +100,13 @@ def parse_spec(text: str) -> FusionRing:
             # and numbers all seen before is taken in one step
             pieces = " ".join(tokens[4:]).replace(",", " ").split()
             labs, mults = pieces[::2], pieces[1::2]
-            pair = (tokens[1], tokens[2])
+            pair = (labels.get(tokens[1], tokens[1]), labels.get(tokens[2], tokens[2]))
             try:
-                row = dict(zip(labs, map(numbers.__getitem__, mults)))
-            except KeyError:  # a number not read before
+                row = dict(zip(map(labels.__getitem__, labs), map(numbers.__getitem__, mults)))
+            except KeyError:  # a label or a number not read before
                 row = None
             fast = row is not None and len(row) == len(labs) == len(mults)
-            if fast and labels.issuperset(labs) and pair not in rows:
+            if fast and pair not in rows:
                 rows[pair] = row
                 lines[pair] = lineno
                 continue
@@ -141,7 +143,7 @@ def parse_spec(text: str) -> FusionRing:
             if label in lines:
                 raise RingSemanticError(f"duplicate basis label {label!r}", lineno)
             lines[label] = lineno
-            labels.add(label)
+            labels.setdefault(label, label)
             numbers[degree_s] = degree
             basis.append((label, degree, dual))
         elif head == "unit":
@@ -169,7 +171,7 @@ def parse_spec(text: str) -> FusionRing:
                 if lab not in labels:
                     if not LABEL_RE.match(lab):
                         raise RingSyntaxError(lineno, lcol, f"bad label {lab!r}")
-                    labels.add(lab)
+                    labels[lab] = lab
                 if mult_s not in numbers:
                     mult = _decimal(mult_s)
                     if mult is None or mult < 1:
@@ -177,11 +179,12 @@ def parse_spec(text: str) -> FusionRing:
                     numbers[mult_s] = mult
                 if lab in row:
                     raise RingSemanticError(f"label {lab!r} repeated in product row ({a},{b})", lineno)
-                row[lab] = numbers[mult_s]
-            if (a, b) in rows:
+                row[labels[lab]] = numbers[mult_s]
+            pair = (labels.get(a, a), labels.get(b, b))
+            if pair in rows:
                 raise RingSemanticError(f"duplicate product line ({a},{b})", lineno)
-            rows[(a, b)] = row
-            lines[(a, b)] = lineno
+            rows[pair] = row
+            lines[pair] = lineno
         else:
             raise RingSyntaxError(lineno, _column(raw, 0), f"unknown directive {head!r}")
 

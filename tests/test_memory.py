@@ -1,0 +1,40 @@
+"""Peak memory of a spawned op, against a bare interpreter's.
+
+A group ring of order n has n distinct rows among its n**2 pairs, and the
+ring stores each once.  A builder that kept a dense row per pair would hold
+n**3 coefficients again: `gen cyclic 128` then peaks about 22 MB above a bare
+interpreter instead of about 6 MB.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Prints the process's peak resident set (VmHWM, in kB) to stderr at exit.
+PEAK = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(next(line.split()[1] for line in open('/proc/self/status')"
+    " if line.startswith('VmHWM:')), file=sys.stderr))\n"
+)
+
+
+def peak_kb(code: str, *argv: str) -> int:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK + code, *argv],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stderr.split()[-1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_gen_cyclic_128_peaks_under_12_mb_above_a_bare_interpreter():
+    bare = peak_kb("pass")
+    gen = peak_kb("from fusionring.cli import main\nmain()", "gen", "cyclic", "128")
+    assert (gen - bare) / 1024 < 12

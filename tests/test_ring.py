@@ -196,6 +196,17 @@ def test_construction_validation():
         fr.build_ring("t", [("1", 1, "1"), ("x", 3, "x")], "1", {("1", "x"): {"1": 3}})
 
 
+def test_one_term_rows_are_checked_on_every_pair():
+    # a one-term row equal to an earlier one is still checked in full
+    basis = [("1", 1, "1"), ("g", 1, "g")]
+    with pytest.raises(fr.InvalidRing, match="must be a nonnegative integer"):
+        fr.build_ring("t", basis, "1", {("1", "g"): {"g": 1}, ("g", "g"): {"g": 1.0}})
+    with pytest.raises(fr.InvalidRing, match="unknown label 'h'"):
+        fr.build_ring("t", basis, "1", {("1", "g"): {"g": 1}, ("g", "h"): {"g": 1}})
+    with pytest.raises(fr.InvalidRing, match="must be a nonnegative integer"):
+        fr.build_ring("t", basis, "1", {("1", "g"): {"g": 1}, ("g", "g"): {"g": [1]}})
+
+
 def test_dimension_beyond_64_bits_is_rejected():
     d = 3037000499  # 1 + d**2 fits in 64 bits and 1 + 2 * d**2 does not
     assert 1 + d**2 <= INT64_MAX < 1 + 2 * d**2
@@ -287,3 +298,42 @@ def test_place_fills_an_empty_kernel_as_the_ring_builds_it(fill):
         assert kernel.unpack(kernel.packed[i][j]) == list(row)
         is_basic = row.count(1) == 1 and row.count(0) == len(row) - 1
         assert kernel.basic[i][j] == (row.index(1) if is_basic else -1)
+
+
+def distinct_rows(ring):
+    """The distinct row objects of a ring's Known pairs, by identity."""
+    return {id(ring.product_row(i, j)) for i, j in ring.known_pairs()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 30])
+def test_group_ring_stores_one_row_per_element(n):
+    ring = fr.cyclic_group_ring(n)
+    assert len(distinct_rows(ring)) == n
+    assert len(distinct_rows(fr.parse_spec(fr.write_spec(ring)))) == n
+
+
+@pytest.mark.parametrize("d", [3, 9, 21, 41])
+def test_so3_mirror_rows_are_one_object(d):
+    ring = fr.so3_truncated(d)
+    for i, j in ring.known_pairs():
+        assert ring.product_row(i, j) is ring.product_row(j, i)
+    assert len(distinct_rows(ring)) == len({ring.product_row(i, j) for i, j in ring.known_pairs()})
+
+
+@pytest.mark.parametrize("ring", CORPUS + [fr.cyclic_group_ring(24)], ids=lambda r: r.name)
+def test_kernel_forms_match_every_pair(ring):
+    rows = [ring.product_row(i, j) for i, j in ring.known_pairs()]
+    lane = (max(sum(1 for n in row if n) for row in rows) * max(max(row) for row in rows) ** 2).bit_length() + 1
+    kernel = ring._kernel
+    assert kernel.lane == lane
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            row = ring.product_row(i, j)
+            assert kernel.rows[i][j] is row
+            if row is None:
+                assert kernel.support[i][j] is kernel.packed[i][j] is kernel.basic[i][j] is None
+                continue
+            support = tuple((c, n) for c, n in enumerate(row) if n)
+            assert kernel.support[i][j] == support
+            assert kernel.packed[i][j] == sum(n << lane * c for c, n in support)
+            assert kernel.basic[i][j] == (support[0][0] if len(support) == 1 and support[0][1] == 1 else -1)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
+from fusionring import specfmt
 from fusionring.cli import run
 
 from conftest import all_fixture_rings
@@ -27,6 +28,23 @@ def test_round_trip_equality(ring):
 def test_round_trip_byte_identical(ring):
     text = fr.write_spec(ring)
     assert fr.write_spec(fr.parse_spec(text)) == text
+
+
+@pytest.mark.parametrize("ring", [fr.cyclic_group_ring(6), fr.so3_truncated(9), fr.fragment_ring()], ids=lambda r: r.name)
+def test_parsed_rows_share_one_string_per_label(ring, monkeypatch):
+    seen = {}
+
+    def capture(name, basis, unit, products, truncation_bound=None):
+        seen["products"] = products
+        return fr.build_ring(name, basis, unit, products, truncation_bound)
+
+    monkeypatch.setattr(specfmt, "build_ring", capture)
+    assert fr.parse_spec(fr.write_spec(ring)) == ring
+    strings = {}
+    for (a, b), row in seen["products"].items():
+        for lab in (a, b, *row):
+            assert strings.setdefault(lab, lab) is lab
+    assert set(strings) == set(ring.labels)
 
 
 def test_partial_flag_written_only_for_partial():
