@@ -231,27 +231,20 @@ class FusionRing:
         rows: list[list[Optional[tuple[int, ...]]]] = [[None] * rank for _ in range(rank)]
         # Each distinct dense row is stored once: equal rows share one tuple.
         distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # A row of one term with an int multiplicity, as every row of a group
-        # ring is, is checked and made dense once per term.
-        one_term: dict[tuple[str, int], tuple[int, ...]] = {}
         for (a_lab, b_lab), row in products.items():
-            term = next(iter(row.items())) if len(row) == 1 else None
-            dense = one_term.get(term) if term is not None and type(term[1]) is int else None
-            if dense is None or a_lab not in index or b_lab not in index:
-                for lab in (a_lab, b_lab, *row):
-                    if lab not in index:
-                        raise InvalidRing(
-                            f"product row ({a_lab},{b_lab}) references unknown label {lab!r}", (a_lab, b_lab)
-                        )
-                vec = [0] * rank
-                for c_lab, mult in row.items():
-                    if not isinstance(mult, int) or mult < 0:
-                        raise InvalidRing(f"multiplicity of {c_lab} in ({a_lab},{b_lab}) must be a nonnegative integer")
-                    vec[index[c_lab]] = _check64(mult)
-                dense = tuple(vec)
-                dense = distinct.setdefault(dense, dense)
-                if term is not None:
-                    one_term[term] = dense
+            for lab in (a_lab, b_lab, *row):
+                if lab not in index:
+                    raise InvalidRing(
+                        f"product row ({a_lab},{b_lab}) references unknown label {lab!r}", (a_lab, b_lab)
+                    )
+            vec = [0] * rank
+            for c_lab, mult in row.items():
+                if not isinstance(mult, int) or mult < 0:
+                    raise InvalidRing(f"multiplicity of {c_lab} in ({a_lab},{b_lab}) must be a nonnegative integer")
+                # int() so that a bool, equal to 1 or 0, is not kept in a shared row
+                vec[index[c_lab]] = _check64(int(mult))
+            dense = tuple(vec)
+            dense = distinct.setdefault(dense, dense)
             rows[index[a_lab]][index[b_lab]] = dense
 
         # Unit rows are implied by the unit law; explicit ones must agree.
@@ -264,7 +257,9 @@ class FusionRing:
                 elif rows[a][b] != implied:
                     raise InvalidRing(f"explicit unit row {(a, b)} contradicts the unit law")
         self._rows = rows
-        self._distinct_rows = tuple(distinct)
+        # the lane measures of the kernel, over the distinct rows
+        self._max_support = max(len(row) - row.count(0) for row in distinct)
+        self._max_entry = max(map(max, distinct))
 
     # -- basis access -------------------------------------------------------
 
@@ -311,8 +306,7 @@ class FusionRing:
     @cached_property
     def _kernel(self) -> "_RowKernel":
         """The Known rows in the forms the identity checks use; built on first use."""
-        known = self._distinct_rows
-        return _RowKernel(self._rows, max(len(row) - row.count(0) for row in known), max(map(max, known)))
+        return _RowKernel(self._rows, self._max_support, self._max_entry)
 
     def product_row(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         """Structure-constant row for basic pair (i, j); None when Unknown."""
