@@ -239,10 +239,9 @@ class FusionRing:
                     )
             vec = [0] * rank
             for c_lab, mult in row.items():
-                if not isinstance(mult, int) or mult < 0:
+                if type(mult) is not int or mult < 0:
                     raise InvalidRing(f"multiplicity of {c_lab} in ({a_lab},{b_lab}) must be a nonnegative integer")
-                # int() so that a bool, equal to 1 or 0, is not kept in a shared row
-                vec[index[c_lab]] = _check64(int(mult))
+                vec[index[c_lab]] = _check64(mult)
             dense = tuple(vec)
             dense = distinct.setdefault(dense, dense)
             rows[index[a_lab]][index[b_lab]] = dense

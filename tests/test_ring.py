@@ -205,10 +205,9 @@ def test_one_term_rows_are_checked_on_every_pair():
         fr.build_ring("t", basis, "1", {("1", "g"): {"g": 1}, ("g", "h"): {"g": 1}})
     with pytest.raises(fr.InvalidRing, match="must be a nonnegative integer"):
         fr.build_ring("t", basis, "1", {("1", "g"): {"g": 1}, ("g", "g"): {"g": [1]}})
-    # a bool multiplicity is stored as the int it equals, in its row and in the equal rows
-    ring = fr.build_ring("t", basis, "1", {("g", "g"): {"1": True}, ("1", "g"): {"g": 1}})
-    assert all(type(n) is int for i, j in ring.known_pairs() for n in ring.product_row(i, j))
-    assert "True" not in fr.write_spec(ring)
+    # a bool, equal to 1, is refused, so it cannot stand in for the equal int rows it would share
+    with pytest.raises(fr.InvalidRing, match="must be a nonnegative integer"):
+        fr.build_ring("t", basis, "1", {("g", "g"): {"1": True}, ("1", "g"): {"g": 1}})
 
 
 def test_dimension_beyond_64_bits_is_rejected():
