@@ -25,9 +25,9 @@ from .specfmt import RingSemanticError, RingSyntaxError, _decimal, parse_spec, w
 SCHEMA = "fusionring-report/1"
 
 # The largest rank `gen cyclic` and `gen so3` build: spawned on a 2-CPU box,
-# at rank 128 `gen cyclic` took 0.15-0.25 s and 20 MB and `gen so3` 0.3-0.5 s
-# and 32 MB; at rank 256 they took 0.7-1.0 s and 34 MB, and 2.1-3.2 s and
-# 145 MB, most of it the 22 MB of spec text the so3 ring writes.
+# at rank 128 `gen cyclic` took 0.26-0.32 s and 20 MB and `gen so3` 0.4-0.55 s
+# and 32 MB; at rank 256 they took 1.2-1.4 s and 34 MB, and 2.4-3.6 s and
+# 145-147 MB, most of it the 22 MB of spec text the so3 ring writes.
 GEN_RANK_BOUND = 128
 
 

@@ -239,6 +239,7 @@ class FusionRing:
                     )
             vec = [0] * rank
             for c_lab, mult in row.items():
+                # exactly int: a bool equals 1 and would stand in for the equal rows it shares
                 if type(mult) is not int or mult < 0:
                     raise InvalidRing(f"multiplicity of {c_lab} in ({a_lab},{b_lab}) must be a nonnegative integer")
                 vec[index[c_lab]] = _check64(mult)

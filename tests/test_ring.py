@@ -196,8 +196,8 @@ def test_construction_validation():
         fr.build_ring("t", [("1", 1, "1"), ("x", 3, "x")], "1", {("1", "x"): {"1": 3}})
 
 
-def test_one_term_rows_are_checked_on_every_pair():
-    # a one-term row equal to an earlier one is still checked in full
+def test_rows_equal_to_earlier_ones_are_checked_in_full():
+    # a row equal to an earlier one is still checked in full
     basis = [("1", 1, "1"), ("g", 1, "g")]
     with pytest.raises(fr.InvalidRing, match="must be a nonnegative integer"):
         fr.build_ring("t", basis, "1", {("1", "g"): {"g": 1}, ("g", "g"): {"g": 1.0}})
