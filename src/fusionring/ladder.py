@@ -217,10 +217,10 @@ def selfdual_chain(ring: FusionRing, x3_label: str) -> ChainResult:
     """Iterate the case split x -> u until it stabilizes on a self-dual
     element with x^2 = 1 + x + x5, short-circuiting on any grouplike find.
     """
-    degree3_count = sum(1 for b in ring.elements if b.degree == 3)
     visited = [x3_label]
     current = x3_label
-    for _ in range(degree3_count + 1):
+    # each pass returns or visits a new degree-3 element, so the loop ends
+    while True:
         result = degree3_case_split(ring, current)
         if isinstance(result, GrouplikeFound):
             return result
@@ -233,7 +233,6 @@ def selfdual_chain(ring: FusionRing, x3_label: str) -> ChainResult:
             return ChainFailure(tuple(visited + [u]), "chain revisited an element without stabilizing")
         visited.append(u)
         current = u
-    return ChainFailure(tuple(visited), "chain exceeded the number of degree-3 elements")
 
 
 # -- the ladder ---------------------------------------------------------------

@@ -349,21 +349,18 @@ class FusionRing:
                 row = self._rows[i][j]
                 if row is None:
                     return None
-                scale = _check64(ci * cj)
+                scale = ci * cj
                 for c, n in enumerate(row):
                     if n:
-                        acc[c] = _check64(acc.get(c, 0) + _check64(scale * n))
+                        acc[c] = acc.get(c, 0) + scale * n
         return RingElement(self, acc)
 
     def multiplicity(self, w: RingElement, z: RingElement) -> int:
         """Biadditive multiplicity pairing: sum of coordinatewise products."""
         self._own(w)
         self._own(z)
-        total = 0
         small, large = (w._coords, z._coords) if len(w._coords) <= len(z._coords) else (z._coords, w._coords)
-        for i, v in small.items():
-            total = _check64(total + _check64(v * large.get(i, 0)))
-        return total
+        return _check64(sum(v * large.get(i, 0) for i, v in small.items()))
 
     def dual(self, z: RingElement) -> RingElement:
         self._own(z)
@@ -371,10 +368,7 @@ class FusionRing:
 
     def degree(self, z: RingElement) -> int:
         self._own(z)
-        total = 0
-        for i, v in z._coords.items():
-            total = _check64(total + _check64(v * self._elements[i].degree))
-        return total
+        return _check64(sum(v * self._elements[i].degree for i, v in z._coords.items()))
 
     def decompose(self, z: RingElement) -> list[tuple[str, int]]:
         """Nonzero coordinates in canonical basis order."""

@@ -15,11 +15,6 @@ non-unit pairs are Unknown when partial, an error otherwise.  Parsing
 validates label uniqueness, the dual involution, and per-row degree sums
 at load time; writing emits canonical order so parse(write(r)) == r and
 write(parse(write(r))) is byte-identical.
-
-Lines are split with ``str.split``, and a token's column is found only for
-an error.  A ``prod`` row whose labels and multiplicities all appeared on
-earlier lines is read in one step; any other row is read piece by piece,
-which admits its new labels and numbers or raises the error at its column.
 """
 
 from __future__ import annotations
@@ -65,13 +60,19 @@ def _decimal(token: str) -> Optional[int]:
         return None
 
 
-# Every directive but prod takes a fixed number of tokens, its own included.
-_ARITY = {"ring": 2, "partial": 2, "truncation": 2, "basis": 4, "unit": 2}
+# The tokens each directive takes, its own included; for prod, the least.
+_ARITY = {"ring": 2, "partial": 2, "truncation": 2, "basis": 4, "unit": 2, "prod": 4}
 
 
 def _column(raw: str, k: int) -> int:
     """The 1-based column of token ``k`` of a line, found only for an error."""
     return _tokenize(raw)[k][1]
+
+
+def _piece_column(raw: str, k: int) -> int:
+    """The 1-based column of the token that holds piece ``k`` of a prod
+    line's terms, found only for an error."""
+    return [col for tok, col in _tokenize(raw)[4:] for piece in tok.split(",") if piece][k]
 
 
 def parse_spec(text: str) -> FusionRing:
@@ -95,46 +96,31 @@ def parse_spec(text: str) -> FusionRing:
         if not tokens:
             continue
         head = tokens[0]
-        if head == "prod" and len(tokens) > 4 and tokens[3] == ":":
-            # terms come as label mult pairs, comma-separated; a row of labels
-            # and numbers all seen before is taken in one step
-            pieces = " ".join(tokens[4:]).replace(",", " ").split()
-            labs, mults = pieces[::2], pieces[1::2]
-            pair = (labels.get(tokens[1], tokens[1]), labels.get(tokens[2], tokens[2]))
-            try:
-                row = dict(zip(map(labels.__getitem__, labs), map(numbers.__getitem__, mults)))
-            except KeyError:  # a label or a number not read before
-                row = None
-            fast = row is not None and len(row) == len(labs) == len(mults)
-            if fast and pair not in rows:
-                rows[pair] = row
-                lines[pair] = lineno
-                continue
-        elif head in _ARITY and len(tokens) > _ARITY[head]:
-            k = _ARITY[head]
-            raise RingSyntaxError(lineno, _column(raw, k), f"{head}: surplus token {tokens[k]!r}")
-
-        def need(k: int) -> str:
-            if k >= len(tokens):
-                raise RingSyntaxError(lineno, len(raw) + 1, f"{head}: missing token {k}")
-            return tokens[k]
+        arity = _ARITY.get(head)
+        if arity is None:
+            raise RingSyntaxError(lineno, _column(raw, 0), f"unknown directive {head!r}")
+        if len(tokens) > arity and head != "prod":
+            raise RingSyntaxError(lineno, _column(raw, arity), f"{head}: surplus token {tokens[arity]!r}")
+        # a repeated ring or unit line is named ahead of a token it lacks
+        if (head == "ring" and name is not None) or (head == "unit" and unit is not None):
+            raise RingSemanticError(f"duplicate {head} line", lineno)
+        if len(tokens) < arity:
+            raise RingSyntaxError(lineno, len(raw) + 1, f"{head}: missing token {len(tokens)}")
 
         if head == "ring":
-            if name is not None:
-                raise RingSemanticError("duplicate ring line", lineno)
-            name = need(1)
+            name = tokens[1]
         elif head == "partial":
-            value = need(1)
+            value = tokens[1]
             if value not in ("true", "false"):
                 raise RingSyntaxError(lineno, _column(raw, 1), f"partial must be true or false, got {value!r}")
             partial = value == "true"
         elif head == "truncation":
-            value = need(1)
+            value = tokens[1]
             truncation = _decimal(value)
             if truncation is None or truncation % 2 == 0:
                 raise RingSyntaxError(lineno, _column(raw, 1), f"truncation must be an odd integer, got {value!r}")
         elif head == "basis":
-            label, degree_s, dual = need(1), need(2), need(3)
+            label, degree_s, dual = tokens[1:]
             if not LABEL_RE.match(label):
                 raise RingSyntaxError(lineno, _column(raw, 1), f"bad label {label!r}")
             degree = _decimal(degree_s)
@@ -147,35 +133,31 @@ def parse_spec(text: str) -> FusionRing:
             numbers[degree_s] = degree
             basis.append((label, degree, dual))
         elif head == "unit":
-            if unit is not None:
-                raise RingSemanticError("duplicate unit line", lineno)
-            unit = need(1)
-        elif head == "prod":
-            a, b, colon = need(1), need(2), need(3)
+            unit = tokens[1]
+        else:  # prod
+            a, b, colon = tokens[1:4]
             if colon != ":":
                 raise RingSyntaxError(lineno, _column(raw, 3), f"expected ':', got {colon!r}")
             if len(tokens) == 4:
                 raise RingSyntaxError(lineno, len(raw) + 1, "product row has no terms")
-            # the slow path: each piece with the column of its token
-            flat: list[tuple[str, int]] = []
-            for tok, tcol in _tokenize(raw)[4:]:
-                for piece in tok.split(","):
-                    if piece:
-                        flat.append((piece, tcol))
-            if len(flat) % 2 != 0:
-                raise RingSyntaxError(lineno, flat[-1][1], "product terms must be label/multiplicity pairs")
+            # terms come as label mult pairs, comma-separated
+            pieces = " ".join(tokens[4:]).replace(",", " ").split()
+            if len(pieces) % 2 != 0:
+                raise RingSyntaxError(lineno, _piece_column(raw, -1), "product terms must be label/multiplicity pairs")
             row = {}
-            for k in range(0, len(flat), 2):
-                lab, lcol = flat[k]
-                mult_s, mcol = flat[k + 1]
+            for k in range(0, len(pieces), 2):
+                lab, mult_s = pieces[k], pieces[k + 1]
                 if lab not in labels:
                     if not LABEL_RE.match(lab):
-                        raise RingSyntaxError(lineno, lcol, f"bad label {lab!r}")
+                        raise RingSyntaxError(lineno, _piece_column(raw, k), f"bad label {lab!r}")
                     labels[lab] = lab
                 if mult_s not in numbers:
                     mult = _decimal(mult_s)
                     if mult is None or mult < 1:
-                        raise RingSyntaxError(lineno, mcol, f"multiplicity must be a positive integer, got {mult_s!r}")
+                        raise RingSyntaxError(
+                            lineno, _piece_column(raw, k + 1),
+                            f"multiplicity must be a positive integer, got {mult_s!r}",
+                        )
                     numbers[mult_s] = mult
                 if lab in row:
                     raise RingSemanticError(f"label {lab!r} repeated in product row ({a},{b})", lineno)
@@ -185,8 +167,6 @@ def parse_spec(text: str) -> FusionRing:
                 raise RingSemanticError(f"duplicate product line ({a},{b})", lineno)
             rows[pair] = row
             lines[pair] = lineno
-        else:
-            raise RingSyntaxError(lineno, _column(raw, 0), f"unknown directive {head!r}")
 
     if name is None:
         raise RingSemanticError("missing ring line")

@@ -96,6 +96,20 @@ def test_verdict_fragment_exit_one(tmp_path, capsys):
     assert "obstruction" in out
 
 
+def test_verdict_chain_failure_exit_one(tmp_path, capsys):
+    path = tmp_path / "chainfail.spec"
+    path.write_text(
+        "ring chainfail\npartial true\nbasis 1 1 1\nbasis g 1 g\nbasis x3 3 x3\nbasis x5 5 x5\nunit 1\n"
+        "prod g g : 1 1\nprod x3 x3 : 1 1, g 2, x3 2\n"
+    )
+    code, out, _ = run_cli(capsys, "verdict", str(path))
+    assert code == 1
+    assert out == (
+        "ring chainfail: verdict obstruction\n"
+        "  x3: a grouplike appears with multiplicity > 1 in x3 x3, violating the stabilizer rule\n"
+    )
+
+
 def test_ladder_so3(tmp_path, capsys):
     path = write_ring(tmp_path, fr.so3_truncated(21))
     code, out, _ = run_cli(capsys, "ladder", path, "--x3", "x3")

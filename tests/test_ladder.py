@@ -332,6 +332,17 @@ def test_ladder_certificate_tamper_detected(so3_21):
     assert not fr.verify_certificate(so3_21, tampered)
 
 
+def test_ladder_certificate_rejects_edited_relations(so3_21):
+    cert = fr.ladder_build(so3_21, "x3")
+    (n, decomposition), *rest = cert.relations
+    edited = cert._replace(relations=((n, decomposition[:-1] + (("x5", 2),)), *rest))
+    assert not fr.verify_certificate(so3_21, edited)
+    # x1*x3 = x3 is recorded truly, but it is not a ladder step
+    assert not fr.verify_certificate(so3_21, cert._replace(relations=((0, (("x3", 1),)),)))
+    # the product x5*x3 of the second relation is Unknown
+    assert not fr.verify_certificate(withhold_rows(so3_21, ("x5", "x3")), cert)
+
+
 def test_ladder_frobenius_symmetry(so3_21):
     # m(x_{2n+1}, x_{2n+3} x3) = m(x_{2n+3}, x_{2n+1} x3) = 1 at every step
     cert = fr.ladder_build(so3_21, "x3")

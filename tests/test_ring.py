@@ -168,6 +168,11 @@ def test_overflow_detected():
         z2.multiply(big, big)
     with pytest.raises(fr.OverflowDetected):
         fr.RingElement(z2, {0: 2**63})
+    with pytest.raises(fr.OverflowDetected):
+        z2.multiplicity(big, big)
+    # each term fits in 64 bits, their sum 2**63 does not
+    with pytest.raises(fr.OverflowDetected):
+        z2.degree(fr.RingElement(z2, {0: 2**62, 1: 2**62}))
 
 
 def test_canonical_basis_order():

@@ -230,6 +230,14 @@ INVALID_SPECS = [
      fr.RingSyntaxError, "line 2, column 13: basis: surplus token 'extra'"),
     ("unit-surplus", "ring t\nbasis 1 1 1\nunit 1 more\n",
      fr.RingSyntaxError, "line 3, column 8: unit: surplus token 'more'"),
+    # a repeated ring or unit line: a surplus token is named first, then the
+    # repetition, then a missing token
+    ("ring-repeated-surplus", "ring t\nring u v\nbasis 1 1 1\nunit 1\n",
+     fr.RingSyntaxError, "line 2, column 8: ring: surplus token 'v'"),
+    ("ring-repeated-bare", "ring t\nring\nbasis 1 1 1\nunit 1\n",
+     fr.RingSemanticError, "line 2: duplicate ring line"),
+    ("unit-repeated-bare", "ring t\nbasis 1 1 1\nunit 1\nunit\n",
+     fr.RingSemanticError, "line 4: duplicate unit line"),
 ]
 
 

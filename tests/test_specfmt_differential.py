@@ -116,6 +116,9 @@ PROD_LINES = [
     "prod b b : a 1, b 2, c +2",
     "prod b b : a 1, b 2, c ²",
     "prod b b : a 1, b- 2, c 2",  # bad label
+    "prod b b : a 1,b- 2, c 2",  # bad label inside a comma-joined token
+    "prod b b : a 1,b 0, c 2",  # zero multiplicity inside a comma-joined token
+    "prod b b : a 1, b 2,c",  # odd piece count inside a comma-joined token
     "prod b b : a 1, q 2, c 2",  # unknown label
     "prod b b : a 1, ,, b 2, c 2",
     "prod b b :",
