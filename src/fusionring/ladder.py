@@ -205,12 +205,10 @@ def degree3_case_split(ring: FusionRing, x3_label: str) -> CaseSplitResult:
         return Obstruction(
             f"grouplikes of the remainder do not close under product to a group: {exc}"
         )
-    for order, label in sorted(zip(group.orders, group.elements)):
-        if order in (2, 3):
-            return GrouplikeFound(label, order)
-    return Obstruction(
-        f"stabilizer group of order {group.order} has no element of order 2 or 3"
-    )
+    # the group has order 2, 3, 4, 6 or 9, so Cauchy's theorem gives it an
+    # element of order 2 or 3
+    order, label = min(p for p in zip(group.orders, group.elements) if p[0] in (2, 3))
+    return GrouplikeFound(label, order)
 
 
 def selfdual_chain(ring: FusionRing, x3_label: str) -> ChainResult:
@@ -410,14 +408,8 @@ def _descending_diagnosis(
             verified=tuple(verified),
         )
 
-    # k = n: the chain end y_n must be a grouplike g.
-    if ring.degree_of(y_k) != 1:
-        return FailureBranch(
-            "inconsistent_data",
-            f"chain end {y_label} should be grouplike but has degree "
-            f"{ring.degree_of(y_k)}",
-            verified=tuple(verified),
-        )
+    # k = n: the chain's n + 1 odd degrees fall strictly from below 2n + 3,
+    # so the chain end y_n has degree 1, a grouplike g.
     if sum(z0) == 1:
         return _order2_branch(ring, y_k, depth, verified)
     return _terminal_branch(ring, xs, z0, n, depth, verified)
@@ -426,13 +418,13 @@ def _descending_diagnosis(
 def _order2_branch(
     ring: FusionRing, g: int, depth: int, verified: list[str]
 ) -> Union[TruncationReached, FailureBranch]:
+    """The order-2 branch for the grouplike g with y0 = g*x_{2n+1}.
+
+    g is never the unit: unit rows are always Known, so both callers would
+    have checked y0 = 1*x_{2n+1} = x_{2n+1}, the component of x_{2n+3}*x3
+    that the ladder step excludes before choosing y0.
+    """
     g_label = ring.label(g)
-    if g == ring.unit_index:
-        return FailureBranch(
-            "inconsistent_data",
-            "chain end is the unit, contradicting the choice of y0",
-            verified=tuple(verified),
-        )
     g_sq = ring._kernel.basic[g][g]
     if g_sq is None:
         return TruncationReached(depth)
@@ -580,7 +572,7 @@ def dichotomy_verdict(ring: FusionRing, max_depth: Optional[int] = None) -> Verd
 
     Outcomes: a grouplike of order 2 or 3 (with the odd-dimension
     divisibility note when the ring is complete), a ladder certificate,
-    NoDegree3, a truncation when the first-ranked diagnosis is an Unknown
+    ``no_degree3``, a truncation when the first-ranked diagnosis is an Unknown
     product, or an obstruction diagnosis.  Hard axiom failures abort.
     ``max_depth`` caps the ladder as in :func:`ladder_build`.
     """
@@ -600,15 +592,15 @@ def dichotomy_verdict(ring: FusionRing, max_depth: Optional[int] = None) -> Verd
         return Verdict("no_degree3")
 
     # Diagnoses ranked: concrete impossibility branches beat chain failures,
-    # which beat unmet ladder preconditions, which beat Unknown products (a
-    # truncation, not a finding); ties keep canonical order.
+    # which beat Unknown products (a truncation, not a finding); ties keep
+    # canonical order.
     diagnoses: list[tuple[int, str]] = []
     attempted: set[str] = set()
     for label in degree3:
         try:
             chain = selfdual_chain(ring, label)
         except UnknownProduct as exc:
-            diagnoses.append((3, f"{label}: {exc}"))
+            diagnoses.append((2, f"{label}: {exc}"))
             continue
         if isinstance(chain, GrouplikeFound):
             return _grouplike(ring, chain.label, chain.order)
@@ -618,11 +610,10 @@ def dichotomy_verdict(ring: FusionRing, max_depth: Optional[int] = None) -> Verd
         if chain.x3_label in attempted:
             continue
         attempted.add(chain.x3_label)
-        try:
-            cert = ladder_build(ring, chain.x3_label, max_depth=max_depth)
-        except PreconditionUnmet as exc:
-            diagnoses.append((2, f"{chain.x3_label}: {exc}"))
-            continue
+        # The chain left x3*x3^* = 1 + x3 + x5, and dual compatibility, which
+        # passed, maps that row to itself, so x3 is self-dual: every
+        # precondition of ladder_build holds.
+        cert = ladder_build(ring, chain.x3_label, max_depth=max_depth)
         terminal = cert.terminal_status
         if isinstance(terminal, TruncationReached):
             return Verdict("ladder", certificate=cert)
@@ -632,7 +623,7 @@ def dichotomy_verdict(ring: FusionRing, max_depth: Optional[int] = None) -> Verd
 
     # The first label either returns or adds a diagnosis.
     rank, detail = min(diagnoses, key=lambda d: d[0])
-    return Verdict("truncated" if rank == 3 else "obstruction", detail=detail)
+    return Verdict("truncated" if rank == 2 else "obstruction", detail=detail)
 
 
 def _grouplike(ring: FusionRing, label: str, order: int) -> Verdict:

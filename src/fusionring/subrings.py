@@ -166,9 +166,8 @@ def stabilizer_group(ring: FusionRing, x_label: str) -> GrouplikeGroup:
 
 def _group_on(ring: FusionRing, indices: tuple[int, ...]) -> GrouplikeGroup:
     """The group on ``indices`` (unit included), read from the kernel's basic
-    targets; NotClosed if the products, duals or powers say it is not one."""
-    if ring.unit_index not in indices:
-        raise NotClosed("candidate grouplike set does not contain the unit")
+    targets; NotClosed if the products, duals or associativity say it is not
+    one."""
     basic = ring._kernel.basic
     pos = {g: k for k, g in enumerate(indices)}
     table = []
@@ -190,16 +189,23 @@ def _group_on(ring: FusionRing, indices: tuple[int, ...]) -> GrouplikeGroup:
         gd = ring.dual_index(g)
         if gd not in pos or table[pos[g]][pos[gd]] != pos[ring.unit_index]:
             raise NotClosed(f"dual of {ring.label(g)} is not its inverse")
+    span = range(len(indices))
+    for a in span:
+        for b in span:
+            ab, row_b = table[a][b], table[b]
+            for c in span:
+                if table[ab][c] != table[a][row_b[c]]:
+                    la, lb, lc = (ring.label(indices[k]) for k in (a, b, c))
+                    raise NotClosed(f"grouplike product is not associative at ({la}{lb}){lc}")
 
+    # a group now, so every power cycle returns to the unit
     unit_pos = pos[ring.unit_index]
     orders = []
-    for k in range(len(indices)):
+    for k in span:
         power, n = k, 1
         while power != unit_pos:
             power = table[power][k]
             n += 1
-            if n > len(indices):
-                raise NotClosed("element order exceeds group size: not a group")
         orders.append(n)
     return GrouplikeGroup(
         tuple(ring.label(g) for g in indices), tuple(table), tuple(orders)

@@ -72,6 +72,33 @@ dualpair 1 2
 """
 
 
+# A partial ring whose ladder from x3 reaches the terminal configuration
+# through Known chain products: x5*x3 - x3 = gx3 + w1 + w2 + w3, the chain
+# gx3 -> g ends at a grouplike, and z0 = w1 + w2 + w3.  x5*x5 holds every
+# label, so both forced subrings are the whole basis and nothing fails to
+# divide.  The self-dual chain of a also stabilizes at x3.
+TERMINAL_WITHOUT_VIOLATION = """ring terminal
+partial true
+basis 1 1 1
+basis g 1 g
+basis a 3 a
+basis gx3 3 gx3
+basis w1 3 w1
+basis w2 3 w2
+basis w3 3 w3
+basis x3 3 x3
+basis x5 5 x5
+unit 1
+prod a a : 1 1, x3 1, x5 1
+prod g x3 : gx3 1
+prod g x5 : x5 1
+prod gx3 x3 : g 1, gx3 1, x5 1
+prod x3 x3 : 1 1, x3 1, x5 1
+prod x5 x3 : gx3 1, w1 1, w2 1, w3 1, x3 1
+prod x5 x5 : 1 1, g 1, a 1, gx3 1, w1 1, w2 1, w3 1, x3 1, x5 1
+"""
+
+
 # -- independent oracles -------------------------------------------------------
 
 
@@ -135,6 +162,14 @@ def brute_cyclic_products(n):
     return {(a, b): (a + b) % n for a in range(n) for b in range(n)}
 
 
+def value_or_error(thunk):
+    """The value of ``thunk()``, or the type and message of what it raised."""
+    try:
+        return thunk()
+    except Exception as exc:  # each caller names the exception it expects
+        return type(exc), str(exc)
+
+
 # -- diagnostic rings -----------------------------------------------------------
 
 
@@ -171,6 +206,23 @@ def factorization_branch_ring():
         ("g", "x3"): {"u3": 1},
         ("g", "x5"): {"x5": 1},
     })
+
+
+def nonassociative_order9_ring():
+    """Corrupt ring whose nine grouplikes pass every check _group_on made
+    before associativity: closed, unit, duals inverse, each power cycle
+    g, k(g), g*, 1 of length 4, which no group of order 9 has."""
+    a = [f"a{i}" for i in range(1, 9)]
+    dual = {a[i]: a[i ^ 1] for i in range(8)}  # (a1,a2), (a3,a4), ...
+    square = {a[i]: a[(i + 2) % 8] for i in range(8)}  # k(g), not e, g or g*
+    products = {(g, h): {g: 1} for g in a for h in a}
+    for g in a:
+        products[g, dual[g]] = {"e": 1}
+        products[g, g] = {square[g]: 1}
+        products[square[g], g] = {dual[g]: 1}
+    products["x", "x"] = {"e": 1, **{g: 1 for g in a}}
+    basis = [("e", 1, "e"), ("x", 3, "x")] + [(g, 1, dual[g]) for g in a]
+    return fr.build_ring("nonassociative9", basis, "e", products)
 
 
 def chain_length_one_ring():

@@ -28,6 +28,8 @@ def test_oracle_rings_all_pass_zero_skip(ring):
 def test_every_named_check_appears_once():
     report = fr.check_axioms(fr.cyclic_group_ring(4))
     assert tuple(e.name for e in report.entries) == CHECK_NAMES
+    with pytest.raises(KeyError, match="no_such_check"):
+        report.entry("no_such_check")
 
 
 def test_corrupt_z5_fails_degree_homomorphism_with_witness():
@@ -104,6 +106,8 @@ def test_stabilizer_of_unit_is_trivial():
 def test_stabilizer_rule_unknown_product(fragment):
     with pytest.raises(fr.UnknownProduct):
         fr.check_stabilizer_rule(fragment, "gx3")
+    with pytest.raises(fr.UnknownProduct, match=r"gx3\*h3x3 is Unknown"):
+        fr.stabilizer_labels(fragment, "gx3")
 
 
 def test_stabilizer_rule_fragment_x5(fragment):

@@ -11,7 +11,7 @@ import fusionring as fr
 from fusionring.chartable import parse_value
 from fusionring.cyclotomic import Cyclotomic
 
-from conftest import Z4_WITHOUT_CHI2, float_inner_product, float_structure_constant
+from conftest import Z4_WITHOUT_CHI2, float_inner_product, float_structure_constant, value_or_error
 
 
 def test_parse_value_forms():
@@ -217,15 +217,61 @@ def test_incomplete_table_rejected():
     ("group Z1 1\nconductor 1\nclass 1 2\nchar 1 1\n", "line 3: class takes only a size, got surplus token '2'"),
     ("group Z2 2\nconductor 2\nclass 1\nclass 1\nchar 1 1 1\nchar 1 1 -1\ndualpair 1 1 0\n",
      "line 7: dualpair takes only two row indices, got surplus token '0'"),
+    ("group Z1 1\nconductor 1\nclass 1\nbogus 1\nchar 1 1\n", "line 4: unknown directive 'bogus'"),
+    ("conductor 1\nclass 1\nchar 1 1\n", "missing group line"),
+    ("group Z1 1\nclass 1\nchar 1 1\n", "missing conductor line"),
+    ("group Z1 1\nconductor 1\nchar 1 1\n", "no class lines"),
+    ("group Z1 1\nconductor 1\nclass 1\nchar 1 1 1\n", "line 4: char row 0 has 2 values for 1 classes"),
 ], ids=[
     "conductor-0", "conductor-negative", "no-char", "empty-char", "dualpair-high", "dualpair-negative",
     "order-0", "class-0", "degree-mismatch", "bad-value", "duplicate-group", "duplicate-conductor",
     "dualpair-overlap", "conductor-over-bound", "group-no-order", "conductor-bare", "class-bare",
     "dualpair-one-index", "group-surplus", "conductor-surplus", "class-surplus", "dualpair-surplus",
+    "unknown-directive", "no-group", "no-conductor", "no-class", "char-value-count",
 ])
 def test_parse_errors_name_the_line(text, message):
     with pytest.raises(ValueError, match=message):
         fr.parse_character_table(text)
+
+
+def _z2(conj=(0, 1), sizes=(1, 1), row1=(1, -1), conductor1=1):
+    one = Cyclotomic.integer(1, 1)
+    chars = ((one, one), tuple(Cyclotomic.integer(conductor1, v) for v in row1))
+    return fr.CharacterTable("Z2", 2, sizes, chars, conj)
+
+
+# Faults the table file cannot hold are built through the public CharacterTable.
+@pytest.mark.parametrize("thunk,expected", [
+    pytest.param(
+        lambda: fr.parse_character_table("group Z2 2\nconductor 1\nclass 1\nclass 1\nchar 1 1 1\nchar 2 2 2\n"),
+        (fr.OrthogonalityFailure, "<chi0, chi1> = 2, expected 0"),
+        id="not-orthonormal",
+    ),
+    pytest.param(
+        lambda: fr.parse_character_table(
+            "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\n"
+            "char 1 1 1 1\nchar 1 1 z z\nchar 1 1 z^2 z^2\ndualpair 1 2\n"
+        ),
+        (fr.OrthogonalityFailure, "<chi0, chi1>: inner product total -1-2*z is not rational"),
+        id="not-rational",
+    ),
+    pytest.param(lambda: _z2(sizes=(2, 0)), (fr.OrthogonalityFailure, "class sizes must be positive"), id="class-size-0"),
+    pytest.param(lambda: _z2(conj=(0,)), (fr.InvalidRing, "conjugate map length mismatch"), id="conjugate-map-length"),
+    pytest.param(lambda: _z2(conj=(1, 1)), (fr.InvalidRing, "conjugate map is not an involution"), id="not-involution"),
+    pytest.param(
+        lambda: _z2(row1=(-1, 1)),
+        (fr.InvalidRing, "character degree (value at the identity) must be a positive integer"),
+        id="degree-negative",
+    ),
+    pytest.param(lambda: _z2(conductor1=2), (ValueError, "mixed conductors"), id="mixed-conductors"),
+    pytest.param(
+        lambda: fr.char_table_ring(fr.fixture_character_table("z3"), ("1", "g", "g")),
+        (fr.InvalidRing, "labels must be distinct, one per character row"),
+        id="duplicate-labels",
+    ),
+])
+def test_invalid_tables_refused(thunk, expected):
+    assert value_or_error(thunk) == expected
 
 
 DIRECTIVE_LINES = st.one_of(

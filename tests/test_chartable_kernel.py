@@ -252,3 +252,13 @@ def test_negative_multiplicity_names_the_first_pair():
     expect = ("NotIntegral", "<chi0 chi1, chi2> = -1 is negative")
     assert outcome(reference_ring, table) == expect
     assert outcome(fr.char_table_ring, unchecked(*fields(table))) == expect
+
+
+def test_degree_mismatch_on_an_unvalidated_table():
+    # chi1 takes 3 at the identity class but is not a character: every
+    # constant of chi0 chi0 is a nonnegative integer, and its degree is wrong
+    one = Cyclotomic.integer(1, 1)
+    table = unchecked("deg", 2, [1, 1], [[one, one], [3 * one, -one]], [0, 1])
+    expect = ("OrthogonalityFailure", "chi0 chi0 decomposes into degree 4, expected 1")
+    assert outcome(reference_ring, table) == expect
+    assert outcome(fr.char_table_ring, unchecked(*fields(table))) == expect

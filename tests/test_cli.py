@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import fusionring as fr
 from fusionring.cli import run
 
-from conftest import Z4_WITHOUT_CHI2
+from conftest import TERMINAL_WITHOUT_VIOLATION, Z4_WITHOUT_CHI2, factorization_branch_ring, withhold_rows
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,24 @@ def test_check_fail_exit_one(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", path)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_check_fail_shows_stabilizer_witnesses(tmp_path, capsys):
+    # m(c, x x) = 2; a fixes x by multiplicity, but a*x = y; and a*a = c
+    path = tmp_path / "stab.spec"
+    path.write_text(
+        "ring stab\npartial true\nbasis 1 1 1\nbasis a 1 a\nbasis b 1 b\nbasis c 1 c\nbasis d 1 d\n"
+        "basis x 3 x\nbasis y 3 y\nunit 1\nprod a a : c 1\nprod a x : y 1\n"
+        "prod x x : 1 1, a 1, b 1, c 2, d 1, x 1\n"
+    )
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert (
+        "  stabilizer[x]: fail\n"
+        "    stabilizer_multiplicity_range: m(c,xx) = 2, expected 0 or 1\n"
+        "    stabilizer_fixes_iff_multiplicity: m(a,xx) = 1 but a*x != x\n"
+        "    stabilizer_subgroup: a*a leaves the stabilizer of x\n"
+    ) in out
 
 
 @pytest.mark.parametrize("command", ["check", "verdict", "ladder", "subrings", "search", "gen"])
@@ -130,6 +148,52 @@ def test_ladder_precondition_exit_one(tmp_path, capsys):
     code, out, err = run_cli(capsys, "ladder", path, "--x3", "x3")
     assert code == 1
     assert "not self-dual" in out + err
+
+
+# m(x5, u3*x3) = 0: the descending chain from y0 = u3 breaks reciprocity
+RECIPROCITY_FAILURE = (
+    "ring recip\npartial true\nbasis 1 1 1\nbasis u3 3 u3\nbasis x3 3 x3\nbasis x5 5 x5\nbasis x9 9 x9\n"
+    "unit 1\nprod x3 x3 : 1 1, x3 1, x5 1\nprod x5 x3 : u3 1, x3 1, x9 1\nprod u3 x3 : x3 3\n"
+)
+
+
+@pytest.mark.parametrize("command,spec,last", [
+    pytest.param(
+        "ladder", "ring evens\npartial true\nbasis 1 1 1\nbasis e2 2 e2\nbasis x3 3 x3\nunit 1\n",
+        "ring evens: ladder error: ring has even-degree basis elements", id="even-degree",
+    ),
+    pytest.param(
+        "ladder", RECIPROCITY_FAILURE,
+        "  failure branch: inconsistent_data: m(x5, u3*x3) != 1 in the descending chain", id="chain-reciprocity",
+    ),
+    # with g*x5 withheld the factorization x7 = g*x5 is not refuted, but the
+    # chain x7 -> u3 -> g still ends at k = 1 < n = 2
+    pytest.param(
+        "ladder", fr.write_spec(withhold_rows(factorization_branch_ring(), ("g", "x5"))),
+        "  failure branch: impossible_factorization: the chain ends at k = 1 < n = 2: x7 = g*x5 cannot hold "
+        "in a valid ring (its product with x3 has no room for the forced components)",
+        id="chain-ends-early",
+    ),
+    pytest.param(
+        "ladder", TERMINAL_WITHOUT_VIOLATION,
+        "  failure branch: inconsistent_data: terminal configuration reached but the forced subrings show no "
+        "divisibility violation",
+        id="terminal-without-violation",
+    ),
+    pytest.param(
+        "verdict", TERMINAL_WITHOUT_VIOLATION,
+        "  x3: inconsistent_data: terminal configuration reached but the forced subrings show no "
+        "divisibility violation",
+        id="verdict-terminal-without-violation",
+    ),
+])
+def test_ladder_failure_branches_exit_one(tmp_path, capsys, command, spec, last):
+    path = tmp_path / "ring.spec"
+    path.write_text(spec)
+    extra = ["--x3", "x3"] if command == "ladder" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == last
 
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
@@ -336,7 +400,15 @@ def test_newline_in_argument_gives_one_stderr_line(capsys, argv, message):
     "ring t\nbasis a \u00b2 a\nunit a\n".encode(),  # superscript two as a degree
     "ring t\nbasis a 1 a\nunit a\ntruncation \u00b3\n".encode(),
     "ring t\npartial true\nbasis a 1 a\nbasis b 3 b\nunit a\nprod b b : a \u00b2\n".encode(),
-], ids=["not-utf8", "superscript-degree", "superscript-truncation", "superscript-multiplicity"])
+    b"ring t\nbasis a 1 a\nbasis a 1 a\nunit a\n",
+    b"ring t\nunit a\n",
+    b"ring t\nbasis a 1 a\n",
+    b"ring t\nbasis a! 1 a\nunit a\n",
+    b"basis a 1 a\nunit a\n",
+], ids=[
+    "not-utf8", "superscript-degree", "superscript-truncation", "superscript-multiplicity",
+    "duplicate-basis-label", "no-basis-line", "no-unit-line", "bad-basis-label", "no-ring-line",
+])
 def test_unreadable_spec_exit_two_one_line(tmp_path, capsys, content):
     path = tmp_path / "bad.spec"
     path.write_bytes(content)
@@ -443,6 +515,10 @@ SEARCH_111 = ["search", "--degrees", "1,1,1", "--workers", "1"]
         ),
         pytest.param(["gen", "cyclic", "1_2"], ("gen cyclic", "'1_2'"), id="gen-cyclic-1_2"),
         pytest.param(["gen", "so3", "2_1"], ("gen so3", "'2_1'"), id="gen-so3-2_1"),
+        pytest.param(["gen", "cyclic", "0"], ("gen cyclic", "n must be >= 1"), id="gen-cyclic-0"),
+        pytest.param(["gen", "so3", "4"], ("gen so3", "odd integer >= 3"), id="gen-so3-4"),
+        pytest.param(["gen", "cyclic"], ("gen cyclic needs an order",), id="gen-cyclic-no-order"),
+        pytest.param(["gen", "chartable"], ("gen chartable needs a table file",), id="gen-chartable-no-file"),
         pytest.param(
             ["search", "--degrees", "1,1,1", "--workers", "0"], ("--workers", "positive integer"), id="--workers-0"
         ),

@@ -4,10 +4,13 @@ the dense long-division routine the sparse product replaced."""
 import cmath
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionring.cyclotomic import Cyclotomic, cyclotomic_polynomial
+
+from conftest import value_or_error
 
 
 def test_cyclotomic_polynomials_known_values():
@@ -105,6 +108,26 @@ def test_integer_detection():
     s = Cyclotomic.integer(3, 1) + w + w * w
     assert s.is_integer() and s.integer_value() == 0
     assert not w.is_integer()
+
+
+W = Cyclotomic.zeta_power(3, 1)
+
+
+@pytest.mark.parametrize("thunk,expected", [
+    pytest.param(lambda: W * W - W, Cyclotomic(3, [-1, -2]), id="sub"),
+    pytest.param(lambda: ((W - W).is_zero(), W.is_zero()), (True, False), id="is_zero"),
+    pytest.param(lambda: W == "z", False, id="eq-non-cyclotomic"),
+    pytest.param(lambda: len({W, Cyclotomic.zeta_power(3, 4), W * W}), 2, id="hash"),
+    pytest.param(lambda: repr(W - W), "0", id="repr-zero"),
+    pytest.param(lambda: repr(Cyclotomic.integer(5, -4)), "-4", id="repr-integer"),
+    pytest.param(lambda: repr(Cyclotomic(7, [0, 1, 0, -1, 3, -2])), "z-z^3+3*z^4-2*z^5", id="repr"),
+    pytest.param(lambda: W.integer_value(), (ValueError, "z is not a rational integer"), id="integer_value-of-z"),
+    pytest.param(lambda: W + Cyclotomic.integer(4, 1), (ValueError, "mixed conductors"), id="mixed-conductors"),
+    pytest.param(lambda: Cyclotomic(0, [1]), (ValueError, "conductor must be positive"), id="conductor-0"),
+    pytest.param(lambda: cyclotomic_polynomial(0), (ValueError, "n must be positive"), id="phi-0"),
+])
+def test_cyclotomic_value_protocol(thunk, expected):
+    assert value_or_error(thunk) == expected
 
 
 @settings(max_examples=60, deadline=None)

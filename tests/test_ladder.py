@@ -14,6 +14,7 @@ from fusionring.ladder import (
 )
 
 from conftest import (
+    TERMINAL_WITHOUT_VIOLATION,
     all_fixture_rings,
     chain_length_one_ring,
     count4_corrupt_ring,
@@ -355,7 +356,10 @@ def test_ladder_frobenius_symmetry(so3_21):
 
 
 def test_ladder_truncation_depths():
-    assert fr.ladder_build(fr.so3_truncated(3), "x3").terminal_status == TruncationReached(0)
+    so3_3 = fr.so3_truncated(3)
+    cert = fr.ladder_build(so3_3, "x3")
+    assert cert.terminal_status == TruncationReached(0)
+    assert cert.relations == () and fr.verify_certificate(so3_3, cert)
     cert = fr.ladder_build(fr.so3_truncated(5), "x3")
     assert cert.terminal_status == TruncationReached(1)
     assert cert.depth_reached == 1
@@ -475,6 +479,37 @@ def test_ladder_order3_chain_end_is_inconsistent():
     assert "square to 1" in t.diagnosis
 
 
+def test_ladder_skips_an_unknown_chain_identity():
+    # with g*x5 withheld, the factorization x5 = g*x5 is skipped, not failed
+    t = fr.ladder_build(withhold_rows(order2_branch_ring(), ("g", "x5")), "x3").terminal_status
+    assert t.kind == "grouplike_order2"
+    assert t.verified == ("chain t=1: gx3 = g*x3", "chain t=2: skipped (Unknown product)")
+
+
+# Rows whose degree sums are wrong, so no spec file can hold them.
+@pytest.mark.parametrize("extra,rows,diagnosis", [
+    pytest.param([], {("x5", "x3"): {"x3": 1}}, "x5*x3 - x3 is not a nonzero nonnegative element", id="zero-remainder"),
+    pytest.param(
+        [("u3", 3, "u3"), ("x9", 9, "x9")],
+        {("x5", "x3"): {"x3": 1, "u3": 1, "x9": 1}, ("u3", "x3"): {"x5": 1, "x3": 1}},
+        "descending chain does not descend: deg(x3) >= deg(u3)",
+        id="chain-does-not-descend",
+    ),
+    pytest.param(
+        [("a3", 3, "a3"), ("b3", 3, "b3"), ("c3", 3, "c3")],
+        {("x5", "x3"): {"x3": 1, "a3": 1, "b3": 1, "c3": 1}},
+        "non-basic z0 = [('b3', 1), ('c3', 1)] with n = 1 violates the degree accounting "
+        "(three degree-3 components at n = 1 are forced)",
+        id="terminal-shape",
+    ),
+])
+def test_ladder_inconsistent_degree_sums(extra, rows, diagnosis):
+    basis = [("1", 1, "1"), ("x3", 3, "x3"), ("x5", 5, "x5"), *extra]
+    ring = fr.build_ring("baddegrees", basis, "1", {("x3", "x3"): {"1": 1, "x3": 1, "x5": 1}, **rows})
+    t = fr.ladder_build(ring, "x3").terminal_status
+    assert (t.kind, t.diagnosis) == ("inconsistent_data", diagnosis)
+
+
 # -- verdict ----------------------------------------------------------------------
 
 
@@ -525,3 +560,15 @@ def test_verdict_axiom_failure_aborts():
     v = fr.dichotomy_verdict(corrupt_z5_ring())
     assert v.kind == "obstruction"
     assert "axiom check failed" in v.detail
+
+
+def test_verdict_builds_each_ladder_once(monkeypatch):
+    # the chains of a and of x3 both stabilize at x3, whose failed ladder is
+    # not built a second time
+    from fusionring import ladder
+
+    calls = []
+    build = ladder.ladder_build
+    monkeypatch.setattr(ladder, "ladder_build", lambda ring, label, **kw: calls.append(label) or build(ring, label, **kw))
+    assert fr.dichotomy_verdict(fr.parse_spec(TERMINAL_WITHOUT_VIOLATION)).kind == "obstruction"
+    assert calls == ["x3"]

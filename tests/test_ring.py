@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import fusionring as fr
 from fusionring.ring import INT64_MAX, _RowKernel
 
-from conftest import all_fixture_rings, brute_cyclic_products, corrupt_z5_ring, withhold_rows
+from conftest import all_fixture_rings, brute_cyclic_products, corrupt_z5_ring, value_or_error, withhold_rows
 
 
 def test_element_from_basis_unit():
@@ -262,6 +262,45 @@ def test_element_algebra():
     assert (-g + g).is_zero()
     assert (g + g).is_basic() is False
     assert g.is_basic()
+
+
+Z3 = fr.cyclic_group_ring(3)
+G = Z3.element("g")
+
+
+@pytest.mark.parametrize("thunk,expected", [
+    pytest.param(lambda: G.basic_index(), 1, id="basic_index"),
+    pytest.param(lambda: (2 * G).basic_index(), (ValueError, "element is not basic"), id="basic_index-of-2g"),
+    pytest.param(
+        lambda: 2.0 * G, (TypeError, "unsupported operand type(s) for *: 'float' and 'RingElement'"), id="rmul-float"
+    ),
+    pytest.param(lambda: G == "g", False, id="eq-non-element"),
+    pytest.param(lambda: len({G, G + G - G, 2 * G, Z3.element("g")}), 2, id="hash"),
+    pytest.param(lambda: repr(2 * G - Z3.unit_element()), "-1*1 + 2*g", id="repr"),
+    pytest.param(lambda: repr(G - G), "0", id="repr-zero"),
+])
+def test_ring_element_value_protocol(thunk, expected):
+    assert value_or_error(thunk) == expected
+
+
+@pytest.mark.parametrize("thunk,expected", [
+    pytest.param(lambda: repr(Z3), "FusionRing('Z3', rank=3, dim=3)", id="repr"),
+    pytest.param(lambda: repr(fr.so3_truncated(5)), "FusionRing('so3_5', rank=3, partial dim=35)", id="repr-partial"),
+    pytest.param(lambda: hash(Z3) == hash(fr.parse_spec(fr.write_spec(Z3))), True, id="hash"),
+    pytest.param(lambda: fr.build_ring("t", [], "1", {}), (fr.InvalidRing, "basis is empty"), id="empty-basis"),
+    pytest.param(
+        lambda: fr.build_ring("t", [("1", 1, "1"), ("x", 0, "x")], "1", {}),
+        (fr.InvalidRing, "degree of x must be a positive integer"),
+        id="degree-0",
+    ),
+    pytest.param(
+        lambda: fr.build_ring("t", [("1", 1, "1")], "1", {}, truncation_bound=0),
+        (fr.InvalidRing, "truncation bound must be a positive integer"),
+        id="truncation-0",
+    ),
+])
+def test_fusion_ring_value_protocol(thunk, expected):
+    assert value_or_error(thunk) == expected
 
 
 # -- the row kernel filled by place ------------------------------------------------

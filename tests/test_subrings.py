@@ -18,6 +18,7 @@ from conftest import (
     corrupt_z5_ring,
     count4_corrupt_ring,
     factorization_branch_ring,
+    nonassociative_order9_ring,
     order2_branch_ring,
     withhold_rows,
 )
@@ -270,6 +271,8 @@ def test_grouplike_group_z3():
     gg = fr.grouplike_group(fr.cyclic_group_ring(3))
     assert gg.elements == ("1", "g", "g2")
     assert gg.orders == (1, 3, 3)
+    # the form demos/03_subrings_and_obstructions.py prints
+    assert gg.as_dict() == {"elements": ["1", "g", "g2"], "orders": {"1": 1, "g": 3, "g2": 3}}
 
 
 def test_grouplike_group_f21(f21):
@@ -310,6 +313,18 @@ def test_grouplike_not_closed():
     )
     with pytest.raises(fr.NotClosed):
         fr.grouplike_group(bad)
+
+
+def test_grouplike_table_must_be_associative():
+    # closed, with each dual the inverse, but every power cycle has length 4,
+    # which no group of order 9 has; (a1 a1) a1 = a2 while a1 (a1 a1) = a1
+    ring = nonassociative_order9_ring()
+    with pytest.raises(fr.NotClosed, match=r"not associative at \(a1a1\)a1"):
+        fr.grouplike_group(ring)
+    assert fr.degree3_case_split(ring, "x") == fr.Obstruction(
+        "grouplikes of the remainder do not close under product to a group: "
+        "grouplike product is not associative at (a1a1)a1"
+    )
 
 
 def test_stabilizer_group_unit():
@@ -358,6 +373,12 @@ def test_freeness_a4_clean(a4):
 def test_freeness_fragment_violation(fragment):
     violations = fr.freeness_obstructions(fragment)
     assert [(s.hopf_dimension, b.hopf_dimension) for s, b in violations] == [(30, 75)]
+
+
+def test_freeness_compares_supplied_subrings_with_the_whole_complete_ring():
+    z4 = fr.cyclic_group_ring(4)
+    made_up = StandardSubring(("1", "g2"), 3, True)  # a dimension that does not divide 4
+    assert fr.freeness_obstructions(z4, [made_up]) == [(made_up, StandardSubring(z4.labels, 4, True))]
 
 
 def test_freeness_supplied_subrings(fragment):
