@@ -31,9 +31,8 @@ def cyclic_group_ring(n: int) -> FusionRing:
         return labels[k % n]
 
     basis = [(lab(k), 1, lab((n - k) % n)) for k in range(n)]
-    products = {
-        (lab(a), lab(b)): {lab((a + b) % n): 1} for a in range(n) for b in range(n)
-    }
+    terms = [{lab(c): 1} for c in range(n)]  # one row per result, shared by its n pairs
+    products = {(lab(a), lab(b)): terms[(a + b) % n] for a in range(n) for b in range(n)}
     return build_ring(f"Z{n}", basis, "1", products)
 
 
@@ -51,12 +50,12 @@ def so3_truncated(max_degree: int) -> FusionRing:
     basis = [(labels[a], 2 * a + 1, labels[a]) for a in range(half + 1)]
     products = {}
     for a in range(half + 1):
-        for b in range(half + 1):
+        for b in range(a, half + 1):
             if 2 * (a + b) + 1 > max_degree:
-                continue  # Unknown: decomposition leaves the truncation
-            products[(labels[a], labels[b])] = {
-                labels[c]: 1 for c in range(abs(a - b), a + b + 1)
-            }
+                break  # Unknown: decomposition leaves the truncation
+            # one row for (a, b) and (b, a)
+            row = {labels[c]: 1 for c in range(b - a, a + b + 1)}
+            products[(labels[a], labels[b])] = products[(labels[b], labels[a])] = row
     return build_ring(f"so3_{max_degree}", basis, "x1", products, truncation_bound=max_degree)
 
 

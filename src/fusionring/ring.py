@@ -231,7 +231,15 @@ class FusionRing:
         rows: list[list[Optional[tuple[int, ...]]]] = [[None] * rank for _ in range(rank)]
         # Each distinct dense row is stored once: equal rows share one tuple.
         distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # A one-term row object passed for several pairs (a group ring's
+        # translates) is checked and made dense once, and held so that its id
+        # stays its own.  A spec shares no row of more terms, so none is kept.
+        made: dict[int, tuple[Mapping[str, int], tuple[int, ...]]] = {}
         for (a_lab, b_lab), row in products.items():
+            seen = made.get(id(row))
+            if seen is not None and a_lab in index and b_lab in index:
+                rows[index[a_lab]][index[b_lab]] = seen[1]
+                continue
             for lab in (a_lab, b_lab, *row):
                 if lab not in index:
                     raise InvalidRing(
@@ -242,9 +250,13 @@ class FusionRing:
                 # exactly int: a bool equals 1 and would stand in for the equal rows it shares
                 if type(mult) is not int or mult < 0:
                     raise InvalidRing(f"multiplicity of {c_lab} in ({a_lab},{b_lab}) must be a nonnegative integer")
-                vec[index[c_lab]] = _check64(mult)
+                if mult > INT64_MAX:
+                    raise OverflowDetected(f"coefficient {mult} exceeds checked 64-bit range")
+                vec[index[c_lab]] = mult
             dense = tuple(vec)
             dense = distinct.setdefault(dense, dense)
+            if len(row) == 1:
+                made[id(row)] = (row, dense)
             rows[index[a_lab]][index[b_lab]] = dense
 
         # Unit rows are implied by the unit law; explicit ones must agree.

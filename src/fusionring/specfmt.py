@@ -90,6 +90,8 @@ def parse_spec(text: str) -> FusionRing:
     # strings already read
     labels: dict[str, str] = {}
     numbers: dict[str, int] = {}
+    # each one-term row already read, by its label and multiplicity tokens
+    single: dict[Optional[tuple[str, str]], dict[str, int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
@@ -144,24 +146,30 @@ def parse_spec(text: str) -> FusionRing:
             pieces = " ".join(tokens[4:]).replace(",", " ").split()
             if len(pieces) % 2 != 0:
                 raise RingSyntaxError(lineno, _piece_column(raw, -1), "product terms must be label/multiplicity pairs")
-            row = {}
-            for k in range(0, len(pieces), 2):
-                lab, mult_s = pieces[k], pieces[k + 1]
-                if lab not in labels:
-                    if not LABEL_RE.match(lab):
-                        raise RingSyntaxError(lineno, _piece_column(raw, k), f"bad label {lab!r}")
-                    labels[lab] = lab
-                if mult_s not in numbers:
-                    mult = _decimal(mult_s)
-                    if mult is None or mult < 1:
-                        raise RingSyntaxError(
-                            lineno, _piece_column(raw, k + 1),
-                            f"multiplicity must be a positive integer, got {mult_s!r}",
-                        )
-                    numbers[mult_s] = mult
-                if lab in row:
-                    raise RingSemanticError(f"label {lab!r} repeated in product row ({a},{b})", lineno)
-                row[labels[lab]] = numbers[mult_s]
+            # a one-term row already read is shared, so the ring checks it once
+            key = (pieces[0], pieces[1]) if len(pieces) == 2 else None
+            row = single.get(key)
+            if row is None:
+                row = {}
+                for k in range(0, len(pieces), 2):
+                    lab, mult_s = pieces[k], pieces[k + 1]
+                    if lab not in labels:
+                        if not LABEL_RE.match(lab):
+                            raise RingSyntaxError(lineno, _piece_column(raw, k), f"bad label {lab!r}")
+                        labels[lab] = lab
+                    if mult_s not in numbers:
+                        mult = _decimal(mult_s)
+                        if mult is None or mult < 1:
+                            raise RingSyntaxError(
+                                lineno, _piece_column(raw, k + 1),
+                                f"multiplicity must be a positive integer, got {mult_s!r}",
+                            )
+                        numbers[mult_s] = mult
+                    if lab in row:
+                        raise RingSemanticError(f"label {lab!r} repeated in product row ({a},{b})", lineno)
+                    row[labels[lab]] = numbers[mult_s]
+                if key is not None:
+                    single[key] = row
             pair = (labels.get(a, a), labels.get(b, b))
             if pair in rows:
                 raise RingSemanticError(f"duplicate product line ({a},{b})", lineno)

@@ -1,9 +1,11 @@
 """Peak memory of a spawned op, against a bare interpreter's.
 
-A group ring of order n has n distinct rows among its n**2 pairs, and the
-ring stores each once.  A builder that kept a dense row per pair would hold
-n**3 coefficients again: `gen cyclic 128` then peaks about 22 MB above a bare
-interpreter instead of about 6 MB.
+A group ring of order n has n distinct rows among its n**2 pairs: the
+builder passes one term dict per row to all n pairs that share it, and the
+ring makes each dense and stores it once.  `gen cyclic 128` peaks about
+4 MB above a bare interpreter.  A ring that kept a dense row per pair would
+hold n**3 coefficients again and peak about 22 MB above it; a builder that
+passed a term dict per pair, each of which the ring remembers, about 9 MB.
 """
 
 import os
@@ -34,7 +36,7 @@ def peak_kb(code: str, *argv: str) -> int:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
-def test_gen_cyclic_128_peaks_under_12_mb_above_a_bare_interpreter():
+def test_gen_cyclic_128_peaks_under_5_mb_above_a_bare_interpreter():
     bare = peak_kb("pass")
     gen = peak_kb("from fusionring.cli import main\nmain()", "gen", "cyclic", "128")
-    assert (gen - bare) / 1024 < 12
+    assert (gen - bare) / 1024 < 5

@@ -367,6 +367,59 @@ def test_so3_mirror_rows_are_one_object(d):
     assert len(distinct_rows(ring)) == len({ring.product_row(i, j) for i, j in ring.known_pairs()})
 
 
+def rebuilt(ring, shared):
+    """``ring`` built again from its Known non-unit rows: equal rows passed as
+    one dict object when ``shared``, as a fresh dict per pair otherwise."""
+    basis = [(b.label, b.degree, b.dual_label) for b in ring.elements]
+    objects = {}
+    products = {}
+    for i, j in ring.known_pairs():
+        if ring.unit_index in (i, j):
+            continue
+        row = ring.product_row(i, j)
+        terms = {ring.label(c): m for c, m in enumerate(row) if m}
+        products[(ring.label(i), ring.label(j))] = objects.setdefault(row, terms) if shared else terms
+    return fr.build_ring(ring.name, basis, ring.label(ring.unit_index), products, ring.truncation_bound)
+
+
+@pytest.mark.parametrize(
+    "ring", CORPUS + [fr.cyclic_group_ring(12), fr.so3_truncated(21)], ids=lambda r: r.name
+)
+def test_rings_from_shared_rows_equal_rings_from_copies(ring):
+    shared, copied = rebuilt(ring, True), rebuilt(ring, False)
+    assert shared == copied == ring
+    assert fr.write_spec(shared) == fr.write_spec(copied) == fr.write_spec(ring)
+
+
+def build_outcome(products):
+    """The ring on {1, g, h} (h = g*) from ``products``, or the type, message
+    and subject of the error it raised."""
+    basis = [("1", 1, "1"), ("g", 1, "h"), ("h", 1, "g")]
+    try:
+        return fr.build_ring("t", basis, "1", products)
+    except (fr.InvalidRing, fr.OverflowDetected) as exc:
+        return type(exc), str(exc), getattr(exc, "subject", None)
+
+
+@pytest.mark.parametrize("bad", [{"q": 1}, {"h": True}, {"h": -1}, {"h": 2**63}, {"1": 1, "h": 2**63}])
+def test_a_shared_invalid_row_fails_at_its_first_pair_as_copies_do(bad):
+    def products(row_for):
+        return {("h", "g"): {"1": 1}, ("g", "g"): row_for(), ("h", "h"): row_for(), ("g", "h"): row_for()}
+
+    shared = build_outcome(products(lambda: bad))
+    assert shared == build_outcome(products(lambda: dict(bad)))
+    assert "(g,g)" in shared[1] or shared[0] is fr.OverflowDetected
+    assert shared[2] == (("g", "g") if "q" in bad else None)
+
+
+@pytest.mark.parametrize("pair", [("g", "q"), ("q", "g"), ("q", "r")])
+def test_a_shared_row_at_a_pair_with_an_unknown_label_fails_as_copies_do(pair):
+    row = {"h": 1}
+    shared = build_outcome({("g", "g"): row, pair: row})
+    assert shared == build_outcome({("g", "g"): row, pair: dict(row)})
+    assert shared == (fr.InvalidRing, f"product row ({pair[0]},{pair[1]}) references unknown label 'q'", pair)
+
+
 @pytest.mark.parametrize("ring", CORPUS + [fr.cyclic_group_ring(24)], ids=lambda r: r.name)
 def test_kernel_forms_match_every_pair(ring):
     rows = [ring.product_row(i, j) for i, j in ring.known_pairs()]

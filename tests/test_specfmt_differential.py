@@ -139,3 +139,16 @@ def test_prod_line_parses_alike(before, line):
 @pytest.mark.parametrize("text", [c[1] for c in INVALID_SPECS], ids=[c[0] for c in INVALID_SPECS])
 def test_invalid_specs_differ_only_in_surplus_tokens(text):
     assert_same_outcome(text)
+
+
+# One-term rows, good and malformed, read twice: a repeat of a row already
+# read is shared, so each error must still be the reference parser's.
+ONE_TERM = ["h 1", "h 1,", "h\t 1", "h 2", "h 01", "h 0", "h- 1", "q 1", "x 1", "h", "h 1, h 1", "h 1, g 0"]
+GROUP_BASE = "ring t\npartial true\nbasis a 1 a\nbasis g 1 h\nbasis h 1 g\nbasis x 3 x\nunit a\n"
+
+
+@pytest.mark.parametrize("second", ONE_TERM)
+@pytest.mark.parametrize("first", ONE_TERM)
+@pytest.mark.parametrize("pairs", [("g g", "h h"), ("g h", "g h")])
+def test_repeated_one_term_rows_parse_alike(pairs, first, second):
+    assert_same_outcome(GROUP_BASE + f"prod {pairs[0]} : {first}\nprod {pairs[1]} : {second}\n")
