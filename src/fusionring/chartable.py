@@ -8,11 +8,16 @@ must be complete, one character row per conjugacy class.  A table whose rows
 are not orthonormal, or whose products do not decompose with nonnegative
 integer multiplicities, is rejected loudly.
 
-Each total is summed in Z[x]/(x^N - 1), where a product adds exponents and
-conjugation maps an exponent e to -e mod N, and is reduced modulo the N-th
-cyclotomic polynomial once, by constructing one :class:`Cyclotomic`.
-Reduction is a ring homomorphism, so the reduced total is the one that
-value-by-value cyclotomic arithmetic gives.
+Each total T is evaluated modulo M, a product of primes P = 1 (mod N), as
+Dixon computes characters modulo such a prime ("High speed computation of
+group characters", Numer. Math. 10, 1967): zeta_N -> w, a root of Phi_N mod
+each P, maps Z[zeta_N] onto Z/M with a kernel of norm M.  No conjugate of T
+exceeds L in absolute value (:func:`_bound`), and M > (2L)^phi(N).  If T's
+symmetric residue t has |t| <= L, M divides the norm of T - t, which is at
+most (2L)^phi(N) < M, so T = t.  An integer T has |T| <= L, so any other
+residue, like a total not divisible by |G|, is a fault, re-derived in
+:class:`Cyclotomic` arithmetic to word it.  So is every total of a table
+that fails the checks of a group's table that L rests on.
 
 File format (``#`` comments, whitespace separated)::
 
@@ -31,14 +36,14 @@ Every directive but ``char`` takes exactly the tokens shown.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from math import isqrt
+from operator import mul
 from typing import Optional, Sequence
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial, prime_factors
 from .ring import BasisElement, FusionRing, FusionRingError, InvalidRing
 from .specfmt import _decimal
-
-# The sparse (exponent, coefficient) terms of one value in Z[x]/(x^N - 1).
-_Terms = tuple[tuple[int, int], ...]
 
 
 class NotIntegral(FusionRingError):
@@ -105,12 +110,11 @@ class CharacterTable:
                 raise InvalidRing("character degree (value at the identity) must be a positive integer")
         # <chi_j, chi_i> is the conjugate of <chi_i, chi_j>, so a pair fails
         # exactly when its mirror does, and the first failure has i <= j.
-        kernel = _InnerKernel(self)
+        evaluation = _Evaluation(self)
         for i in range(n):
-            sums = kernel.sums(kernel.rows[i])
             for j in range(i, n):
                 try:
-                    val = kernel.inner(sums, j)
+                    val = evaluation.inner(evaluation.rows[i], j, (i,))
                 except NotIntegral as exc:
                     raise OrthogonalityFailure(f"<chi{i}, chi{j}>: {exc}") from exc
                 expect = 1 if i == j else 0
@@ -120,73 +124,121 @@ class CharacterTable:
                     )
 
 
-class _InnerKernel:
-    """A table's values as sparse terms, and its exact inner product.
+# Miller-Rabin with these bases is exact below 3.18e23 (Jiang and Deng, 2014).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    ``rows[i][c]`` holds the terms of chi_i at class c.  ``weighted[c]``
-    holds the terms of |c| * conj(chi_k(c)) for every row k, the exponents of
-    row k offset by 2Nk, so that one pass over a class accumulates the totals
-    against every row at once.
+
+def _is_prime(p: int) -> bool:
+    if p < 2 or any(p % q == 0 for q in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * d, d odd
+    for a in _BASES:
+        squares = [pow(a, (p - 1) >> s, p)]  # a^d, a^(2d), ..., a^(2^(s-1) d)
+        for _ in range(s - 1):
+            squares.append(squares[-1] ** 2 % p)
+        if squares[0] != 1 and p - 1 not in squares:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _primes(n: int, limit: int) -> tuple[tuple[int, int], ...]:
+    """Primes P = 1 (mod n) whose product exceeds limit^phi(n), each with a
+    root of Phi_n mod P: an element of order n, tested with the primes of n.
+
+    P runs upwards from 2^29: below 2^30 a residue is one digit of a Python
+    int, where ``pow`` costs a third of what it does near 2^62.  The root is
+    g^((P - 1)/n) for the first g from 2^20 that works: small g are often
+    residues of the same powers for every such P.
+    """
+    bound, primes = limit ** (len(cyclotomic_polynomial(n)) - 1), prime_factors(n)
+    found, product, p = [], 1, 2**29 // n * n + 1
+    while product <= bound:
+        if _is_prime(p):
+            roots = (pow(g, (p - 1) // n, p) for g in range(2**20, p))
+            found.append((p, next(w for w in roots if all(pow(w, n // q, p) != 1 for q in primes))))
+            product *= p
+        p += n
+    return tuple(found)
+
+
+def _bound(table: CharacterTable, terms: list) -> int:
+    """L for a table that passes the checks of a group's table, else -1.
+
+    A group's table has its identity class first, of size 1, class sizes
+    summing to |G|, and column orthogonality: sum_i chi_i(c) conj(chi_i(c))
+    = |G|/|c|.  Galois conjugation keeps that sum, so no conjugate of a value
+    at class c exceeds sqrt(|G|/|c|), and none of a total exceeds L = sum over
+    classes of |c| * (|G|/|c|)^(3/2), rounded up.  The checks bound |G| by the
+    number of classes, as the sizes then solve 1 = sum of 1/(|G|/|c|) in
+    integers (Landau, 1903); a table that fails them is decided value by
+    value, since M, of phi(N) * log2(2L) bits, would grow with its digits.
+    """
+    n, sizes, order = table.conductor, table.class_sizes, table.group_order
+    if sizes[0] != 1 or sum(sizes) != order:
+        return -1
+    bound = 0
+    for c, size in enumerate(sizes):
+        total = [0] * n  # |c| * sum_i chi_i(c) conj(chi_i(c)), unreduced
+        for row in terms:
+            for e, x in row[c]:
+                for f, y in row[c]:
+                    total[(e - f) % n] += size * x * y
+        if Cyclotomic(n, total) != order:
+            return -1
+        bound += size * (isqrt((order // size) ** 3 - 1) + 1)
+    return bound
+
+
+class _Evaluation:
+    """A table's values in Z/M under zeta_N -> w, and its exact inner product.
+
+    ``rows[i][c]`` is the image of chi_i at class c, ``weighted[k][c]`` that
+    of |c| * conj(chi_k(c)), and ``bound`` is L.  A table that fails the
+    checks of :func:`_bound` has L = -1 and M = 1, so that no residue is
+    trusted and every total is derived in :class:`Cyclotomic` arithmetic.
     """
 
     def __init__(self, table: CharacterTable):
         n = table.conductor
-        self.conductor = n
-        self.group_order = table.group_order
-        self.rows: list[list[_Terms]] = [[_sparse(value, n) for value in row] for row in table.characters]
-        self.weighted: list[_Terms] = [
-            tuple(
-                (2 * n * k + (-e) % n, size * x)
-                for k, row in enumerate(self.rows)
-                for e, x in row[c]
-            )
-            for c, size in enumerate(table.class_sizes)
-        ]
+        if any(v.conductor != n for row in table.characters for v in row):
+            raise ValueError("mixed conductors")
+        self.table = table
+        terms = [[[(e, x) for e, x in enumerate(v.coeffs) if x] for v in row] for row in table.characters]
+        self.bound = _bound(table, terms)
+        m, w = 1, 0
+        for p, root in _primes(n, max(2 * self.bound, 0)):  # Chinese remainders
+            m, w = m * p, w + m * ((root - w) * pow(m, -1, p) % p)
+        power = {e: pow(w, e, m) for e in {f % n for row in terms for value in row for e, _ in value for f in (e, -e)}}
+        self.modulus, sizes = m, table.class_sizes
+        self.rows = [[sum(x * power[e] for e, x in value) % m for value in row] for row in terms]
+        self.weighted = [[s * sum(x * power[-e % n] for e, x in v) % m for s, v in zip(sizes, row)] for row in terms]
 
-    def product(self, i: int, j: int) -> list[_Terms]:
-        """chi_i * chi_j class by class, in Z[x]/(x^N - 1)."""
-        n = self.conductor
-        out = []
-        for a, b in zip(self.rows[i], self.rows[j]):
-            acc: dict[int, int] = {}
-            for e, x in a:
-                for f, y in b:
-                    k = (e + f) % n
-                    acc[k] = acc.get(k, 0) + x * y
-            out.append(tuple((e, x) for e, x in acc.items() if x))
-        return out
+    def inner(self, images: Sequence[int], k: int, rows: tuple[int, ...]) -> int:
+        """<chi_r1 ... chi_rm, chi_k> for ``rows`` = (r1, ..., rm), whose product has ``images``."""
+        t = sum(map(mul, images, self.weighted[k])) % self.modulus
+        if t > self.modulus // 2:
+            t -= self.modulus
+        if abs(t) <= self.bound and t % self.table.group_order == 0:
+            return t // self.table.group_order
+        return self._exact(rows, k)
 
-    def sums(self, values: Sequence[_Terms]) -> list[int]:
-        """Sum over classes of |c| * values[c] * conj(chi_k(c)), for every k.
-
-        Unreduced: block k, entries 2Nk to 2N(k + 1), holds the coefficients
-        of x^0 .. x^(2N - 1), to be folded modulo x^N - 1.
-        """
-        acc = [0] * (2 * self.conductor * len(self.rows))
-        for terms, weighted in zip(values, self.weighted):
-            for e, x in terms:
-                for g, y in weighted:
-                    acc[g + e] += x * y
-        return acc
-
-    def inner(self, sums: list[int], k: int) -> int:
-        """Block k of ``sums`` reduced, divided by |G| and checked integral."""
-        n = self.conductor
-        total = Cyclotomic(n, sums[2 * n * k : 2 * n * (k + 1)])
+    def _exact(self, rows: tuple[int, ...], k: int) -> int:
+        """The inner product in :class:`Cyclotomic` arithmetic, which words a fault."""
+        chars, total = self.table.characters, Cyclotomic.integer(self.table.conductor, 0)
+        for c, size in enumerate(self.table.class_sizes):
+            term = chars[k][c].conj()
+            for r in rows:
+                term = term * chars[r][c]
+            total = total + size * term
         if not total.is_integer():
             raise NotIntegral(f"inner product total {total!r} is not rational")
-        value = total.integer_value()
-        if value % self.group_order != 0:
+        value, order = total.integer_value(), self.table.group_order
+        if value % order != 0:
             raise NotIntegral(
-                f"inner product total {value} is not divisible by |G| = {self.group_order}"
+                f"inner product total {value} is not divisible by |G| = {order}"
             )
-        return value // self.group_order
-
-
-def _sparse(value: Cyclotomic, conductor: int) -> _Terms:
-    if value.conductor != conductor:
-        raise ValueError("mixed conductors")
-    return tuple((e, x) for e, x in enumerate(value.coeffs) if x)
+        return value // order
 
 
 def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = None) -> FusionRing:
@@ -217,16 +269,17 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
 
     # Characters commute, so row (j, i) is row (i, j), and the first failure
     # in row-major order has i <= j.
-    kernel = _InnerKernel(table)
+    evaluation = _Evaluation(table)
+    modulus, images = evaluation.modulus, evaluation.rows
     degrees = table.degrees
     rows: dict[tuple[int, int], dict[str, int]] = {}
     for i in range(n):
         for j in range(i, n):
-            sums = kernel.sums(kernel.product(i, j))
+            product = [a * b % modulus for a, b in zip(images[i], images[j])]
             row = {}
             degree = 0
             for k in range(n):
-                mult = kernel.inner(sums, k)
+                mult = evaluation.inner(product, k, (i, j))
                 if mult < 0:
                     raise NotIntegral(f"<chi{i} chi{j}, chi{k}> = {mult} is negative")
                 if mult:
@@ -283,9 +336,9 @@ def _positive(token: str, what: str) -> int:
     return value
 
 
-# The largest conductor a table may declare.  Spawned `gen chartable` on a one-class table (2 CPUs)
-# takes 0.11-0.12 s at N = 4620 and 5040; what a larger N costs in `Cyclotomic` reduction and
-# `validate` is not yet measured.
+# The largest conductor a table may declare.  Spawned `gen chartable` on a one-class table (2 CPUs, no
+# bytecode cache) takes 0.07-0.12 s at N = 4620 and 5040 (medians of 15 or 31 runs, busy and quiet host),
+# about 2.5 ms of it in the evaluation's prime search.  What a larger N costs is not yet measured.
 CONDUCTOR_BOUND = 5040
 
 # The fewest tokens of each directive, and what a shorter line lacks.

@@ -13,6 +13,20 @@ from functools import lru_cache
 from typing import Iterable
 
 
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending."""
+    primes, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return tuple(primes)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial.
@@ -26,18 +40,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         raise ValueError("n must be positive")
     if n == 1:
         return (-1, 1)
-    primes, m, p = [], n, 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
     # (d, mu(n/d)) for every d with n/d squarefree; mu is 0 at the others.
     factors = [(n, 1)]
-    for p in primes:
+    for p in prime_factors(n):
         factors += [(d // p, -mu) for d, mu in factors]
     coeffs = [1] + [0] * sum(d for d, mu in factors if mu > 0)
     top = 0

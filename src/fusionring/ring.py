@@ -233,13 +233,18 @@ class FusionRing:
         distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
         # A one-term row object passed for several pairs (a group ring's
         # translates) is checked and made dense once, and held so that its id
-        # stays its own.  A spec shares no row of more terms, so none is kept.
+        # stays its own.  A spec shares no row of more terms, so none is kept;
+        # one passed for a pair and its mirror is taken from the mirror.
         made: dict[int, tuple[Mapping[str, int], tuple[int, ...]]] = {}
         for (a_lab, b_lab), row in products.items():
             seen = made.get(id(row))
-            if seen is not None and a_lab in index and b_lab in index:
-                rows[index[a_lab]][index[b_lab]] = seen[1]
-                continue
+            if a_lab in index and b_lab in index:
+                a, b = index[a_lab], index[b_lab]
+                if seen is None and rows[b][a] is not None and products[b_lab, a_lab] is row:
+                    seen = (row, rows[b][a])
+                if seen is not None:
+                    rows[a][b] = seen[1]
+                    continue
             for lab in (a_lab, b_lab, *row):
                 if lab not in index:
                     raise InvalidRing(
@@ -257,7 +262,7 @@ class FusionRing:
             dense = distinct.setdefault(dense, dense)
             if len(row) == 1:
                 made[id(row)] = (row, dense)
-            rows[index[a_lab]][index[b_lab]] = dense
+            rows[a][b] = dense
 
         # Unit rows are implied by the unit law; explicit ones must agree.
         for i in range(rank):

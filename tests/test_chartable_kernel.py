@@ -9,6 +9,7 @@ exception class and message on both routes.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -16,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
-from fusionring.chartable import CharacterTable, NotIntegral, OrthogonalityFailure
+from fusionring.chartable import (
+    CharacterTable,
+    NotIntegral,
+    OrthogonalityFailure,
+    _Evaluation,
+    _is_prime,
+    _primes,
+)
 from fusionring.cyclotomic import Cyclotomic
 from fusionring.ring import BasisElement, FusionRing, InvalidRing
 
@@ -262,3 +270,126 @@ def test_degree_mismatch_on_an_unvalidated_table():
     expect = ("OrthogonalityFailure", "chi0 chi0 decomposes into degree 4, expected 1")
     assert outcome(reference_ring, table) == expect
     assert outcome(fr.char_table_ring, unchecked(*fields(table))) == expect
+
+
+def test_a_total_not_divisible_by_the_order_fails_alike():
+    # <chi0, chi1> = (1*2 + 2*1*0) / 3: the total 2 is an integer, not a multiple of |G|
+    text = "group G 3\nconductor 1\nclass 1\nclass 2\nchar 1 1 1\nchar 2 2 0\n"
+    one = Cyclotomic.integer(1, 1)
+    table = unchecked("G", 3, [1, 2], [[one, one], [2 * one, 0 * one]], [0, 1])
+    expect = ("OrthogonalityFailure", "<chi0, chi1>: inner product total 2 is not divisible by |G| = 3")
+    assert outcome(reference_validate, table) == expect
+    assert outcome(table.validate) == expect
+    assert outcome(fr.parse_character_table, text) == expect
+
+
+# -- the evaluation at primes P = 1 (mod N) --------------------------------------
+
+
+def primes_below(limit):
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    return [p for p in range(limit) if sieve[p]]
+
+
+def test_is_prime_agrees_with_a_sieve_and_refuses_strong_pseudoprimes():
+    assert [p for p in range(10**5) if _is_prime(p)] == primes_below(10**5)
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    assert not _is_prime(3215031751) and not _is_prime(3825123056546413051)
+    assert _is_prime(2**62 - 57) and not any(_is_prime(2**62 - k) for k in range(1, 57))
+
+
+def test_primes_carry_roots_of_the_cyclotomic_polynomial_and_exceed_the_bound():
+    # P < 2^31 has no prime factor above 46341, so gcd with their product decides it
+    small = primes_below(46342)
+    primorial = math.prod(small)
+    for n in range(1, 301):
+        primes_of_n = [q for q in small if n % q == 0]
+        phi = sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+        for limit in (2, 2 * 36 * 27):
+            found = _primes(n, limit)
+            for p, w in found:
+                assert (p - 1) % n == 0 and p < 46341**2 and math.gcd(p, primorial) == 1, (n, p)
+                assert pow(w, n, p) == 1 and all(pow(w, n // q, p) != 1 for q in primes_of_n), (n, p, w)
+            assert math.prod(p for p, _ in found) > limit**phi, n
+
+
+def _dihedral(n):
+    return CharacterTable(*dihedral_fields(n, random.Random(n)))
+
+
+GENERATED = [(f"Z{n}", lambda n=n: fr.cyclic_character_table(n)) for n in range(1, 31)] + [
+    (f"D{n}", lambda n=n: _dihedral(n)) for n in range(3, 26, 2)
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in GENERATED], ids=[name for name, _ in GENERATED])
+def test_generated_tables_give_the_reference_constants(build):
+    """Every constant of a rank <= 9 table, and a seeded sample of 40 of a
+    larger one (the reference takes 29 s for all of Z30's)."""
+    table = build()
+    assert _Evaluation(table).bound > 0  # a group's table: its constants come from the residues
+    ring = fr.char_table_ring(table)
+    chars, n = table.characters, len(table.characters)
+    if n <= 9:
+        reference_validate(table)
+        assert ring == reference_ring(table)
+        return
+    trivial = next(r for r in range(n) if all(v == 1 for v in chars[r]))
+    index = [ring.index("1" if r == trivial else f"chi{r}") for r in range(n)]
+    rng = random.Random(n)
+    for _ in range(40):
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        expect = reference_inner(table, [a * b for a, b in zip(chars[i], chars[j])], chars[k])
+        assert ring.product_row(index[i], index[j])[index[k]] == expect, (i, j, k)
+
+
+def test_the_bound_is_read_off_the_columns():
+    # S3: classes of sizes 1, 3, 2 with centralizers 6, 2, 3, so L = 1*15 + 3*3 + 2*6
+    evaluation = _Evaluation(fr.fixture_character_table("s3"))
+    assert evaluation.bound == 36
+    assert math.prod(p for p, _ in _primes(1, 72)) == evaluation.modulus
+
+
+def test_a_column_preserving_corruption_fails_through_the_residues():
+    # S3's trivial and 2-dimensional rows trade their values at the class of
+    # size 2: every column keeps its sum of squares, so the residues are
+    # trusted, and the fault is worded alike
+    name, order, sizes, chars, conj = fields(fr.fixture_character_table("s3"))
+    chars = [list(row) for row in chars]
+    chars[0][2], chars[2][2] = chars[2][2], chars[0][2]
+    table = unchecked(name, order, sizes, chars, conj)
+    assert _Evaluation(table).bound == 36
+    expect = outcome(reference_validate, table)
+    assert expect[0] == "OrthogonalityFailure"
+    assert outcome(table.validate) == expect
+    assert outcome(fr.char_table_ring, table) == outcome(reference_ring, table)
+
+
+def _no_group_tables():
+    big, one = 10**1000 + 7, Cyclotomic.integer(5040, 1)
+    w, v = Cyclotomic.zeta_power(5040, 1680), Cyclotomic.zeta_power(5040, 7)
+    value = w + big * (v - v.conj())
+    return {
+        # a many-digit degree: <chi0, chi0> = big^2
+        "degree": ("Z1", 1, [1], [[big * one]], [0]),
+        # a many-digit coefficient at a class other than the identity
+        "value": ("Z3", 3, [1, 1, 1], [[one] * 3, [one, value, w.conj()], [one, value.conj(), w]], [0, 2, 1]),
+        # one class of a 401-digit size: a valid table, though no group's
+        "class-size": ("G", 10**400, [10**400], [[one]], [0]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_no_group_tables()))
+def test_tables_of_no_group_search_no_primes(name):
+    """M needs phi(N) times the digits of L, so a table with many-digit
+    numbers would search for thousands of primes; one that fails the checks
+    of a group's table searches none, and is decided value by value, alike."""
+    table = unchecked(*_no_group_tables()[name])
+    evaluation = _Evaluation(table)
+    assert (evaluation.bound, evaluation.modulus) == (-1, 1)
+    assert outcome(table.validate) == outcome(reference_validate, table)
+    assert outcome(fr.char_table_ring, table) == outcome(reference_ring, table)

@@ -420,6 +420,50 @@ def test_a_shared_row_at_a_pair_with_an_unknown_label_fails_as_copies_do(pair):
     assert shared == (fr.InvalidRing, f"product row ({pair[0]},{pair[1]}) references unknown label 'q'", pair)
 
 
+@pytest.mark.parametrize(
+    "ring", [fr.so3_truncated(21), fr.a4_character_ring(), fr.char_table_ring(fr.cyclic_character_table(7))],
+    ids=lambda r: r.name,
+)
+def test_mirror_rows_are_one_object(ring):
+    for i, j in ring.known_pairs():
+        assert ring.product_row(i, j) is ring.product_row(j, i)
+
+
+class CountingRow(dict):
+    """A row dict that counts how often its terms are read."""
+
+    reads = 0
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+
+def test_a_row_passed_for_a_pair_and_its_mirror_is_made_dense_once():
+    # so3_21's rule with the rows of every pair counted: one object per unordered pair
+    ring = fr.so3_truncated(21)
+    basis = [(b.label, b.degree, b.dual_label) for b in ring.elements]
+    products = {}
+    for a, b in ring.known_pairs():
+        if a <= b:
+            row = CountingRow((ring.label(c), m) for c, m in enumerate(ring.product_row(a, b)) if m)
+            products[ring.label(a), ring.label(b)] = products[ring.label(b), ring.label(a)] = row
+    assert fr.build_ring(ring.name, basis, "x1", products, ring.truncation_bound) == ring
+    assert {row.reads for row in products.values()} == {1}
+
+
+@pytest.mark.parametrize(
+    "bad", [{"1": 1, "q": 1}, {"1": 1, "g": -1}, {"1": True, "g": 1}, {"1": 1, "g": 2**63}, {"q": 1}]
+)
+def test_a_mirror_shared_invalid_row_fails_as_copies_do(bad):
+    def products(row_for):
+        return {("g", "h"): row_for(), ("h", "g"): row_for()}
+
+    shared = build_outcome(products(lambda: bad))
+    assert shared == build_outcome(products(lambda: dict(bad)))
+    assert shared[2] == (("g", "h") if "q" in bad else None)
+
+
 @pytest.mark.parametrize("ring", CORPUS + [fr.cyclic_group_ring(24)], ids=lambda r: r.name)
 def test_kernel_forms_match_every_pair(ring):
     rows = [ring.product_row(i, j) for i, j in ring.known_pairs()]
