@@ -213,7 +213,9 @@ def _cmd_gen(args) -> tuple[int, str]:
     else:
         raise _InputError(f"gen: unknown generator {kind!r} (cyclic|so3|fragment|chartable)")
     spec = write_spec(ring)
-    return _emit(args, 0, [spec.rstrip("\n")], ring=ring.name, spec=spec)
+    if args.format == "json":
+        return _emit(args, 0, [], ring=ring.name, spec=spec)
+    return 0, spec  # the text report is the spec itself, not a copy
 
 
 def _one_line(message: object) -> str:

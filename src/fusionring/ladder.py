@@ -264,32 +264,35 @@ def ladder_build(
         raise PreconditionUnmet(f"{x3_label} is not self-dual; run the self-dual chain first")
 
     square = ring.product_row(x, x)
+    # Basis indices; labels are built for the certificate and messages only.
+    xs = [ring.unit_index, x]
+    primes: list[int] = []
+    relations: list[tuple[int, tuple[tuple[str, int], ...]]] = []
+
+    # the one place a terminal status is built: no branch is a truncation
+    def certificate(branch: Optional[FailureBranch] = None) -> LadderCertificate:
+        return LadderCertificate(
+            tuple(map(ring.label, xs)), tuple(map(ring.label, primes)),
+            len(relations), tuple(relations), branch or TruncationReached(len(relations)),
+        )
+
     if square is None:
-        unit_label = ring.label(ring.unit_index)
-        return LadderCertificate((unit_label, x3_label), (), 0, (), TruncationReached(0))
+        return certificate()
     decomp = ring.decompose_row(square)
     support = [(c, m) for c, m in enumerate(square) if m]
     x5 = next((c for c, m in support if m == 1 and ring.degree_of(c) == 5), None)
     if len(support) != 3 or support[0] != (ring.unit_index, 1) or square[x] != 1 or x5 is None:
         raise PreconditionUnmet(f"{x3_label}^2 = {decomp} is not of the form 1 + {x3_label} + x5")
-
-    # Basis indices; labels are built for the certificate and messages only.
-    xs = [ring.unit_index, x, x5]
-    primes = [x]
-    relations: list[tuple[int, tuple[tuple[str, int], ...]]] = [(1, tuple(decomp))]
-
-    def certificate(terminal) -> LadderCertificate:
-        return LadderCertificate(
-            tuple(map(ring.label, xs)), tuple(map(ring.label, primes)),
-            len(relations), tuple(relations), terminal,
-        )
+    xs.append(x5)
+    primes.append(x)
+    relations.append((1, tuple(decomp)))
 
     while max_depth is None or len(relations) < max_depth:
         n = len(xs) - 2  # top of the family is x_{2n+3}
         top, prev = xs[-1], xs[-2]
         product = ring.product_row(top, x)
         if product is None:
-            return certificate(TruncationReached(len(relations)))
+            return certificate()
         step = f"{ring.label(top)}*{x3_label}"
         if product[prev] != 1:
             return certificate(FailureBranch(
@@ -323,17 +326,11 @@ def ladder_build(
             xs.append(z0.index(1))
             relations.append((n + 1, tuple(ring.decompose_row(product))))
             continue
-        return certificate(_descending_diagnosis(ring, xs, z0, y0, len(relations)))
-    return certificate(TruncationReached(len(relations)))
+        return certificate(_descending_diagnosis(ring, xs, z0, y0))
+    return certificate()
 
 
-def _descending_diagnosis(
-    ring: FusionRing,
-    xs: list[int],
-    z0: list[int],
-    y0: int,
-    depth: int,
-) -> Union[TruncationReached, FailureBranch]:
+def _descending_diagnosis(ring: FusionRing, xs: list[int], z0: list[int], y0: int) -> Optional[FailureBranch]:
     """Diagnose which impossibility branch fires when the smallest new
     component y0 of x_{2n+3}*x3 has degree below 2n+3.
 
@@ -343,12 +340,11 @@ def _descending_diagnosis(
     z0 basic), or the terminal branch (k = n = 1, z0 a sum of three
     degree-3 elements) whose forced subrings feed the divisibility check.
     When the chain needs an Unknown product the data's shape decides
-    between the terminal branch and plain truncation.
+    between the terminal branch and plain truncation (None).
     """
     n = len(xs) - 2
     x, top = xs[1], xs[-1]
     x3_label = ring.label(x)
-    verified: list[str] = []
 
     # Walk the chain; y_{-1} is the current top of the family.
     ys = [y0]
@@ -356,15 +352,14 @@ def _descending_diagnosis(
         cur = ys[-1]
         q = ring.product_row(cur, x)
         if q is None:
-            return _shape_fallback(ring, xs, z0, y0, n, depth)
+            return _shape_fallback(ring, xs, z0, y0, n)
         prev = ys[-2] if len(ys) >= 2 else top
         if q[prev] != 1:
             return FailureBranch(
                 "inconsistent_data",
                 f"m({ring.label(prev)}, {ring.label(cur)}*{x3_label}) != 1 in the descending chain",
-                verified=tuple(verified),
             )
-        if ring._kernel.basic[cur][x] == prev:
+        if sum(q) == 1:
             break  # y_k * x3 = y_{k-1}
         y_next = next(c for c, m in enumerate(q) if m and c != prev)
         if ring.degree_of(y_next) >= ring.degree_of(cur):
@@ -372,7 +367,6 @@ def _descending_diagnosis(
                 "inconsistent_data",
                 f"descending chain does not descend: deg({ring.label(y_next)}) >= "
                 f"deg({ring.label(cur)})",
-                verified=tuple(verified),
             )
         ys.append(y_next)
 
@@ -381,6 +375,7 @@ def _descending_diagnosis(
     # t = k+1 case is the factorization x_{2n+3} = y_k * x_{2k+3}.
     y_k = ys[-1]
     y_label = ring.label(y_k)
+    verified: list[str] = []
     for t in range(1, k + 2):
         rhs = ring.product_row(y_k, xs[t])
         target = ys[k - t] if t <= k else top
@@ -388,7 +383,7 @@ def _descending_diagnosis(
         if rhs is None:
             verified.append(f"chain t={t}: skipped (Unknown product)")
             continue
-        if ring._kernel.basic[y_k][xs[t]] == target:
+        if rhs[target] == sum(rhs) == 1:
             verified.append(f"chain t={t}: {ring.label(target)} = {factors}")
         else:
             return FailureBranch(
@@ -400,72 +395,60 @@ def _descending_diagnosis(
             )
 
     if k < n:
-        return FailureBranch(
+        branch = FailureBranch(
             "impossible_factorization",
             f"the chain ends at k = {k} < n = {n}: "
             f"{ring.label(top)} = {y_label}*{ring.label(xs[k + 1])} cannot hold in a valid "
             "ring (its product with x3 has no room for the forced components)",
-            verified=tuple(verified),
         )
-
     # k = n: the chain's n + 1 odd degrees fall strictly from below 2n + 3,
     # so the chain end y_n has degree 1, a grouplike g.
-    if sum(z0) == 1:
-        return _order2_branch(ring, y_k, depth, verified)
-    return _terminal_branch(ring, xs, z0, n, depth, verified)
+    elif sum(z0) == 1:
+        branch = _order2_branch(ring, y_k)
+    else:
+        branch = _terminal_branch(ring, xs, z0, n)
+    return branch and branch._replace(verified=tuple(verified))
 
 
-def _order2_branch(
-    ring: FusionRing, g: int, depth: int, verified: list[str]
-) -> Union[TruncationReached, FailureBranch]:
-    """The order-2 branch for the grouplike g with y0 = g*x_{2n+1}.
+def _order2_branch(ring: FusionRing, g: int) -> Optional[FailureBranch]:
+    """The order-2 branch for the grouplike g with y0 = g*x_{2n+1}; None for an Unknown g*g.
 
     g is never the unit: unit rows are always Known, so both callers would
     have checked y0 = 1*x_{2n+1} = x_{2n+1}, the component of x_{2n+3}*x3
     that the ladder step excludes before choosing y0.
     """
     g_label = ring.label(g)
-    g_sq = ring._kernel.basic[g][g]
+    g_sq = ring.product_row(g, g)
     if g_sq is None:
-        return TruncationReached(depth)
-    if g_sq == ring.unit_index:
+        return None
+    if g_sq[ring.unit_index] == sum(g_sq) == 1:
         return FailureBranch(
             "grouplike_order2",
             f"z0 basic forces {g_label}^2 = 1: grouplike of order 2",
             grouplike=g_label,
             order=2,
-            verified=tuple(verified),
         )
     return FailureBranch(
         "inconsistent_data",
-        f"z0 is basic so {g_label} must square to 1, but {g_label}^2 = "
-        f"{ring.decompose_row(ring.product_row(g, g))}",
-        verified=tuple(verified),
+        f"z0 is basic so {g_label} must square to 1, but {g_label}^2 = {ring.decompose_row(g_sq)}",
     )
 
 
-def _terminal_branch(
-    ring: FusionRing,
-    xs: list[int],
-    z0: list[int],
-    n: int,
-    depth: int,
-    verified: list[str],
-) -> Union[TruncationReached, FailureBranch]:
+def _terminal_branch(ring: FusionRing, xs: list[int], z0: list[int], n: int) -> Optional[FailureBranch]:
+    """The forced subrings' divisibility check; None when a closure is incomplete."""
     parts = ring.decompose_row(z0)
     if n != 1 or sum(z0) != 3 or any(ring.degree_of(c) != 3 for c, m in enumerate(z0) if m):
         return FailureBranch(
             "inconsistent_data",
             f"non-basic z0 = {parts} with n = {n} violates the degree accounting "
             "(three degree-3 components at n = 1 are forced)",
-            verified=tuple(verified),
         )
     from .subrings import IncompleteClosure, closure, freeness_obstructions
 
     sub_small = closure(ring, {ring.label(xs[2])})
     sub_big = closure(ring, {ring.label(xs[1])})
     if isinstance(sub_small, IncompleteClosure) or isinstance(sub_big, IncompleteClosure):
-        return TruncationReached(depth)
+        return None
     violations = freeness_obstructions(ring, [sub_small, sub_big])
     if violations:
         small, big = violations[0]
@@ -476,34 +459,25 @@ def _terminal_branch(
             f"and {small.hopf_dimension} does not divide {big.hopf_dimension} — "
             "no realizable ring contains this data",
             violation=(small.hopf_dimension, big.hopf_dimension),
-            verified=tuple(verified),
         )
     return FailureBranch(
         "inconsistent_data",
         "terminal configuration reached but the forced subrings show no "
         "divisibility violation",
-        verified=tuple(verified),
     )
 
 
-def _shape_fallback(
-    ring: FusionRing,
-    xs: list[int],
-    z0: list[int],
-    y0: int,
-    n: int,
-    depth: int,
-) -> Union[TruncationReached, FailureBranch]:
+def _shape_fallback(ring: FusionRing, xs: list[int], z0: list[int], y0: int, n: int) -> Optional[FailureBranch]:
     """Chain products are Unknown; classify from the shape already computed."""
     if n != 1 or ring.degree_of(y0) != 3:
-        return TruncationReached(depth)
+        return None
     if sum(z0) != 1:
-        return _terminal_branch(ring, xs, z0, n, depth, [])
+        return _terminal_branch(ring, xs, z0, n)
     # Identify g with y0 = g*x3 from Known rows, if possible.
     for g in ring.grouplike_indices():
-        if ring._kernel.basic[g][xs[1]] == y0:
-            return _order2_branch(ring, g, depth, [])
-    return TruncationReached(depth)
+        if (gx := ring.product_row(g, xs[1])) is not None and gx[y0] == sum(gx) == 1:
+            return _order2_branch(ring, g)
+    return None
 
 
 def verify_certificate(ring: FusionRing, cert: LadderCertificate) -> bool:

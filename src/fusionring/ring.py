@@ -181,6 +181,9 @@ class FusionRing:
         products: ProductTable,
         truncation_bound: Optional[int] = None,
     ):
+        # the name is one token of the spec's ring line, where '#' starts a comment
+        if not isinstance(name, str) or name.split() != [name] or "#" in name:
+            raise InvalidRing(f"ring name {name!r} must be one token without '#'")
         self.name = name
         elements = sorted(basis, key=lambda b: (b.degree, b.label))
         if not elements:
@@ -192,7 +195,7 @@ class FusionRing:
         for b in elements:
             if not LABEL_RE.match(b.label):
                 raise InvalidRing(f"bad label {b.label!r}: must match [A-Za-z0-9_]+")
-            if not isinstance(b.degree, int) or b.degree < 1:
+            if type(b.degree) is not int or b.degree < 1:  # exactly int, as multiplicities are
                 raise InvalidRing(f"degree of {b.label} must be a positive integer")
             dimension += b.degree**2  # so every degree and subring dimension is in range too
             if dimension > INT64_MAX:
@@ -222,8 +225,10 @@ class FusionRing:
             raise InvalidRing("unit must be self-dual")
         self._unit = u
 
-        if truncation_bound is not None and (not isinstance(truncation_bound, int) or truncation_bound < 1):
+        if truncation_bound is not None and (type(truncation_bound) is not int or truncation_bound < 1):
             raise InvalidRing("truncation bound must be a positive integer")
+        if truncation_bound is not None and truncation_bound % 2 == 0:  # the spec format's rule
+            raise InvalidRing(f"truncation bound must be odd, got {truncation_bound}")
         self.truncation_bound = truncation_bound
 
         rank = len(elements)

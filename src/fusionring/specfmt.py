@@ -230,4 +230,5 @@ def write_spec(ring: FusionRing) -> str:
             f"{ring.label(c)} {m}" for c, m in enumerate(row) if m
         ]
         lines.append(f"prod {ring.label(i)} {ring.label(j)} : " + ", ".join(terms))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the last newline, without a second copy of the text
+    return "\n".join(lines)

@@ -401,15 +401,20 @@ def test_ladder_fragment_terminal(fragment):
     assert isinstance(t, FailureBranch)
     assert t.kind == "freeness_violation"
     assert t.violation == (30, 75)
+    # gx3*x3 is Unknown, so the shape fallback takes the terminal branch and verifies nothing
+    assert t.verified == ()
 
 
 def test_ladder_order2_branch():
-    cert = fr.ladder_build(order2_branch_ring(), "x3")
-    t = cert.terminal_status
-    assert t.kind == "grouplike_order2"
-    assert t.grouplike == "g"
-    assert t.order == 2
-    assert any("g*x3" in v for v in t.verified)
+    for ring, verified in [
+        (order2_branch_ring(), ("chain t=1: gx3 = g*x3", "chain t=2: x5 = g*x5")),
+        # the chain walk meets the Unknown gx3*x3, and the shape fallback finds g
+        (withhold_rows(order2_branch_ring(), ("gx3", "x3")), ()),
+    ]:
+        t = fr.ladder_build(ring, "x3").terminal_status
+        assert (t.kind, t.grouplike, t.order, t.verified) == ("grouplike_order2", "g", 2, verified)
+        # rows are read through product_row alone, so the packed-row kernel is never built
+        assert "_kernel" not in vars(ring)
 
 
 def test_ladder_impossible_factorization_branch():

@@ -6,6 +6,11 @@ ring makes each dense and stores it once.  `gen cyclic 128` peaks about
 4 MB above a bare interpreter.  A ring that kept a dense row per pair would
 hold n**3 coefficients again and peak about 22 MB above it; a builder that
 passed a term dict per pair, each of which the ring remembers, about 9 MB.
+
+`gen so3 255` writes a 2.7 MB spec: its text is joined once and printed as
+it is, and the op peaks about 14 MB above a bare interpreter, against about
+19 MB when the text was copied once more for its last newline and twice
+more on its way to stdout.
 """
 
 import os
@@ -40,3 +45,10 @@ def test_gen_cyclic_128_peaks_under_5_mb_above_a_bare_interpreter():
     bare = peak_kb("pass")
     gen = peak_kb("from fusionring.cli import main\nmain()", "gen", "cyclic", "128")
     assert (gen - bare) / 1024 < 5
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_gen_so3_255_peaks_under_16_mb_above_a_bare_interpreter():
+    bare = peak_kb("pass")
+    gen = peak_kb("from fusionring.cli import main\nmain()", "gen", "so3", "255")
+    assert (gen - bare) / 1024 < 16

@@ -47,6 +47,39 @@ def test_parsed_rows_share_one_string_per_label(ring, monkeypatch):
     assert set(strings) == set(ring.labels)
 
 
+@st.composite
+def plain_rings(draw):
+    """A ring with a drawn name, degrees and truncation bound that FusionRing
+    accepts, and its implied unit rows only."""
+    name = draw(st.text(min_size=1, max_size=8).filter(lambda s: s.split() == [s] and "#" not in s))
+    degrees = draw(st.lists(st.integers(1, 2**20), max_size=4))
+    bound = draw(st.one_of(st.none(), st.integers(0, 2**40).map(lambda k: 2 * k + 1)))
+    basis = [("u", 1, "u")] + [(f"b{i}", d, f"b{i}") for i, d in enumerate(degrees)]
+    return fr.build_ring(name, basis, "u", {}, truncation_bound=bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_rings())
+def test_every_accepted_name_degree_and_bound_round_trips(ring):
+    assert fr.parse_spec(fr.write_spec(ring)) == ring
+
+
+# Values whose spec text parse_spec would refuse or read back otherwise.
+@pytest.mark.parametrize("name,degree,bound", [
+    pytest.param("t", True, None, id="bool-degree"),
+    pytest.param("t", 1, True, id="bool-bound"),
+    pytest.param("t", 1, 4, id="even-bound"),
+    pytest.param("my ring", 1, None, id="two-token-name"),
+    pytest.param("", 1, None, id="empty-name"),
+    pytest.param("a#b", 1, None, id="comment-in-name"),
+    pytest.param("a\u2028b", 1, None, id="line-separator-in-name"),
+    pytest.param(None, 1, None, id="name-not-a-string"),
+])
+def test_ring_refuses_values_the_spec_cannot_hold(name, degree, bound):
+    with pytest.raises(fr.InvalidRing):
+        fr.build_ring(name, [("1", 1, "1"), ("x", degree, "x")], "1", {}, truncation_bound=bound)
+
+
 def test_partial_flag_written_only_for_partial():
     assert "partial true" not in fr.write_spec(fr.cyclic_group_ring(3))
     assert "partial true" in fr.write_spec(fr.so3_truncated(9))

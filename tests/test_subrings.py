@@ -134,7 +134,7 @@ def withheld_rings(draw):
     ring = draw(st.sampled_from(CORPUS))
     pairs = [(ring.label(i), ring.label(j)) for i, j in ring.known_pairs() if ring.unit_index not in (i, j)]
     withheld = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
-    bound = draw(st.one_of(st.none(), st.integers(1, 41)))
+    bound = draw(st.one_of(st.none(), st.integers(0, 20).map(lambda k: 2 * k + 1)))  # odd, as rings require
     return withhold_rows(ring, *withheld, truncation_bound=bound)
 
 
