@@ -8,16 +8,17 @@ must be complete, one character row per conjugacy class.  A table whose rows
 are not orthonormal, or whose products do not decompose with nonnegative
 integer multiplicities, is rejected loudly.
 
-Each total T is evaluated modulo M, a product of primes P = 1 (mod N), as
-Dixon computes characters modulo such a prime ("High speed computation of
-group characters", Numer. Math. 10, 1967): zeta_N -> w, a root of Phi_N mod
-each P, maps Z[zeta_N] onto Z/M with a kernel of norm M.  No conjugate of T
-exceeds L in absolute value (:func:`_bound`), and M > (2L)^phi(N).  If T's
-symmetric residue t has |t| <= L, M divides the norm of T - t, which is at
-most (2L)^phi(N) < M, so T = t.  An integer T has |T| <= L, so any other
-residue, like a total not divisible by |G|, is a fault, re-derived in
-:class:`Cyclotomic` arithmetic to word it.  So is every total of a table
-that fails the checks of a group's table that L rests on.
+Each total T is evaluated modulo M = |Phi_N(w)| at w = 2L + 2, much as
+Dixon computes characters modulo a prime P = 1 (mod N) ("High speed
+computation of group characters", Numer. Math. 10, 1967).  No conjugate of
+T exceeds L in absolute value (:func:`_bound`), and every root of Phi_N is
+at least w - 1 from w, so M >= (2L + 1)^phi(N).  Z[zeta_N] = Z[x]/(Phi_N)
+maps onto Z/M by x -> w, with a kernel ideal of index M: if T's symmetric
+residue t has |t| <= L, T - t lies in that ideal, so M divides its norm,
+which is at most (2L)^phi(N) < M, so T = t.  An integer T has |T| <= L,
+so any other residue, like a total not divisible by |G|, is a fault,
+re-derived in :class:`Cyclotomic` arithmetic to word it.  So is every total
+of a table that fails the checks of a group's table that L rests on.
 
 File format (``#`` comments, whitespace separated)::
 
@@ -36,12 +37,11 @@ Every directive but ``char`` takes exactly the tokens shown.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from math import isqrt
 from operator import mul
 from typing import Optional, Sequence
 
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial, prime_factors
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial
 from .ring import BasisElement, FusionRing, FusionRingError, InvalidRing
 from .specfmt import _decimal
 
@@ -124,44 +124,6 @@ class CharacterTable:
                     )
 
 
-# Miller-Rabin with these bases is exact below 3.18e23 (Jiang and Deng, 2014).
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2 or any(p % q == 0 for q in _BASES):
-        return p in _BASES
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * d, d odd
-    for a in _BASES:
-        squares = [pow(a, (p - 1) >> s, p)]  # a^d, a^(2d), ..., a^(2^(s-1) d)
-        for _ in range(s - 1):
-            squares.append(squares[-1] ** 2 % p)
-        if squares[0] != 1 and p - 1 not in squares:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _primes(n: int, limit: int) -> tuple[tuple[int, int], ...]:
-    """Primes P = 1 (mod n) whose product exceeds limit^phi(n), each with a
-    root of Phi_n mod P: an element of order n, tested with the primes of n.
-
-    P runs upwards from 2^29: below 2^30 a residue is one digit of a Python
-    int, where ``pow`` costs a third of what it does near 2^62.  The root is
-    g^((P - 1)/n) for the first g from 2^20 that works: small g are often
-    residues of the same powers for every such P.
-    """
-    bound, primes = limit ** (len(cyclotomic_polynomial(n)) - 1), prime_factors(n)
-    found, product, p = [], 1, 2**29 // n * n + 1
-    while product <= bound:
-        if _is_prime(p):
-            roots = (pow(g, (p - 1) // n, p) for g in range(2**20, p))
-            found.append((p, next(w for w in roots if all(pow(w, n // q, p) != 1 for q in primes))))
-            product *= p
-        p += n
-    return tuple(found)
-
-
 def _bound(table: CharacterTable, terms: list) -> int:
     """L for a table that passes the checks of a group's table, else -1.
 
@@ -194,9 +156,10 @@ class _Evaluation:
     """A table's values in Z/M under zeta_N -> w, and its exact inner product.
 
     ``rows[i][c]`` is the image of chi_i at class c, ``weighted[k][c]`` that
-    of |c| * conj(chi_k(c)), and ``bound`` is L.  A table that fails the
-    checks of :func:`_bound` has L = -1 and M = 1, so that no residue is
-    trusted and every total is derived in :class:`Cyclotomic` arithmetic.
+    of |c| * conj(chi_k(c)), ``bound`` is L and ``modulus`` is M = |Phi_N(w)|
+    at w = 2L + 2.  A table that fails the checks of :func:`_bound` has
+    L = -1, so w = 0 and M = |Phi_N(0)| = 1: no residue is trusted and every
+    total is derived in :class:`Cyclotomic` arithmetic.
     """
 
     def __init__(self, table: CharacterTable):
@@ -206,9 +169,10 @@ class _Evaluation:
         self.table = table
         terms = [[[(e, x) for e, x in enumerate(v.coeffs) if x] for v in row] for row in table.characters]
         self.bound = _bound(table, terms)
-        m, w = 1, 0
-        for p, root in _primes(n, max(2 * self.bound, 0)):  # Chinese remainders
-            m, w = m * p, w + m * ((root - w) * pow(m, -1, p) % p)
+        m, w = 0, 2 * self.bound + 2
+        for coefficient in reversed(cyclotomic_polynomial(n)):  # M = |Phi_N(w)|, by Horner
+            m = m * w + coefficient
+        m = abs(m)
         power = {e: pow(w, e, m) for e in {f % n for row in terms for value in row for e, _ in value for f in (e, -e)}}
         self.modulus, sizes = m, table.class_sizes
         self.rows = [[sum(x * power[e] for e, x in value) % m for value in row] for row in terms]
@@ -337,8 +301,8 @@ def _positive(token: str, what: str) -> int:
 
 
 # The largest conductor a table may declare.  Spawned `gen chartable` on a one-class table (2 CPUs, no
-# bytecode cache) takes 0.07-0.12 s at N = 4620 and 5040 (medians of 15 or 31 runs, busy and quiet host),
-# about 2.5 ms of it in the evaluation's prime search.  What a larger N costs is not yet measured.
+# bytecode cache) takes 0.08-0.14 s at N = 4620 and 5040 (medians of 5 runs in three rounds, as the host's
+# load moved), about 1.3 ms of it in the evaluation, M included.  What a larger N costs is not yet measured.
 CONDUCTOR_BOUND = 5040
 
 # The fewest tokens of each directive, and what a shorter line lacks.

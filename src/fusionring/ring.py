@@ -185,15 +185,20 @@ class FusionRing:
         if not isinstance(name, str) or name.split() != [name] or "#" in name:
             raise InvalidRing(f"ring name {name!r} must be one token without '#'")
         self.name = name
-        elements = sorted(basis, key=lambda b: (b.degree, b.label))
+        basis = tuple(basis)
+        try:
+            elements = sorted(basis, key=lambda b: (b.degree, b.label))
+            duplicated = len({b.label for b in elements}) != len(elements)
+        except TypeError:  # a label or degree of another type, refused below with the elements before it
+            elements, duplicated = basis, False
         if not elements:
             raise InvalidRing("basis is empty")
-        labels = [b.label for b in elements]
-        if len(set(labels)) != len(labels):
+        if duplicated:
             raise InvalidRing("duplicate basis labels")
+        labels = [b.label for b in elements]
         dimension = 0
         for b in elements:
-            if not LABEL_RE.match(b.label):
+            if not isinstance(b.label, str) or not LABEL_RE.match(b.label):
                 raise InvalidRing(f"bad label {b.label!r}: must match [A-Za-z0-9_]+")
             if type(b.degree) is not int or b.degree < 1:  # exactly int, as multiplicities are
                 raise InvalidRing(f"degree of {b.label} must be a positive integer")
@@ -205,7 +210,7 @@ class FusionRing:
 
         dual = []
         for b in elements:
-            j = self._index.get(b.dual_label)
+            j = self._index.get(b.dual_label) if isinstance(b.dual_label, str) else None
             if j is None:
                 raise InvalidRing(f"dangling dual label {b.dual_label!r} on basis element {b.label!r}", b.label)
             dual.append(j)
@@ -216,7 +221,7 @@ class FusionRing:
             if self._elements[i].degree != self._elements[j].degree:
                 raise InvalidRing(f"dual does not preserve degree at {labels[i]}")
 
-        u = self._index.get(unit_label)
+        u = self._index.get(unit_label) if isinstance(unit_label, str) else None
         if u is None:
             raise InvalidRing(f"unit label {unit_label!r} not in basis")
         if self._elements[u].degree != 1:

@@ -9,8 +9,11 @@ exception class and message on both routes.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +25,6 @@ from fusionring.chartable import (
     NotIntegral,
     OrthogonalityFailure,
     _Evaluation,
-    _is_prime,
-    _primes,
 )
 from fusionring.cyclotomic import Cyclotomic
 from fusionring.ring import BasisElement, FusionRing, InvalidRing
@@ -283,38 +284,77 @@ def test_a_total_not_divisible_by_the_order_fails_alike():
     assert outcome(fr.parse_character_table, text) == expect
 
 
-# -- the evaluation at primes P = 1 (mod N) --------------------------------------
+# -- the evaluation modulo Phi_N(w) ------------------------------------------------
 
 
-def primes_below(limit):
-    """The primes below ``limit``, by the sieve of Eratosthenes."""
-    sieve = [False, False] + [True] * (limit - 2)
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
-    return [p for p in range(limit) if sieve[p]]
+@functools.cache
+def cyclotomic_value(n, w):
+    """Phi_n(w) for w >= 2: w^n - 1 divided by Phi_d(w) for each proper divisor d of n."""
+    value = w**n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            value //= cyclotomic_value(d, w)
+    return value
 
 
-def test_is_prime_agrees_with_a_sieve_and_refuses_strong_pseudoprimes():
-    assert [p for p in range(10**5) if _is_prime(p)] == primes_below(10**5)
-    # strong pseudoprimes to the bases 2..7 and 2..23
-    assert not _is_prime(3215031751) and not _is_prime(3825123056546413051)
-    assert _is_prime(2**62 - 57) and not any(_is_prime(2**62 - k) for k in range(1, 57))
-
-
-def test_primes_carry_roots_of_the_cyclotomic_polynomial_and_exceed_the_bound():
-    # P < 2^31 has no prime factor above 46341, so gcd with their product decides it
-    small = primes_below(46342)
-    primorial = math.prod(small)
+def test_the_modulus_exceeds_the_norm_bound_and_carries_an_nth_root_of_unity():
     for n in range(1, 301):
-        primes_of_n = [q for q in small if n % q == 0]
         phi = sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
-        for limit in (2, 2 * 36 * 27):
-            found = _primes(n, limit)
-            for p, w in found:
-                assert (p - 1) % n == 0 and p < 46341**2 and math.gcd(p, primorial) == 1, (n, p)
-                assert pow(w, n, p) == 1 and all(pow(w, n // q, p) != 1 for q in primes_of_n), (n, p, w)
-            assert math.prod(p for p, _ in found) > limit**phi, n
+        for bound in (1, 972):
+            w = 2 * bound + 2
+            modulus = cyclotomic_value(n, w)
+            assert modulus > (2 * bound) ** phi and pow(w, n, modulus) == 1, (n, bound)
+        # the trivial group's table has L = 1 at any conductor
+        trivial = unchecked("G", 1, [1], [[Cyclotomic.integer(n, 1)]], [0])
+        assert _Evaluation(trivial).modulus == cyclotomic_value(n, 4), n
+    for name in FIXTURES:
+        table = fr.fixture_character_table(name)
+        evaluation = _Evaluation(table)
+        assert evaluation.modulus == cyclotomic_value(table.conductor, 2 * evaluation.bound + 2), name
+
+
+# A table that passes the checks of a group's table and is no group's, as
+# tools/chartable_tables.py builds it: the class ratios |G|/|c| are |G| and
+# the first nine Sylvester numbers 2, 3, 7, 43, ..., whose product is the
+# 105-digit |G|, so that their reciprocals and 1/|G| sum to 1.  Below a
+# trivial row, each column's squares sum to |G|/|c| - 1; the rows are not
+# orthonormal.  Its M has about phi(5040) * log2(2L + 2) = 600k bits.
+CRAFTED_10 = """\
+group S10 165506647324519964198468195444439180017513152706377497841851388766535868639572406808911988131737645185442
+conductor 5040
+class 1
+class 82753323662259982099234097722219590008756576353188748920925694383267934319786203404455994065868822592721
+class 55168882441506654732822731814813060005837717568792499280617129588845289546524135602970662710579215061814
+class 23643806760645709171209742206348454288216164672339642548835912680933695519938915258415998304533949312206
+class 3848991798244650330196934777777655349244491923404127856787241599221764386966800158346790421668317329894
+class 91591946499457644824830213306275141127566769621680961727643269931674526087201110574937458844348447806
+class 50715347969773017086086135239512128760181548354415106328454760437530506474166212435428468685292694
+class 15540447162771164649792024405283299102212737963893406063428553785653608710003184028038405806
+class 1459189113687796591938380218254948862104839903718831025138263619904486783546694
+class 12864938683278671740537145998360961546653259485195806
+char 1 1 1 1 1 1 1 1 1 1 1
+char 12864938683278671740537145998360961546653259485195806 12864938683278671740537145998360961546653259485195806 1 1 2 6 42 1806 3263442 10650056950806 113423713055421844361000442
+char 113423713055421844361000442 113423713055421844361000442 0 -1 -1 -2 -6 -42 -1806 -3263442 -10650056950806
+char 10650056950806 10650056950806 0 0 1 1 2 6 42 1806 3263442
+char 3263442 3263442 0 0 0 -1 -1 -2 -6 -42 -1806
+char 1806 1806 0 0 0 0 1 1 2 6 42
+char 42 42 0 0 0 0 0 -1 -1 -2 -6
+char 6 6 0 0 0 0 0 0 1 1 2
+char 2 2 0 0 0 0 0 0 0 -1 -1
+char 1 1 0 0 0 0 0 0 0 0 1
+"""
+
+
+def test_a_crafted_table_near_landaus_bound_fails_alike_and_fast():
+    rows = [line.split() for line in CRAFTED_10.splitlines()]
+    order, sizes = int(rows[0][2]), [int(r[1]) for r in rows if r[0] == "class"]
+    chars = [[Cyclotomic.integer(5040, int(v)) for v in r[2:]] for r in rows if r[0] == "char"]
+    expect = outcome(reference_validate, unchecked("S10", order, sizes, chars, range(len(chars))))
+    assert expect[0] == "OrthogonalityFailure"
+    start = time.perf_counter()
+    assert outcome(fr.parse_character_table, CRAFTED_10) == expect
+    # under a line tracer, as in tools/untraced_lines.py, every line runs several times slower
+    assert time.perf_counter() - start < 2.0 or sys.gettrace() is not None
 
 
 def _dihedral(n):
@@ -351,7 +391,7 @@ def test_the_bound_is_read_off_the_columns():
     # S3: classes of sizes 1, 3, 2 with centralizers 6, 2, 3, so L = 1*15 + 3*3 + 2*6
     evaluation = _Evaluation(fr.fixture_character_table("s3"))
     assert evaluation.bound == 36
-    assert math.prod(p for p, _ in _primes(1, 72)) == evaluation.modulus
+    assert evaluation.modulus == 73  # Phi_1(74)
 
 
 def test_a_column_preserving_corruption_fails_through_the_residues():
@@ -384,10 +424,10 @@ def _no_group_tables():
 
 
 @pytest.mark.parametrize("name", list(_no_group_tables()))
-def test_tables_of_no_group_search_no_primes(name):
-    """M needs phi(N) times the digits of L, so a table with many-digit
-    numbers would search for thousands of primes; one that fails the checks
-    of a group's table searches none, and is decided value by value, alike."""
+def test_tables_of_no_group_trust_no_residue(name):
+    """M has about phi(N) * log2(2L) bits, so a table with many-digit numbers
+    would be evaluated modulo millions of bits; one that fails the checks of
+    a group's table has M = 1, and is decided value by value, alike."""
     table = unchecked(*_no_group_tables()[name])
     evaluation = _Evaluation(table)
     assert (evaluation.bound, evaluation.modulus) == (-1, 1)

@@ -201,6 +201,20 @@ def test_construction_validation():
         fr.build_ring("t", [("1", 1, "1"), ("x", 3, "x")], "1", {("1", "x"): {"1": 3}})
 
 
+@pytest.mark.parametrize("basis,unit,message", [
+    pytest.param([("1", 1, "1"), (5, 3, 5)], "1", "bad label 5: must match [A-Za-z0-9_]+", id="int-label"),
+    pytest.param([("1", 1, "1"), (None, 1, None)], "1", "bad label None: must match [A-Za-z0-9_]+", id="no-label"),
+    pytest.param([("1", 1, "1"), ("x", 3, ["x"])], "1", "dangling dual label ['x'] on basis element 'x'",
+                 id="list-dual-label"),
+    pytest.param([("1", 1, "1")], ["1"], "unit label ['1'] not in basis", id="list-unit-label"),
+])
+def test_labels_that_are_not_strings_are_refused(basis, unit, message):
+    # a value of another type may fail to sort, to match the label pattern or to hash
+    with pytest.raises(fr.InvalidRing) as exc:
+        fr.build_ring("t", basis, unit, {})
+    assert str(exc.value) == message
+
+
 def test_rows_equal_to_earlier_ones_are_checked_in_full():
     # a row equal to an earlier one is still checked in full
     basis = [("1", 1, "1"), ("g", 1, "g")]
@@ -292,6 +306,17 @@ def test_ring_element_value_protocol(thunk, expected):
         lambda: fr.build_ring("t", [("1", 1, "1"), ("x", 0, "x")], "1", {}),
         (fr.InvalidRing, "degree of x must be a positive integer"),
         id="degree-0",
+    ),
+    # a value of the wrong type that sorts does not cut ahead of a fault found before it
+    pytest.param(
+        lambda: fr.build_ring("t", [("x", 1, "x"), ("x", True, "x")], "x", {}),
+        (fr.InvalidRing, "duplicate basis labels"),
+        id="duplicate-before-bool-degree",
+    ),
+    pytest.param(
+        lambda: fr.build_ring("t", [(5, 2, 5), ("x", 0, "x")], "x", {}),
+        (fr.InvalidRing, "degree of x must be a positive integer"),
+        id="degree-0-sorted-before-int-label",
     ),
     pytest.param(
         lambda: fr.build_ring("t", [("1", 1, "1")], "1", {}, truncation_bound=0),

@@ -1,0 +1,48 @@
+"""``tools/same_outputs.py`` on a checkout against itself and against a
+checkout whose ``main`` prints one more line, and the crafted table that
+``tools/chartable_tables.py`` writes."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+from test_chartable_kernel import CRAFTED_10
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+same_outputs = _tool("same_outputs")
+
+
+def _commands(tmp_path: Path) -> Path:
+    cmdfile = tmp_path / "cmds.txt"
+    cmdfile.write_text("# a comment line\ngen cyclic 3  # a trailing comment\n\ngen nothing\n")
+    return cmdfile
+
+
+def test_a_checkout_against_itself_differs_nowhere(tmp_path, capsys):
+    assert same_outputs.main([str(REPO), str(REPO), str(_commands(tmp_path))]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err == "same_outputs: 0 of 2 commands differ\n"
+
+
+def test_an_extra_line_of_stdout_is_reported(tmp_path, capsys):
+    fake = tmp_path / "fake"
+    shutil.copytree(REPO / "src", fake / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(fake / "src" / "fusionring" / "cli.py", "a") as fh:
+        fh.write("\n_main = main\n\n\ndef main():\n    try:\n        _main()\n    finally:\n        print('extra')\n")
+    assert same_outputs.main([str(REPO), str(fake), str(_commands(tmp_path))]) == 1
+    out, err = capsys.readouterr()
+    assert out == "stdout differs: gen cyclic 3\nstdout differs: gen nothing\n"
+    assert err == "same_outputs: 2 of 2 commands differ\n"
+
+
+def test_the_crafted_ten_class_table_is_the_tools():
+    assert _tool("chartable_tables").crafted(10) == CRAFTED_10

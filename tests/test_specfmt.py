@@ -67,6 +67,8 @@ def test_every_accepted_name_degree_and_bound_round_trips(ring):
 # Values whose spec text parse_spec would refuse or read back otherwise.
 @pytest.mark.parametrize("name,degree,bound", [
     pytest.param("t", True, None, id="bool-degree"),
+    pytest.param("t", "3", None, id="string-degree"),
+    pytest.param("t", None, None, id="no-degree"),
     pytest.param("t", 1, True, id="bool-bound"),
     pytest.param("t", 1, 4, id="even-bound"),
     pytest.param("my ring", 1, None, id="two-token-name"),

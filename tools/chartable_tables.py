@@ -1,0 +1,99 @@
+"""Write the character tables that ``tools/chartable_cmds.txt`` names into a directory.
+
+Usage::
+
+    python3 tools/chartable_tables.py OUTDIR
+
+It writes the four shipped fixtures; the cyclic 12/30/60 and dihedral
+21/45/63 tables of ``bench/workloads.py``'s generators at seeds 1-3; the
+trivial group's table at conductors 4620 and 5040; and the tables of 6 to 11
+classes that :func:`crafted` builds.  Run ``tools/same_outputs.py`` from
+OUTDIR on the command file, which names each table by its file name.
+"""
+
+from __future__ import annotations
+
+import random
+import shutil
+import sys
+from math import isqrt
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def squares(total: int, count: int, least: int) -> list[int] | None:
+    """``count`` integers of at least ``least``, largest first, whose squares
+    sum to ``total``, each the largest of its 41 candidates that the rest
+    allows; None if there are none."""
+    if count == 0:
+        return [] if total == 0 else None
+    if total < least * count:
+        return None
+    top = isqrt(total)
+    for x in range(top, max(least, top - 40) - 1, -1):
+        rest = squares(total - x * x, count - 1, least)
+        if rest is not None:
+            return [x] + rest
+    return None
+
+
+def crafted(classes: int) -> str:
+    """A table that passes the checks of a group's table, of no group.
+
+    The class ratios |G|/|c| are |G| (the identity) and the Sylvester
+    numbers 2, 3, 7, 43, ..., whose reciprocals sum to 1 - 1/|G|; so the
+    digits of |G| about double with each class (105 at 10 classes), near
+    Landau's bound.  Below a trivial row,
+    each column holds integers whose squares sum to |G|/|c| - 1, positive
+    at the identity and with the sign of every other row flipped elsewhere.
+    The table declares conductor 5040, the largest allowed; its rows are not
+    orthonormal.
+    """
+    sylvester = [2]
+    while len(sylvester) < classes:
+        sylvester.append(sylvester[-1] * (sylvester[-1] - 1) + 1)
+    order = sylvester[-1] - 1
+    ratios = [order] + sylvester[:-1]
+    columns = [squares(r - 1, classes - 1, 1 if c == 0 else 0) for c, r in enumerate(ratios)]
+    lines = [f"group S{classes} {order}", "conductor 5040"] + [f"class {order // r}" for r in ratios]
+    lines.append("char 1 " + " ".join(["1"] * classes))
+    for i in range(classes - 1):
+        sign = -1 if i % 2 else 1
+        lines.append(f"char {columns[0][i]} {columns[0][i]} " + " ".join(str(sign * col[i]) for col in columns[1:]))
+    return "\n".join(lines) + "\n"
+
+
+def tables() -> dict[str, str]:
+    """Each table's file name and text."""
+    sys.path.insert(0, str(REPO / "bench"))
+    import workloads
+
+    out = {}
+    for seed in (1, 2, 3):
+        for n in (12, 30, 60):
+            out[f"z{n}_{seed}.chartab"] = workloads.cyclic_table_file(n, random.Random(seed))[0]
+        for n in (21, 45, 63):
+            out[f"d{n}_{seed}.chartab"] = workloads.dihedral_table_file(n, random.Random(seed))[0]
+    for n in (4620, 5040):
+        out[f"one{n}.chartab"] = f"group G 1\nconductor {n}\nclass 1\nchar 1 1\n"
+    for k in range(6, 12):
+        out[f"crafted{k}.chartab"] = crafted(k)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    for fixture in (REPO / "src" / "fusionring" / "fixtures").glob("*.chartab"):
+        shutil.copy(fixture, outdir / fixture.name)
+    for name, text in tables().items():
+        (outdir / name).write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
