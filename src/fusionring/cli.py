@@ -5,12 +5,16 @@ Fail/violation/obstruction (or an unmet mathematical precondition) in the
 report; 2 = usage or input error, a rank bound included.  Reports are
 deterministic: identical inputs produce byte-identical output, in text or
 JSON (``--format json``, stable schema ``fusionring-report/1``).
+
+The command line is declared once, in ``_MAIN_OPTIONS`` and ``_COMMANDS``.
+A plain argv is read straight from that table; argparse, built from the
+same table, loads only to print ``--help`` or to word a rejection.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import __version__
@@ -223,72 +227,162 @@ def _one_line(message: object) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(message))
 
 
+def _positive(text: str) -> Optional[int]:
+    """``text`` as a positive decimal integer, spaces around it allowed; None if it is not one."""
+    return _decimal(text.strip()) or None
+
+
 def _positive_int(text: str) -> int:
-    value = _decimal(text.strip())
-    if not value:
+    """``_positive`` as an argparse type: argparse words the refusal."""
+    value = _positive(text)
+    if value is None:
+        import argparse  # as in build_parser: a plain argv never loads it
+
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    """Rejected arguments give one ``fusionring: message`` line and exit 2,
-    like every other input error; subparsers are built with this class too."""
-
-    def error(self, message: str):
-        self.exit(2, f"fusionring: {_one_line(message)}\n")
+def _option(dest, type=None, default=None, required=False, help=None, choices=None) -> dict:
+    """The ``add_argument`` keywords of an option that takes one value."""
+    return {"dest": dest, "type": type, "default": default, "required": required, "help": help, "choices": choices}
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command line, declared once and walked by both build_parser() and
+# _read_plain(): the options before the subcommand, and per subcommand its
+# handler, help, positional (dest and nargs, or None) and options.  Each
+# option maps its flag to add_argument's keywords.
+_MAIN_OPTIONS = {
+    "--version": {"action": "version", "version": f"%(prog)s {__version__}"},
+    "--format": _option("format", default="text", help="report format", choices=("text", "json")),
+}
+_COMMANDS = {
+    "check": (_cmd_check, "run axiom and stabilizer checks on a ring file", ("file", None), {}),
+    "verdict": (
+        _cmd_verdict, "degree-3 dichotomy verdict for a ring file", ("file", None),
+        {"--depth": _option("depth", _positive_int, help="cap on verified ladder relations")},
+    ),
+    "ladder": (
+        _cmd_ladder, "build the odd-degree ladder certificate", ("file", None),
+        {
+            "--x3": _option("x3", required=True, help="label of the self-dual degree-3 element"),
+            "--depth": _option("depth", _positive_int),
+        },
+    ),
+    "subrings": (_cmd_subrings, "enumerate standard subrings and divisibility obstructions", ("file", None), {}),
+    "search": (
+        _cmd_search, "enumerate rings with prescribed degrees", None,
+        {
+            "--degrees": _option("degrees", required=True, help="comma-separated degree list, e.g. 1,1,1,3"),
+            "--max-mult": _option("max_mult", _positive_int, default=3),
+            "--workers": _option(
+                "workers", _positive_int, help="accepted for compatibility and ignored: the search runs in one process"
+            ),
+        },
+    ),
+    "gen": (
+        _cmd_gen, "generate a ring spec: cyclic N | so3 MAXDEG | fragment | chartable FILE", ("what", "+"), {}
+    ),
+}
+
+
+def build_parser():
+    """The ``argparse`` parser of the command line: it prints the help and
+    words each rejection, for every argv that ``_read_plain`` leaves to it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Rejected arguments give one ``fusionring: message`` line and exit 2,
+        like every other input error; subparsers are built with this class too."""
+
+        def error(self, message: str):
+            self.exit(2, f"fusionring: {_one_line(message)}\n")
+
     parser = _Parser(
         prog="fusionring",
         description="Exact fusion-ring checks, subring obstructions, and ladder analysis.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report format"
-    )
+    for flag, keywords in _MAIN_OPTIONS.items():
+        parser.add_argument(flag, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run axiom and stabilizer checks on a ring file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("verdict", help="degree-3 dichotomy verdict for a ring file")
-    p.add_argument("file")
-    p.add_argument("--depth", type=_positive_int, default=None, help="cap on verified ladder relations")
-    p.set_defaults(func=_cmd_verdict)
-
-    p = sub.add_parser("ladder", help="build the odd-degree ladder certificate")
-    p.add_argument("file")
-    p.add_argument("--x3", required=True, help="label of the self-dual degree-3 element")
-    p.add_argument("--depth", type=_positive_int, default=None)
-    p.set_defaults(func=_cmd_ladder)
-
-    p = sub.add_parser("subrings", help="enumerate standard subrings and divisibility obstructions")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_subrings)
-
-    p = sub.add_parser("search", help="enumerate rings with prescribed degrees")
-    p.add_argument("--degrees", required=True, help="comma-separated degree list, e.g. 1,1,1,3")
-    p.add_argument("--max-mult", type=_positive_int, default=3, dest="max_mult")
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="accepted for compatibility and ignored: the search runs in one process",
-    )
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("gen", help="generate a ring spec: cyclic N | so3 MAXDEG | fragment | chartable FILE")
-    p.add_argument("what", nargs="+")
-    p.set_defaults(func=_cmd_gen)
-
+    for name, (handler, help, positional, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        if positional is not None:
+            p.add_argument(positional[0], nargs=positional[1])
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _read_options(tokens: list[str], options: dict, values: dict) -> Optional[list[str]]:
+    """Store in ``values`` each option's default, then the value each
+    ``--flag VALUE`` pair of ``tokens`` gives it; return the other tokens.
+    None where argparse must decide: a flag that ``options`` lacks or that
+    takes no value, a value beginning with ``-``, one that its type or
+    choices refuse, or a required option left out."""
+    for keywords in options.values():
+        if "dest" in keywords:
+            values[keywords["dest"]] = keywords["default"]
+    positionals, given = [], set()
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        keywords = options.get(token, {})
+        value = next(tokens, "-")  # a missing value is refused like one beginning with "-"
+        if "dest" not in keywords or value.startswith("-"):
+            return None
+        if keywords["type"] is _positive_int:  # the table's one type, read without its argparse error
+            value = _positive(value)
+            if value is None:
+                return None
+        if keywords["choices"] is not None and value not in keywords["choices"]:
+            return None
+        values[keywords["dest"]] = value
+        given.add(token)
+    if any(keywords.get("required") and flag not in given for flag, keywords in options.items()):
+        return None
+    return positionals
+
+
+def _read_plain(argv: list[str]) -> Optional[SimpleNamespace]:
+    """What ``build_parser().parse_args(argv)`` gives for a plain argv,
+    ``[--format text|json] COMMAND ARG... [--option VALUE]...`` with each
+    option spelled in full, without loading argparse.  ``--version`` alone
+    prints the version and exits 0.  None for any other argv: an
+    abbreviation, ``--opt=value``, ``--``, ``-h``, a value beginning with
+    ``-``, a bad integer, a missing required option or the wrong number of
+    positionals, whose help or rejection argparse words."""
+    if argv == ["--version"]:
+        sys.stdout.write(f"fusionring {__version__}\n")  # what argparse's version action prints
+        raise SystemExit(0)
+    k = 0  # the subcommand's index: past each main option and its value
+    while k < len(argv) and argv[k].startswith("-"):
+        k += 2
+    if k >= len(argv) or argv[k] not in _COMMANDS:
+        return None
+    handler, _, positional, options = _COMMANDS[argv[k]]
+    values = {"command": argv[k], "func": handler}
+    if _read_options(argv[:k], _MAIN_OPTIONS, values) is None:
+        return None
+    args = _read_options(argv[k + 1:], options, values)
+    if args is None or (positional is None and args):
+        return None
+    if positional is not None:
+        dest, nargs = positional
+        if not (len(args) == 1 or (nargs == "+" and args)):
+            return None
+        values[dest] = args if nargs == "+" else args[0]
+    return SimpleNamespace(**values)
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code, output = args.func(args)
     except (_InputError, FusionRingError) as exc:

@@ -597,6 +597,12 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+def test_run_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fusionring", "gen", "cyclic", "3"])
+    assert run() == 0
+    assert capsys.readouterr().out.startswith("ring Z3\n")
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     path = write_ring(tmp_path, fr.f21_character_ring())
     _, out1, _ = run_cli(capsys, "--format", "json", "verdict", path)

@@ -3,7 +3,9 @@
 Each op runs in a fresh interpreter, which then prints the op's exit code
 and the modules it holds.  The ``fusionring``, ``concurrent`` and
 ``multiprocessing`` sets are pinned, and so is the absence of ``dataclasses``
-from every op and of ``json`` where an op does not need it.  Module sets are
+from every op, of ``json`` where an op does not need it, and of ``argparse``
+(with its ``gettext`` and ``locale``) from every op in its plain form; only
+``--help`` and rejected arguments load argparse.  Module sets are
 pinned, not timings: a module an op does not run costs every process its
 import, and nothing else catches an eager import creeping back.
 """
@@ -38,14 +40,22 @@ CHARTABLE = BASE | {"fusionring.chartable", "fusionring.cyclotomic"}
 LADDER = BASE | {"fusionring.ladder"}
 
 
-def loaded_after(*argv: str, watched=("fusionring", "concurrent", "multiprocessing")) -> set[str]:
-    """The modules under the ``watched`` top-level names that the op leaves loaded."""
+def spawn(*argv: str) -> tuple[str, set[str], list[str], str]:
+    """The op's exit code, the modules it leaves loaded, and its stdout lines and stderr."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True, timeout=60
     )
-    code, *modules = done.stdout.splitlines()[-1].split()
-    assert (done.returncode, code) == (0, "0"), done.stderr
+    assert done.returncode == 0, done.stderr
+    *out, last = done.stdout.splitlines()
+    code, *modules = last.split()
+    return code, set(modules), out, done.stderr
+
+
+def loaded_after(*argv: str, watched=("fusionring", "concurrent", "multiprocessing")) -> set[str]:
+    """The modules under the ``watched`` top-level names that the op leaves loaded."""
+    code, modules, _, err = spawn(*argv)
+    assert code == "0", err
     return {m for m in modules if m.split(".")[0] in watched}
 
 
@@ -104,6 +114,29 @@ OPS = {
 def test_text_op_loads_neither_json_nor_dataclasses(so3_spec, op):
     argv = [so3_spec if a == "SPEC" else a for a in OPS[op]]
     assert loaded_after("--format", "text", *argv, watched=("dataclasses", "json")) == set()
+
+
+# Each op in its plain form, as the bench and the README run it.
+PLAIN = {
+    "version": ["--version"],
+    **{f"{op}-{fmt}": ["--format", fmt, *argv] for op, argv in OPS.items() if op != "version" for fmt in ("text", "json")},
+}
+
+
+@pytest.mark.parametrize("op", sorted(PLAIN))
+def test_plain_op_loads_no_argparse(so3_spec, op):
+    argv = [so3_spec if a == "SPEC" else a for a in PLAIN[op]]
+    assert loaded_after(*argv, watched=("argparse", "gettext", "locale")) == set()
+
+
+def test_help_and_rejected_arguments_load_argparse():
+    code, modules, out, _ = spawn("--help")
+    assert (code, out[0]) == ("0", "usage: fusionring [-h] [--version] [--format {text,json}]")
+    assert "argparse" in modules
+    code, modules, out, err = spawn("search", "--degrees", "1,1,1", "--max-mult", "0")
+    assert (code, out) == ("2", [])
+    assert err == "fusionring: argument --max-mult: expected a positive integer, got '0'\n"
+    assert "argparse" in modules
 
 
 def test_json_op_loads_json(so3_spec):
