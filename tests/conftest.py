@@ -208,6 +208,34 @@ def factorization_branch_ring():
     })
 
 
+def bad_reciprocity_ring():
+    """Ladder input with m(x3, x5*x3) = 2, where reciprocity forces 1."""
+    return fr.build_ring("badrecip", [
+        ("1", 1, "1"), ("x3", 3, "x3"), ("x5", 5, "x5"), ("x9", 9, "x9"),
+    ], "1", {
+        ("x3", "x3"): {"1": 1, "x3": 1, "x5": 1},
+        ("x5", "x3"): {"x3": 2, "x9": 1},
+    })
+
+
+def order3_chain_end_ring():
+    """The order-2 fixture's shape with Z3 grouplikes: the descending chain
+    ends on g with g^2 != 1, which no valid ring allows there."""
+    return fr.build_ring("order3bad", [
+        ("1", 1, "1"), ("g", 1, "g2"), ("g2", 1, "g"),
+        ("x3", 3, "x3"), ("gx3", 3, "gx3"),
+        ("x5", 5, "x5"), ("z9", 9, "z9"),
+    ], "1", {
+        ("g", "g"): {"g2": 1}, ("g", "g2"): {"1": 1},
+        ("g2", "g"): {"1": 1}, ("g2", "g2"): {"g": 1},
+        ("x3", "x3"): {"1": 1, "x3": 1, "x5": 1},
+        ("x5", "x3"): {"x3": 1, "gx3": 1, "z9": 1},
+        ("gx3", "x3"): {"x5": 1, "g": 1, "gx3": 1},
+        ("g", "x3"): {"gx3": 1},
+        ("g", "x5"): {"x5": 1},
+    })
+
+
 def nonassociative_order9_ring():
     """Corrupt ring whose nine grouplikes pass every check _group_on made
     before associativity: closed, unit, duals inverse, each power cycle

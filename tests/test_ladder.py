@@ -16,11 +16,13 @@ from fusionring.ladder import (
 from conftest import (
     TERMINAL_WITHOUT_VIOLATION,
     all_fixture_rings,
+    bad_reciprocity_ring,
     chain_length_one_ring,
     count4_corrupt_ring,
     factorization_branch_ring,
     laurent_cg_decompose,
     order2_branch_ring,
+    order3_chain_end_ring,
     withhold_rows,
 )
 
@@ -425,14 +427,7 @@ def test_ladder_impossible_factorization_branch():
 
 
 def test_ladder_inconsistent_reciprocity():
-    # m(x3, x5*x3) = 2 violates the forced multiplicity 1
-    ring = fr.build_ring("badrecip", [
-        ("1", 1, "1"), ("x3", 3, "x3"), ("x5", 5, "x5"), ("x9", 9, "x9"),
-    ], "1", {
-        ("x3", "x3"): {"1": 1, "x3": 1, "x5": 1},
-        ("x5", "x3"): {"x3": 2, "x9": 1},
-    })
-    t = fr.ladder_build(ring, "x3").terminal_status
+    t = fr.ladder_build(bad_reciprocity_ring(), "x3").terminal_status
     assert isinstance(t, FailureBranch)
     assert t.kind == "inconsistent_data"
     assert "expected 1" in t.diagnosis
@@ -464,22 +459,7 @@ def test_ladder_inconsistent_z0_not_basic():
 
 
 def test_ladder_order3_chain_end_is_inconsistent():
-    # same shape as the order-2 fixture but with Z3 grouplikes: the chain
-    # ends on g with g^2 != 1, which no valid ring allows there
-    ring = fr.build_ring("order3bad", [
-        ("1", 1, "1"), ("g", 1, "g2"), ("g2", 1, "g"),
-        ("x3", 3, "x3"), ("gx3", 3, "gx3"),
-        ("x5", 5, "x5"), ("z9", 9, "z9"),
-    ], "1", {
-        ("g", "g"): {"g2": 1}, ("g", "g2"): {"1": 1},
-        ("g2", "g"): {"1": 1}, ("g2", "g2"): {"g": 1},
-        ("x3", "x3"): {"1": 1, "x3": 1, "x5": 1},
-        ("x5", "x3"): {"x3": 1, "gx3": 1, "z9": 1},
-        ("gx3", "x3"): {"x5": 1, "g": 1, "gx3": 1},
-        ("g", "x3"): {"gx3": 1},
-        ("g", "x5"): {"x5": 1},
-    })
-    t = fr.ladder_build(ring, "x3").terminal_status
+    t = fr.ladder_build(order3_chain_end_ring(), "x3").terminal_status
     assert t.kind == "inconsistent_data"
     assert "square to 1" in t.diagnosis
 

@@ -41,6 +41,10 @@ RINGS = {
     "chain1": conftest.chain_length_one_ring,
     "count4": conftest.count4_corrupt_ring,
     "Z5corrupt": conftest.corrupt_z5_ring,
+    # the ladder's inconsistent_data branch: a reciprocity multiplicity, an
+    # order-3 grouplike at the chain's end
+    "badrecip": conftest.bad_reciprocity_ring,
+    "order3bad": conftest.order3_chain_end_ring,
     # Each partial ring below reaches an exit of the degree-3 analysis that
     # no ring above reaches.
     "so3_3": lambda: fr.so3_truncated(3),  # the case split meets an Unknown x3*x3
