@@ -34,15 +34,9 @@ class CheckEntry(NamedTuple):
     witness: Optional[Witness] = None
 
     def as_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "status": self.status,
-            "passed": self.passed,
-            "failed": self.failed,
-            "skipped": self.skipped,
-        }
+        d = {k: v for k, v in self._asdict().items() if v is not None}
         if self.witness is not None:
-            d["witness"] = {"instance": list(self.witness.instance), "detail": self.witness.detail}
+            d["witness"] = {**self.witness._asdict(), "instance": list(self.witness.instance)}
         return d
 
 

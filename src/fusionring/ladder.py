@@ -111,15 +111,11 @@ class LadderCertificate(NamedTuple):
         if isinstance(self.terminal_status, TruncationReached):
             terminal = {"kind": "truncation_reached", "depth": self.terminal_status.depth}
         else:
+            # the branch's fields, tuples as lists, None and an empty `verified` left out
             t = self.terminal_status
-            terminal = {"kind": "failure_branch", "branch": t.kind, "diagnosis": t.diagnosis}
-            if t.grouplike is not None:
-                terminal["grouplike"] = t.grouplike
-                terminal["order"] = t.order
-            if t.violation is not None:
-                terminal["violation"] = list(t.violation)
-            if t.verified:
-                terminal["verified"] = list(t.verified)
+            items = ((k, list(v) if isinstance(v, tuple) else v) for k, v in t._asdict().items())
+            terminal = {k: v for k, v in items if v not in (None, [])}
+            terminal.update(kind="failure_branch", branch=t.kind)
         return {
             "x_family": list(self.x_family),
             "xprime_family": list(self.xprime_family),
@@ -237,7 +233,7 @@ def selfdual_chain(ring: FusionRing, x3_label: str) -> ChainResult:
 
 
 def _check_depth(max_depth: Optional[int]) -> None:
-    if max_depth is not None and (not isinstance(max_depth, int) or max_depth < 1):
+    if max_depth is not None and (type(max_depth) is not int or max_depth < 1):
         raise PreconditionUnmet(f"max_depth must be a positive integer, got {max_depth!r}")
 
 
@@ -527,17 +523,9 @@ class Verdict(NamedTuple):
     divisible_by_3: Optional[bool] = None
 
     def as_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.grouplike is not None:
-            d["grouplike"] = self.grouplike
-            d["order"] = self.order
+        d = {k: v for k, v in self._asdict().items() if v is not None}
         if self.certificate is not None:
             d["certificate"] = self.certificate.as_dict()
-        if self.detail is not None:
-            d["detail"] = self.detail
-        if self.dimension is not None:
-            d["dimension"] = self.dimension
-            d["divisible_by_3"] = self.divisible_by_3
         return d
 
 

@@ -23,7 +23,7 @@ if TYPE_CHECKING:
 
 def cyclic_group_ring(n: int) -> FusionRing:
     """Group ring of the cyclic group of order n; labels 1, g, g2, ..."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("n must be >= 1")
     labels = ["1"] + [f"g{k}" if k > 1 else "g" for k in range(1, n)]
 
@@ -43,7 +43,7 @@ def so3_truncated(max_degree: int) -> FusionRing:
     x_{2a+1} * x_{2b+1} = sum of x_{2c+1} for |a-b| <= c <= a+b, and any
     row whose top term would exceed the bound is left Unknown.
     """
-    if max_degree < 3 or max_degree % 2 == 0:
+    if type(max_degree) is not int or max_degree < 3 or max_degree % 2 == 0:
         raise ValueError("max_degree must be an odd integer >= 3")
     half = max_degree // 2  # basis indexed by a = 0..half, degree 2a+1
     labels = [f"x{2 * a + 1}" for a in range(half + 1)]
@@ -121,6 +121,8 @@ def fixture_character_table(name: str) -> CharacterTable:
     """Load a character table shipped with the package (s3, a4, f21, z3)."""
     from .chartable import parse_character_table
 
+    if name not in _FIXTURE_LABELS:
+        raise ValueError(f"no fixture table {name!r}: one of {', '.join(_FIXTURE_LABELS)}")
     text = resources.files("fusionring.fixtures").joinpath(f"{name}.chartab").read_text(encoding="utf-8")
     return parse_character_table(text)
 
@@ -148,6 +150,8 @@ def cyclic_character_table(n: int) -> CharacterTable:
     from .chartable import CharacterTable
     from .cyclotomic import Cyclotomic
 
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be >= 1")
     chars = tuple(
         tuple(Cyclotomic.zeta_power(n, (j * k) % n) for k in range(n)) for j in range(n)
     )

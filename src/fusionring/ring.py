@@ -68,7 +68,7 @@ class InvalidSetting(FusionRingError):
 def _check_rank(rank: int, bound: int, what: str = "bound") -> None:
     """RankTooLarge when ``rank`` exceeds ``bound``; InvalidSetting, naming
     ``rank_bound``, unless ``bound`` is a positive ``int``."""
-    if not isinstance(bound, int) or bound < 1:
+    if type(bound) is not int or bound < 1:
         raise InvalidSetting(f"rank_bound must be a positive integer, got {bound!r}")
     if rank > bound:
         raise RankTooLarge(f"rank {rank} exceeds {what} {bound}")

@@ -224,15 +224,15 @@ def enumerate_rings(
     this process.
     """
     degrees = tuple(degrees)
-    if not degrees or not all(isinstance(d, int) and d >= 1 for d in degrees):
+    if not degrees or not all(type(d) is int and d >= 1 for d in degrees):
         raise PreconditionUnmet(f"degrees must be a nonempty list of positive integers, got {list(degrees)}")
-    degrees = tuple(sorted(int(d) for d in degrees))
+    degrees = tuple(sorted(degrees))
     if degrees[0] != 1:
         raise PreconditionUnmet("degrees must include 1 for the unit")
     if odd_only and any(d % 2 == 0 for d in degrees):
         raise PreconditionUnmet(f"even degree in {degrees}: rejected under the odd-only constraint")
     _check_rank(len(degrees), rank_bound)
-    if not isinstance(max_mult, int) or max_mult < 1:
+    if type(max_mult) is not int or max_mult < 1:
         raise PreconditionUnmet(f"max_mult must be a positive integer, got {max_mult!r}")
 
     rank = len(degrees)

@@ -22,11 +22,7 @@ class StandardSubring(NamedTuple):
     closed_under_dual: bool
 
     def as_dict(self) -> dict:
-        return {
-            "members": list(self.members),
-            "hopf_dimension": self.hopf_dimension,
-            "closed_under_dual": self.closed_under_dual,
-        }
+        return {**self._asdict(), "members": list(self.members)}
 
 
 class IncompleteClosure(NamedTuple):

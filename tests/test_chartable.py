@@ -111,6 +111,27 @@ def test_cyclic_table_ring_equals_group_ring():
         assert via_table == fr.cyclic_group_ring(n)
 
 
+# The generators take exactly an int: True is not 1, and 2.0 and "3" are not orders.
+@pytest.mark.parametrize("make,value,message", [
+    *[(fr.cyclic_group_ring, v, "n must be >= 1") for v in (True, 2.0, "3")],
+    *[(fr.cyclic_character_table, v, "n must be >= 1") for v in (True, 2.0, "3")],
+    *[(fr.so3_truncated, v, "odd integer >= 3") for v in (True, 7.0, "7")],
+])
+def test_generators_refuse_non_int(make, value, message):
+    with pytest.raises(ValueError, match=message):
+        make(value)
+
+
+def test_cyclic_character_table_refuses_zero():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        fr.cyclic_character_table(0)
+
+
+def test_unknown_fixture_table_names_the_fixtures():
+    with pytest.raises(ValueError, match="'nope': one of s3, a4, f21, z3"):
+        fr.fixture_character_table("nope")
+
+
 def test_load_character_table_from_path(tmp_path):
     from importlib import resources
 

@@ -382,7 +382,7 @@ def test_ladder_max_depth_cap(so3_21):
     assert cert.terminal_status == TruncationReached(4)
 
 
-@pytest.mark.parametrize("depth", [0, -1, 1.5, 2.0, "3"])
+@pytest.mark.parametrize("depth", [0, -1, 1.5, 2.0, "3", True])
 def test_non_positive_max_depth_rejected(so3_21, depth):
     with pytest.raises(fr.PreconditionUnmet, match="positive integer"):
         fr.ladder_build(so3_21, "x3", max_depth=depth)

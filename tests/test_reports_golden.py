@@ -14,6 +14,7 @@ deliberate report change regenerates them with
 from __future__ import annotations
 
 import io
+import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -135,6 +136,25 @@ REPORTS = {
 def test_report_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert REPORTS[name]() == expected
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_as_dict_is_plain_json(name):
+    """Every result's ``as_dict()`` survives a JSON round trip unchanged: no
+    tuple, NamedTuple or other non-JSON value leaks into a report."""
+    ring = RINGS[name]()
+    dicts = [fr.check_axioms(ring).as_dict(), fr.dichotomy_verdict(ring).as_dict()]
+    dicts += [s.as_dict() for s in fr.enumerate_standard_subrings(ring)]
+    for i, b in enumerate(ring.elements):
+        if ring.product_row(i, ring.dual_index(i)) is not None:
+            dicts.append(fr.check_stabilizer_rule(ring, b.label).as_dict())
+        if b.degree == 3 and ring.dual_index(i) == i:
+            try:
+                dicts.append(fr.ladder_build(ring, b.label).as_dict())
+            except fr.PreconditionUnmet:
+                pass
+    for d in dicts:
+        assert json.loads(json.dumps(d)) == d
 
 
 if __name__ == "__main__":

@@ -126,7 +126,7 @@ def test_forward_check_backs_up_when_a_reader_has_no_candidate(monkeypatch, degr
     assert len(calls) == runs
 
 
-@pytest.mark.parametrize("rank_bound", [None, 0, 2.5, "8"])
+@pytest.mark.parametrize("rank_bound", [None, 0, 2.5, "8", True])
 def test_bad_rank_bound_rejected(rank_bound):
     with pytest.raises(fr.InvalidSetting, match="rank_bound"):
         fr.enumerate_rings([1, 3], max_mult=1, rank_bound=rank_bound)
@@ -138,6 +138,8 @@ def test_bad_rank_bound_rejected(rank_bound):
     ([1.0, 1], 1, "degrees"),
     ([1, 1], 1.5, "max_mult"),
     ([1, 1], "2", "max_mult"),
+    ([1, True], 1, "degrees"),
+    ([1, 1], True, "max_mult"),
 ])
 def test_non_integer_degrees_or_max_mult_rejected(degrees, max_mult, match):
     with pytest.raises(fr.PreconditionUnmet, match=match):

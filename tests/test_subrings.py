@@ -239,7 +239,7 @@ def test_enumerate_rank_bound():
         fr.enumerate_standard_subrings(fr.cyclic_group_ring(8), rank_bound=5)
 
 
-@pytest.mark.parametrize("rank_bound", [None, 0, 2.5, "8"])
+@pytest.mark.parametrize("rank_bound", [None, 0, 2.5, "8", True])
 def test_bad_rank_bound_rejected(rank_bound):
     with pytest.raises(fr.InvalidSetting, match="rank_bound"):
         fr.enumerate_standard_subrings(fr.cyclic_group_ring(3), rank_bound=rank_bound)
