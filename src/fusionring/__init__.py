@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ring": (
         "BasisElement", "FusionRing", "FusionRingError", "InvalidRing", "InvalidSetting", "NotClosed",
-        "OverflowDetected", "PreconditionUnmet", "RankTooLarge", "RingElement", "UnknownLabel",
-        "UnknownProduct", "build_ring",
+        "OverflowDetected", "PreconditionUnmet", "RankTooLarge", "UnknownLabel", "UnknownProduct", "build_ring",
     ),
     "axioms": ("CheckReport", "check_axioms", "check_stabilizer_rule", "stabilizer_labels"),
     "subrings": (
@@ -23,8 +22,7 @@ _EXPORTS = {
     "ladder": (
         "CaseSplitResult", "ChainFailure", "ChainResult", "FailureBranch", "GrouplikeFound",
         "LadderCertificate", "NotDegreeThree", "Obstruction", "SelfDual", "SquareSplit",
-        "TruncationReached", "Verdict", "degree3_case_split", "dichotomy_verdict", "ladder_build",
-        "selfdual_chain", "verify_certificate",
+        "TruncationReached", "Verdict", "degree3_case_split", "dichotomy_verdict", "ladder_build", "selfdual_chain",
     ),
     "search": ("enumerate_rings",),
     "cyclotomic": ("Cyclotomic", "cyclotomic_polynomial"),
@@ -38,6 +36,7 @@ _EXPORTS = {
         "so3_truncated",
     ),
     "specfmt": ("RingSemanticError", "RingSyntaxError", "parse_spec", "write_spec"),
+    "verify": ("RingElement", "verify_certificate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -27,7 +27,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit the entries of 1 and 2
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial.
 
@@ -36,7 +36,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     exactly by it is the recurrence q[i] = p[i] + q[i - d], so each factor
     costs time linear in the degree.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return (-1, 1)
@@ -73,7 +73,7 @@ class Cyclotomic:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs: Iterable[int]):
-        if conductor < 1:
+        if type(conductor) is not int or conductor < 1:
             raise ValueError("conductor must be positive")
         self.conductor = conductor
         folded = [0] * conductor
@@ -98,6 +98,8 @@ class Cyclotomic:
 
     @classmethod
     def zeta_power(cls, conductor: int, k: int) -> "Cyclotomic":
+        if type(conductor) is not int or conductor < 1:  # before it sizes the list
+            raise ValueError("conductor must be positive")
         coeffs = [0] * conductor
         coeffs[k % conductor] = 1
         return cls(conductor, coeffs)

@@ -476,40 +476,6 @@ def _shape_fallback(ring: FusionRing, xs: list[int], z0: list[int], y0: int, n: 
     return None
 
 
-def verify_certificate(ring: FusionRing, cert: LadderCertificate) -> bool:
-    """Independent re-check of a certificate by direct multiply/decompose.
-
-    Confirms deg(x_{2k+1}) = 2k+1 and deg(x'_{2k+1}) = 2k+1 for every family
-    member, then recomputes x_{2n+1}*x3 for every recorded relation and
-    compares both to the recorded decomposition and to
-    x_{2n-1} + x'_{2n+1} + x_{2n+3}.
-    """
-    for k, label in enumerate(cert.x_family):
-        if ring.degree_of(ring.index(label)) != 2 * k + 1:
-            return False
-    for k, label in enumerate(cert.xprime_family):
-        if ring.degree_of(ring.index(label)) != 2 * k + 3:
-            return False
-    if not cert.relations:
-        return True
-    x3_label = cert.x_family[1]
-    e_x3 = ring.element(x3_label)
-    for n, recorded in cert.relations:
-        product = ring.multiply(ring.element(cert.x_family[n]), e_x3)
-        if product is None:
-            return False
-        if tuple(ring.decompose(product)) != recorded:
-            return False
-        expected = (
-            ring.element(cert.x_family[n - 1])
-            + ring.element(cert.xprime_family[n - 1])
-            + ring.element(cert.x_family[n + 1])
-        )
-        if product != expected:
-            return False
-    return True
-
-
 # -- verdict ------------------------------------------------------------------
 
 

@@ -74,82 +74,12 @@ def _check_rank(rank: int, bound: int, what: str = "bound") -> None:
         raise RankTooLarge(f"rank {rank} exceeds {what} {bound}")
 
 
-def _check64(value: int) -> int:
-    if value > INT64_MAX or value < INT64_MIN:
-        raise OverflowDetected(f"coefficient {value} exceeds checked 64-bit range")
-    return value
-
-
 class BasisElement(NamedTuple):
     """One basis label with its degree and the label of its dual."""
 
     label: str
     degree: int
     dual_label: str
-
-
-class RingElement:
-    """Sparse integer coordinate vector over a ring's basis.
-
-    Supports the table-free abelian-group operations (``+``, ``-``, integer
-    scaling); multiplication lives on :meth:`FusionRing.multiply` because it
-    may be Unknown on partial rings.
-    """
-
-    __slots__ = ("ring", "_coords")
-
-    def __init__(self, ring: "FusionRing", coords: Mapping[int, int]):
-        self.ring = ring
-        self._coords = {i: _check64(v) for i, v in coords.items() if v != 0}
-
-    def is_zero(self) -> bool:
-        return not self._coords
-
-    def is_nonnegative(self) -> bool:
-        """True iff every coefficient is >= 0 (the positivity cone)."""
-        return all(v >= 0 for v in self._coords.values())
-
-    def is_basic(self) -> bool:
-        """True iff the element is a single basis vector with coefficient 1."""
-        return len(self._coords) == 1 and next(iter(self._coords.values())) == 1
-
-    def basic_index(self) -> int:
-        if not self.is_basic():
-            raise ValueError("element is not basic")
-        return next(iter(self._coords))
-
-    def _check_same_ring(self, other: "RingElement") -> None:
-        if self.ring is not other.ring:
-            raise FusionRingError("elements belong to different rings")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check_same_ring(other)
-        coords = dict(self._coords)
-        for i, v in other._coords.items():
-            coords[i] = coords.get(i, 0) + v
-        return RingElement(self.ring, coords)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, {i: -v for i, v in self._coords.items()})
-
-    def __rmul__(self, scalar: int) -> "RingElement":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return RingElement(self.ring, {i: scalar * v for i, v in self._coords.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.ring is other.ring and self._coords == other._coords
-
-    def __hash__(self) -> int:
-        return hash((id(self.ring), tuple(sorted(self._coords.items()))))
-
-    def __repr__(self) -> str:
-        return format_terms(self.ring.decompose(self))
 
 
 def format_terms(terms: Iterable[tuple[str, int]]) -> str:
@@ -159,6 +89,10 @@ def format_terms(terms: Iterable[tuple[str, int]]) -> str:
 
 
 ProductTable = Mapping[tuple[str, str], Mapping[str, int]]
+
+_ELEMENT_METHODS = (
+    "element", "unit_element", "basic_product", "multiply", "multiplicity", "dual", "degree", "decompose", "_own",
+)
 
 
 class FusionRing:
@@ -351,64 +285,19 @@ class FusionRing:
     def is_complete(self) -> bool:
         return not self.is_partial
 
-    # -- elements and arithmetic --------------------------------------------
-
-    def element(self, label: str) -> RingElement:
-        """Basis injection: the element with coefficient 1 at ``label``."""
-        return RingElement(self, {self.index(label): 1})
-
-    def unit_element(self) -> RingElement:
-        return RingElement(self, {self._unit: 1})
-
-    def basic_product(self, i: int, j: int) -> Optional[RingElement]:
-        row = self._rows[i][j]
-        if row is None:
-            return None
-        return RingElement(self, {c: v for c, v in enumerate(row) if v})
-
-    def multiply(self, a: RingElement, b: RingElement) -> Optional[RingElement]:
-        """Bilinear product; None when any contributing basic pair is Unknown."""
-        self._own(a)
-        self._own(b)
-        acc: dict[int, int] = {}
-        for i, ci in a._coords.items():
-            for j, cj in b._coords.items():
-                row = self._rows[i][j]
-                if row is None:
-                    return None
-                scale = ci * cj
-                for c, n in enumerate(row):
-                    if n:
-                        acc[c] = acc.get(c, 0) + scale * n
-        return RingElement(self, acc)
-
-    def multiplicity(self, w: RingElement, z: RingElement) -> int:
-        """Biadditive multiplicity pairing: sum of coordinatewise products."""
-        self._own(w)
-        self._own(z)
-        small, large = (w._coords, z._coords) if len(w._coords) <= len(z._coords) else (z._coords, w._coords)
-        return _check64(sum(v * large.get(i, 0) for i, v in small.items()))
-
-    def dual(self, z: RingElement) -> RingElement:
-        self._own(z)
-        return RingElement(self, {self._dual[i]: v for i, v in z._coords.items()})
-
-    def degree(self, z: RingElement) -> int:
-        self._own(z)
-        return _check64(sum(v * self._elements[i].degree for i, v in z._coords.items()))
-
-    def decompose(self, z: RingElement) -> list[tuple[str, int]]:
-        """Nonzero coordinates in canonical basis order."""
-        self._own(z)
-        return [(self._elements[i].label, v) for i, v in sorted(z._coords.items()) if v]
+    # -- rows and elements ------------------------------------------------
 
     def decompose_row(self, row: Sequence[int]) -> list[tuple[str, int]]:
         """Nonzero coordinates of a dense row, as (label, coefficient) in basis order."""
         return [(self._elements[c].label, m) for c, m in enumerate(row) if m]
 
-    def _own(self, z: RingElement) -> None:
-        if z.ring is not self:
-            raise FusionRingError("element belongs to a different ring")
+    def __getattr__(self, name: str):
+        # The sparse element methods live in `verify.ElementMethods`, which no CLI op loads.
+        if name in _ELEMENT_METHODS:
+            from .verify import ElementMethods
+
+            return getattr(ElementMethods, name).__get__(self)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
 
     # -- equality / repr ----------------------------------------------------
 

@@ -125,6 +125,17 @@ W = Cyclotomic.zeta_power(3, 1)
     pytest.param(lambda: W + Cyclotomic.integer(4, 1), (ValueError, "mixed conductors"), id="mixed-conductors"),
     pytest.param(lambda: Cyclotomic(0, [1]), (ValueError, "conductor must be positive"), id="conductor-0"),
     pytest.param(lambda: cyclotomic_polynomial(0), (ValueError, "n must be positive"), id="phi-0"),
+    # exactly int: a bool or a float conductor is refused, not read as 1 or 2
+    pytest.param(lambda: cyclotomic_polynomial(True), (ValueError, "n must be positive"), id="phi-True"),
+    pytest.param(lambda: cyclotomic_polynomial(2.0), (ValueError, "n must be positive"), id="phi-2.0"),
+    pytest.param(lambda: cyclotomic_polynomial("3"), (ValueError, "n must be positive"), id="phi-str"),
+    pytest.param(lambda: Cyclotomic.zeta_power(True, 0), (ValueError, "conductor must be positive"), id="zeta-True"),
+    pytest.param(lambda: Cyclotomic.zeta_power(3.0, 1), (ValueError, "conductor must be positive"), id="zeta-3.0"),
+    pytest.param(lambda: Cyclotomic.zeta_power("3", 1), (ValueError, "conductor must be positive"), id="zeta-str"),
+    pytest.param(lambda: Cyclotomic.zeta_power(0, 1), (ValueError, "conductor must be positive"), id="zeta-0"),
+    pytest.param(lambda: Cyclotomic.integer(True, 5), (ValueError, "conductor must be positive"), id="integer-True"),
+    pytest.param(lambda: Cyclotomic.integer(2.0, 5), (ValueError, "conductor must be positive"), id="integer-2.0"),
+    pytest.param(lambda: Cyclotomic("3", [1]), (ValueError, "conductor must be positive"), id="conductor-str"),
 ])
 def test_cyclotomic_value_protocol(thunk, expected):
     assert value_or_error(thunk) == expected

@@ -344,6 +344,52 @@ def test_ladder_certificate_rejects_edited_relations(so3_21):
     assert not fr.verify_certificate(so3_21, cert._replace(relations=((0, (("x3", 1),)),)))
     # the product x5*x3 of the second relation is Unknown
     assert not fr.verify_certificate(withhold_rows(so3_21, ("x5", "x3")), cert)
+    # x3*x3 = 1 + x3 + x5 is recorded truly, but x'_3 is gx3, of the same degree
+    ring = order2_branch_ring()
+    step = fr.LadderCertificate(
+        ("1", "x3", "x5"), ("x3",), 1, ((1, (("1", 1), ("x3", 1), ("x5", 1))),), TruncationReached(1)
+    )
+    assert fr.verify_certificate(ring, step)
+    assert not fr.verify_certificate(ring, step._replace(xprime_family=("gx3",)))
+
+
+def _first_step(cert):
+    """The valid depth-1 prefix of a certificate."""
+    return cert._replace(
+        x_family=cert.x_family[:3], xprime_family=cert.xprime_family[:1], depth_reached=1,
+        relations=cert.relations[:1], terminal_status=TruncationReached(1),
+    )
+
+
+@pytest.mark.parametrize("malform", [
+    pytest.param(lambda c: c._replace(relations=()), id="no-relations"),
+    pytest.param(lambda c: c._replace(relations=c.relations[:2]), id="first-two-relations"),
+    pytest.param(lambda c: c._replace(relations=c.relations[:1] * 3), id="one-relation-thrice"),
+    pytest.param(lambda c: c._replace(depth_reached=50), id="depth-50"),
+    pytest.param(
+        lambda c: c._replace(x_family=c.x_family[:3], xprime_family=c.xprime_family[:1], relations=c.relations[:1]),
+        id="cut-families-depth-kept",
+    ),
+    pytest.param(lambda c: c._replace(x_family=c.x_family[:5]), id="short-x-family"),
+    pytest.param(lambda c: c._replace(relations=(*c.relations[:-1], (12, c.relations[-1][1]))), id="past-families"),
+    pytest.param(lambda c: c._replace(x_family=(*c.x_family[:-1], "x99")), id="label-not-in-ring"),
+    pytest.param(
+        lambda c: _first_step(c)._replace(x_family=c.x_family[:2], relations=((-1, c.relations[0][1]),)),
+        id="relation-minus-one",
+    ),
+    pytest.param(lambda c: _first_step(c)._replace(depth_reached=True), id="bool-depth"),
+    pytest.param(lambda c: c._replace(terminal_status=TruncationReached(8)), id="terminal-depth"),
+    pytest.param(
+        lambda c: c._replace(terminal_status=FailureBranch("inconsistent_data", "x21*x3 Unknown")),
+        id="failure-terminal",
+    ),
+])
+def test_verify_certificate_refuses_malformed_certificates(so3_21, malform):
+    # a certificate re-verifies only with relations 1..depth in order, families
+    # of depth + 2 and depth members and a truncation at that depth
+    cert = fr.ladder_build(so3_21, "x3")
+    assert fr.verify_certificate(so3_21, _first_step(cert))
+    assert fr.verify_certificate(so3_21, malform(cert)) is False
 
 
 def test_ladder_frobenius_symmetry(so3_21):
@@ -362,9 +408,10 @@ def test_ladder_truncation_depths():
     cert = fr.ladder_build(so3_3, "x3")
     assert cert.terminal_status == TruncationReached(0)
     assert cert.relations == () and fr.verify_certificate(so3_3, cert)
-    cert = fr.ladder_build(fr.so3_truncated(5), "x3")
+    so3_5 = fr.so3_truncated(5)
+    cert = fr.ladder_build(so3_5, "x3")
     assert cert.terminal_status == TruncationReached(1)
-    assert cert.depth_reached == 1
+    assert cert.depth_reached == 1 and fr.verify_certificate(so3_5, cert)
 
 
 def test_ladder_deeper_truncation():
@@ -380,6 +427,7 @@ def test_ladder_max_depth_cap(so3_21):
     cert = fr.ladder_build(so3_21, "x3", max_depth=4)
     assert cert.depth_reached == 4
     assert cert.terminal_status == TruncationReached(4)
+    assert fr.verify_certificate(so3_21, cert)
 
 
 @pytest.mark.parametrize("depth", [0, -1, 1.5, 2.0, "3", True])

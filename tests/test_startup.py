@@ -156,14 +156,16 @@ SEED_ALL = [
     "f21_character_ring", "fixture_character_ring", "fixture_character_table", "fragment_ring",
     "freeness_obstructions", "grouplike_group", "ladder", "ladder_build", "load_character_table", "oracles",
     "parse_character_table", "parse_spec", "ring", "s3_character_ring", "search", "selfdual_chain",
-    "so3_truncated", "specfmt", "stabilizer_group", "stabilizer_labels", "subrings", "verify_certificate",
-    "write_spec",
+    "so3_truncated", "specfmt", "stabilizer_group", "stabilizer_labels", "subrings", "verify",
+    "verify_certificate", "write_spec",
 ]
-SUBMODULES = {"axioms", "chartable", "cyclotomic", "ladder", "oracles", "ring", "search", "specfmt", "subrings"}
+SUBMODULES = {
+    "axioms", "chartable", "cyclotomic", "ladder", "oracles", "ring", "search", "specfmt", "subrings", "verify",
+}
 
 
 def test_public_names_unchanged():
-    assert len(SEED_ALL) == 73
+    assert len(SEED_ALL) == 74
     assert sorted(fr.__all__) == SEED_ALL
 
 
@@ -209,3 +211,43 @@ def test_ladder_check_axioms_reads_through_to_axioms(monkeypatch):
     monkeypatch.setattr(fusionring.axioms, "check_axioms", len)
     assert fusionring.ladder.check_axioms is len
     assert "check_axioms" not in vars(fusionring.ladder)
+
+
+ELEMENT_HOOK = """\
+import sys
+import fusionring as fr
+ring = fr.cyclic_group_ring(3)
+print("fusionring.verify" in sys.modules)
+try:
+    ring.no_such
+except AttributeError as exc:
+    print(exc)
+print("fusionring.verify" in sys.modules)
+g = ring.element("g")
+print(ring.decompose(ring.multiply(g, g)), "fusionring.verify" in sys.modules)
+"""
+
+
+def test_element_methods_load_verify_on_first_use():
+    # the element layer is bound from `verify` only when an element method is
+    # read; any other missing attribute is refused without loading it
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", ELEMENT_HOOK], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "False",
+        "'FusionRing' object has no attribute 'no_such'",
+        "False",
+        "[('g2', 1)] True",
+    ]
+    import fusionring.verify
+
+    assert fr.RingElement is fusionring.verify.RingElement
+    assert fr.verify_certificate is fusionring.verify.verify_certificate
+
+
+def test_ring_refuses_other_attributes_in_the_standard_form():
+    ring = fr.cyclic_group_ring(3)
+    with pytest.raises(AttributeError, match=r"^'FusionRing' object has no attribute 'no_such'$") as caught:
+        ring.no_such
+    assert (caught.value.name, caught.value.obj) == ("no_such", ring)
