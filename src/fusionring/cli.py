@@ -265,7 +265,7 @@ _COMMANDS = {
         _cmd_ladder, "build the odd-degree ladder certificate", ("file", None),
         {
             "--x3": _option("x3", required=True, help="label of the self-dual degree-3 element"),
-            "--depth": _option("depth", _positive_int),
+            "--depth": _option("depth", _positive_int, help="cap on verified ladder relations"),
         },
     ),
     "subrings": (_cmd_subrings, "enumerate standard subrings and divisibility obstructions", ("file", None), {}),
@@ -273,7 +273,7 @@ _COMMANDS = {
         _cmd_search, "enumerate rings with prescribed degrees", None,
         {
             "--degrees": _option("degrees", required=True, help="comma-separated degree list, e.g. 1,1,1,3"),
-            "--max-mult": _option("max_mult", _positive_int, default=3),
+            "--max-mult": _option("max_mult", _positive_int, default=3, help="cap on each structure constant"),
             "--workers": _option(
                 "workers", _positive_int, help="accepted for compatibility and ignored: the search runs in one process"
             ),

@@ -91,7 +91,7 @@ def format_terms(terms: Iterable[tuple[str, int]]) -> str:
 ProductTable = Mapping[tuple[str, str], Mapping[str, int]]
 
 _ELEMENT_METHODS = (
-    "element", "unit_element", "basic_product", "multiply", "multiplicity", "dual", "degree", "decompose", "_own",
+    "element", "unit_element", "basic_product", "multiply", "multiplicity", "dual", "degree", "decompose",
 )
 
 
@@ -292,11 +292,10 @@ class FusionRing:
         return [(self._elements[c].label, m) for c, m in enumerate(row) if m]
 
     def __getattr__(self, name: str):
-        # The sparse element methods live in `verify.ElementMethods`, which no CLI op loads.
+        # `verify`, which no CLI op loads, sets the sparse element methods on this class when it loads.
         if name in _ELEMENT_METHODS:
-            from .verify import ElementMethods
-
-            return getattr(ElementMethods, name).__get__(self)
+            from . import verify
+            return getattr(self, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
 
     # -- equality / repr ----------------------------------------------------

@@ -1,15 +1,15 @@
 """Sparse ring elements and the independent re-check of ladder certificates.
 
-No CLI op loads this module.  ``FusionRing.__getattr__`` binds a ring's
-element methods (``element``, ``multiply``, ``decompose`` and the rest) from
-here when they are read; the ops themselves read the dense rows only.
+No CLI op loads this module.  When it loads, it sets the ring's element
+methods (``element``, ``multiply``, ``decompose`` and the rest) on
+``FusionRing``; the ops themselves read the dense rows only.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .ring import INT64_MAX, INT64_MIN, FusionRing, FusionRingError, OverflowDetected, format_terms
+from .ring import _ELEMENT_METHODS, INT64_MAX, INT64_MIN, FusionRing, FusionRingError, OverflowDetected, format_terms
 
 
 def _check64(value: int) -> int:
@@ -49,9 +49,8 @@ class RingElement:
         return next(iter(self._coords))
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        self.ring._own(other)
         coords = dict(self._coords)
-        for i, v in other._coords.items():
+        for i, v in _own(self.ring, other)._coords.items():
             coords[i] = coords.get(i, 0) + v
         return RingElement(self.ring, coords)
 
@@ -78,61 +77,64 @@ class RingElement:
         return format_terms(self.ring.decompose(self))
 
 
-class ElementMethods:
-    """``FusionRing``'s element methods, which its ``__getattr__`` binds to a ring."""
+def element(ring: FusionRing, label: str) -> RingElement:
+    """Basis injection: the element with coefficient 1 at ``label``."""
+    return RingElement(ring, {ring.index(label): 1})
 
-    def element(self, label: str) -> RingElement:
-        """Basis injection: the element with coefficient 1 at ``label``."""
-        return RingElement(self, {self.index(label): 1})
 
-    def unit_element(self) -> RingElement:
-        return RingElement(self, {self._unit: 1})
+def unit_element(ring: FusionRing) -> RingElement:
+    return RingElement(ring, {ring._unit: 1})
 
-    def basic_product(self, i: int, j: int) -> Optional[RingElement]:
-        row = self._rows[i][j]
-        if row is None:
-            return None
-        return RingElement(self, {c: v for c, v in enumerate(row) if v})
 
-    def multiply(self, a: RingElement, b: RingElement) -> Optional[RingElement]:
-        """Bilinear product; None when any contributing basic pair is Unknown."""
-        self._own(a)
-        self._own(b)
-        acc: dict[int, int] = {}
-        for i, ci in a._coords.items():
-            for j, cj in b._coords.items():
-                row = self._rows[i][j]
-                if row is None:
-                    return None
-                scale = ci * cj
-                for c, n in enumerate(row):
-                    if n:
-                        acc[c] = acc.get(c, 0) + scale * n
-        return RingElement(self, acc)
+def basic_product(ring: FusionRing, i: int, j: int) -> Optional[RingElement]:
+    row = ring._rows[i][j]
+    return None if row is None else RingElement(ring, {c: v for c, v in enumerate(row) if v})
 
-    def multiplicity(self, w: RingElement, z: RingElement) -> int:
-        """Biadditive multiplicity pairing: sum of coordinatewise products."""
-        self._own(w)
-        self._own(z)
-        small, large = (w._coords, z._coords) if len(w._coords) <= len(z._coords) else (z._coords, w._coords)
-        return _check64(sum(v * large.get(i, 0) for i, v in small.items()))
 
-    def dual(self, z: RingElement) -> RingElement:
-        self._own(z)
-        return RingElement(self, {self._dual[i]: v for i, v in z._coords.items()})
+def multiply(ring: FusionRing, a: RingElement, b: RingElement) -> Optional[RingElement]:
+    """Bilinear product; None when any contributing basic pair is Unknown."""
+    _own(ring, a)
+    _own(ring, b)
+    acc: dict[int, int] = {}
+    for i, ci in a._coords.items():
+        for j, cj in b._coords.items():
+            row = ring._rows[i][j]
+            if row is None:
+                return None
+            scale = ci * cj
+            for c, n in enumerate(row):
+                if n:
+                    acc[c] = acc.get(c, 0) + scale * n
+    return RingElement(ring, acc)
 
-    def degree(self, z: RingElement) -> int:
-        self._own(z)
-        return _check64(sum(v * self._elements[i].degree for i, v in z._coords.items()))
 
-    def decompose(self, z: RingElement) -> list[tuple[str, int]]:
-        """Nonzero coordinates in canonical basis order."""
-        self._own(z)
-        return [(self._elements[i].label, v) for i, v in sorted(z._coords.items()) if v]
+def multiplicity(ring: FusionRing, w: RingElement, z: RingElement) -> int:
+    """Biadditive multiplicity pairing: sum of coordinatewise products."""
+    small, large = sorted((_own(ring, w)._coords, _own(ring, z)._coords), key=len)
+    return _check64(sum(v * large.get(i, 0) for i, v in small.items()))
 
-    def _own(self, z: RingElement) -> None:
-        if z.ring is not self:
-            raise FusionRingError("element belongs to a different ring")
+
+def dual(ring: FusionRing, z: RingElement) -> RingElement:
+    return RingElement(ring, {ring._dual[i]: v for i, v in _own(ring, z)._coords.items()})
+
+
+def degree(ring: FusionRing, z: RingElement) -> int:
+    return _check64(sum(v * ring._elements[i].degree for i, v in _own(ring, z)._coords.items()))
+
+
+def decompose(ring: FusionRing, z: RingElement) -> list[tuple[str, int]]:
+    """Nonzero coordinates in canonical basis order."""
+    return [(ring._elements[i].label, v) for i, v in sorted(_own(ring, z)._coords.items()) if v]
+
+
+def _own(ring: FusionRing, z: RingElement) -> RingElement:
+    if z.ring is not ring:
+        raise FusionRingError("element belongs to a different ring")
+    return z
+
+
+for _name in _ELEMENT_METHODS:
+    setattr(FusionRing, _name, globals()[_name])
 
 
 def verify_certificate(ring: FusionRing, cert: "LadderCertificate") -> bool:
@@ -145,18 +147,18 @@ def verify_certificate(ring: FusionRing, cert: "LadderCertificate") -> bool:
     recorded decomposition and to x_{2n-1} + x'_{2n+1} + x_{2n+3}.
     """
     from .ladder import TruncationReached
-
     depth, terminal = cert.depth_reached, cert.terminal_status
-    degree = {b.label: b.degree for b in ring.elements}
+    degree_of = {b.label: b.degree for b in ring.elements}
     if (
         type(depth) is not int
-        or [n for n, _ in cert.relations] != list(range(1, depth + 1))
+        or len(cert.relations) != depth
+        or any(not isinstance(r, tuple) or len(r) != 2 or r[0] != n for n, r in enumerate(cert.relations, 1))
         or len(cert.x_family) != depth + 2
         or len(cert.xprime_family) != depth
         or not isinstance(terminal, TruncationReached)
         or terminal.depth != depth
-        or any(degree.get(label) != 2 * k + 1 for k, label in enumerate(cert.x_family))
-        or any(degree.get(label) != 2 * k + 3 for k, label in enumerate(cert.xprime_family))
+        or any(degree_of.get(label) != 2 * k + 1 for k, label in enumerate(cert.x_family))
+        or any(degree_of.get(label) != 2 * k + 3 for k, label in enumerate(cert.xprime_family))
     ):
         return False
     e_x3 = ring.element(cert.x_family[1])

@@ -366,6 +366,8 @@ def _first_step(cert):
     pytest.param(lambda c: c._replace(relations=c.relations[:2]), id="first-two-relations"),
     pytest.param(lambda c: c._replace(relations=c.relations[:1] * 3), id="one-relation-thrice"),
     pytest.param(lambda c: c._replace(depth_reached=50), id="depth-50"),
+    # checked before anything is sized by the claimed depth, which here no list could hold
+    pytest.param(lambda c: c._replace(depth_reached=10**18), id="depth-10**18"),
     pytest.param(
         lambda c: c._replace(x_family=c.x_family[:3], xprime_family=c.xprime_family[:1], relations=c.relations[:1]),
         id="cut-families-depth-kept",
@@ -378,6 +380,8 @@ def _first_step(cert):
         id="relation-minus-one",
     ),
     pytest.param(lambda c: _first_step(c)._replace(depth_reached=True), id="bool-depth"),
+    pytest.param(lambda c: _first_step(c)._replace(relations=(1,)), id="relation-not-a-pair"),
+    pytest.param(lambda c: c._replace(relations=(1,)), id="relations-one-int"),
     pytest.param(lambda c: c._replace(terminal_status=TruncationReached(8)), id="terminal-depth"),
     pytest.param(
         lambda c: c._replace(terminal_status=FailureBranch("inconsistent_data", "x21*x3 Unknown")),

@@ -1,5 +1,10 @@
 """Core ring arithmetic: elements, products, duals, degrees, partiality."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +270,57 @@ def test_cross_ring_elements_rejected():
         z3.multiply(z3.element("g"), z5.element("g"))
     with pytest.raises(fr.FusionRingError, match="different ring"):
         z3.element("g") + z5.element("g")
+
+
+@pytest.mark.parametrize("method", ["multiplicity", "dual", "degree", "decompose"])
+def test_element_methods_refuse_elements_of_another_ring(method):
+    z3, z5 = fr.cyclic_group_ring(3), fr.cyclic_group_ring(5)
+    args = (z3.element("g"), z5.element("g")) if method == "multiplicity" else (z5.element("g"),)
+    with pytest.raises(fr.FusionRingError, match="different ring"):
+        getattr(z3, method)(*args)
+
+
+ONE_SHOT = """\
+import sys
+import fusionring as fr
+from fusionring.ring import _ELEMENT_METHODS, FusionRing
+ring = fr.cyclic_group_ring(3)
+print("fusionring.verify" in sys.modules)
+first = ring.multiply
+import fusionring.verify as verify
+print("fusionring.verify" in sys.modules, first.__self__ is ring, first.__func__ is verify.multiply)
+print(all(vars(FusionRing).get(name) is getattr(verify, name) for name in _ELEMENT_METHODS))
+hook, calls = FusionRing.__getattr__, []
+def counting(self, name):
+    calls.append(name)
+    return hook(self, name)
+FusionRing.__getattr__ = counting
+other = fr.cyclic_group_ring(5)
+for name in _ELEMENT_METHODS:
+    getattr(other, name)
+print(len(calls))
+try:
+    other._own
+except AttributeError as exc:
+    print(exc, exc.name, exc.obj is other)
+"""
+
+
+def test_element_methods_are_set_on_the_class_once():
+    # a fresh interpreter, since other tests have loaded `verify`: the first
+    # element-method read loads it, it sets every element method on the class,
+    # and later reads are plain class attributes that never enter the hook
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", ONE_SHOT], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "False",
+        "True True True",
+        "True",
+        "0",
+        "'FusionRing' object has no attribute '_own' _own True",
+    ]
 
 
 def test_element_algebra():
