@@ -291,13 +291,6 @@ class FusionRing:
         """Nonzero coordinates of a dense row, as (label, coefficient) in basis order."""
         return [(self._elements[c].label, m) for c, m in enumerate(row) if m]
 
-    def __getattr__(self, name: str):
-        # `verify`, which no CLI op loads, sets the sparse element methods on this class when it loads.
-        if name in _ELEMENT_METHODS:
-            from . import verify
-            return getattr(self, name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
-
     # -- equality / repr ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -317,6 +310,22 @@ class FusionRing:
     def __repr__(self) -> str:
         kind = "partial " if self.is_partial else ""
         return f"FusionRing({self.name!r}, rank={self.rank}, {kind}dim={self.dimension()})"
+
+
+class _ElementMethod:
+    # Stands on the class for one element method until its first read loads
+    # `verify`, which no CLI op loads and which sets its methods in place of these.
+    def __init__(self, name):
+        self.name = name
+
+    def __get__(self, ring, owner):
+        from . import verify
+
+        return getattr(owner if ring is None else ring, self.name)
+
+
+for _name in _ELEMENT_METHODS:
+    setattr(FusionRing, _name, _ElementMethod(_name))
 
 
 class _RowKernel:

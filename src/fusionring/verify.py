@@ -140,9 +140,10 @@ for _name in _ELEMENT_METHODS:
 def verify_certificate(ring: FusionRing, cert: "LadderCertificate") -> bool:
     """Independent re-check of a certificate by direct multiply/decompose.
 
-    A certificate of depth d must hold relations numbered 1..d in order, the
-    basis labels x_1, ..., x_{2d+3} and x'_3, ..., x'_{2d+1}, each x_{2k+1}
-    and x'_{2k+1} of degree 2k+1, and the terminal ``TruncationReached(d)``.
+    A certificate of depth d must hold, in tuples, relations numbered 1..d
+    in order, the basis labels x_1, ..., x_{2d+3} and x'_3, ..., x'_{2d+1},
+    each x_{2k+1} and x'_{2k+1} of degree 2k+1, and the terminal
+    ``TruncationReached(d)``.
     Each recorded x_{2n+1}*x3 is then recomputed and compared both to its
     recorded decomposition and to x_{2n-1} + x'_{2n+1} + x_{2n+3}.
     """
@@ -151,12 +152,14 @@ def verify_certificate(ring: FusionRing, cert: "LadderCertificate") -> bool:
     degree_of = {b.label: b.degree for b in ring.elements}
     if (
         type(depth) is not int
+        or not all(isinstance(f, tuple) for f in (cert.relations, cert.x_family, cert.xprime_family))
         or len(cert.relations) != depth
         or any(not isinstance(r, tuple) or len(r) != 2 or r[0] != n for n, r in enumerate(cert.relations, 1))
         or len(cert.x_family) != depth + 2
         or len(cert.xprime_family) != depth
         or not isinstance(terminal, TruncationReached)
         or terminal.depth != depth
+        or not all(isinstance(label, str) for label in cert.x_family + cert.xprime_family)
         or any(degree_of.get(label) != 2 * k + 1 for k, label in enumerate(cert.x_family))
         or any(degree_of.get(label) != 2 * k + 3 for k, label in enumerate(cert.xprime_family))
     ):

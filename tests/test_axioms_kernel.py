@@ -536,7 +536,7 @@ def test_block_decision_spans_several_words_per_row():
 
 def test_partial_ring_keeps_the_per_triple_loop():
     ring = withhold_rows(fr.cyclic_group_ring(6), ("g", "g"))
-    with mock.patch("fusionring.axioms._blocks_agree", side_effect=AssertionError):
+    with mock.patch("fusionring._axiom_walks._blocks_agree", side_effect=AssertionError):
         entry = fr.check_axioms(ring).entry("associativity")
     assert entry.status == SKIPPED
     _assert_same_reports(ring)

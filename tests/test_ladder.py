@@ -382,6 +382,9 @@ def _first_step(cert):
     pytest.param(lambda c: _first_step(c)._replace(depth_reached=True), id="bool-depth"),
     pytest.param(lambda c: _first_step(c)._replace(relations=(1,)), id="relation-not-a-pair"),
     pytest.param(lambda c: c._replace(relations=(1,)), id="relations-one-int"),
+    pytest.param(lambda c: c._replace(x_family=(["x1"], *c.x_family[1:])), id="unhashable-label"),
+    pytest.param(lambda c: c._replace(relations=None), id="relations-none"),
+    pytest.param(lambda c: c._replace(xprime_family=None), id="xprime-family-none"),
     pytest.param(lambda c: c._replace(terminal_status=TruncationReached(8)), id="terminal-depth"),
     pytest.param(
         lambda c: c._replace(terminal_status=FailureBranch("inconsistent_data", "x21*x3 Unknown")),

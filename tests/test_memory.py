@@ -11,11 +11,19 @@ passed a term dict per pair, each of which the ring remembers, about 9 MB.
 it is, and the op peaks about 14 MB above a bare interpreter, against about
 19 MB when the text was copied once more for its last newline and twice
 more on its way to stdout.
+
+With `PYTHONDONTWRITEBYTECODE` set, every op compiles each module it loads,
+and `compile()` holds a module's whole syntax tree at once: the largest
+module an op compiles sets much of its peak.  `cli`, which every op loads,
+is pinned as the largest (1.15 MiB of traced heap on CPython 3.11); the
+axiom walks and the ladder's failure branches sit in modules of their own
+so that `axioms` (1.22 MiB before) and `ladder` (1.35 MiB) stay below it.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -52,3 +60,24 @@ def test_gen_so3_255_peaks_under_16_mb_above_a_bare_interpreter():
     bare = peak_kb("pass")
     gen = peak_kb("from fusionring.cli import main\nmain()", "gen", "so3", "255")
     assert (gen - bare) / 1024 < 16
+
+
+def compile_peak(path: Path) -> int:
+    """The traced heap peak of compiling ``path`` from its bytes, as an
+    import without cached bytecode does; the least of three compiles."""
+    source = path.read_bytes()
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already tracing this process")
+def test_no_module_compiles_with_a_larger_heap_than_cli():
+    peaks = {path.name: compile_peak(path) for path in sorted((SRC / "fusionring").glob("*.py"))}
+    assert {name for name, peak in peaks.items() if peak > peaks["cli.py"]} == set()

@@ -38,6 +38,7 @@ BASE = {"fusionring", "fusionring.cli", "fusionring.ring", "fusionring.specfmt"}
 GEN = BASE | {"fusionring.oracles"}
 CHARTABLE = BASE | {"fusionring.chartable", "fusionring.cyclotomic"}
 LADDER = BASE | {"fusionring.ladder"}
+AXIOMS = {"fusionring.axioms", "fusionring._axiom_walks"}
 
 
 def spawn(*argv: str) -> tuple[str, set[str], list[str], str]:
@@ -60,10 +61,18 @@ def loaded_after(*argv: str, watched=("fusionring", "concurrent", "multiprocessi
 
 
 @pytest.fixture(scope="module")
-def so3_spec(tmp_path_factory):
-    path = tmp_path_factory.mktemp("startup") / "so3_7.spec"
-    path.write_text(fr.write_spec(fr.so3_truncated(7)))
-    return str(path)
+def specs(tmp_path_factory):
+    """Spec paths by the placeholder an argv names them with."""
+    folder = tmp_path_factory.mktemp("startup")
+    paths = {"SPEC": folder / "so3_7.spec", "FRAGMENT": folder / "fragment.spec"}
+    paths["SPEC"].write_text(fr.write_spec(fr.so3_truncated(7)))
+    paths["FRAGMENT"].write_text(fr.write_spec(fr.fragment_ring()))
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.fixture(scope="module")
+def so3_spec(specs):
+    return specs["SPEC"]
 
 
 def test_version_loads_only_cli_ring_specfmt():
@@ -73,19 +82,20 @@ def test_version_loads_only_cli_ring_specfmt():
 @pytest.mark.parametrize(
     "argv,expected",
     [
-        (["check", "SPEC"], BASE | {"fusionring.axioms"}),
+        (["check", "SPEC"], BASE | AXIOMS),
         (["subrings", "SPEC"], BASE | {"fusionring.subrings"}),
         # the verdict checks the axioms; the ladder reaches the truncation
-        # with no closure, so neither loads `subrings`
-        (["verdict", "SPEC"], LADDER | {"fusionring.axioms"}),
+        # with no descending step, so neither loads the failure-branch
+        # diagnoses or `subrings`
+        (["verdict", "SPEC"], LADDER | AXIOMS),
         (["ladder", "SPEC", "--x3", "x3"], LADDER),
         (["gen", "so3", "7"], GEN),
         (["gen", "cyclic", "5"], GEN),
         (["gen", "fragment"], GEN),
         (["gen", "chartable", str(FIXTURES / "z3.chartab")], CHARTABLE),
         # a search, with or without --workers, loads no worker-pool machinery
-        (["search", "--degrees", "1,1,1", "--workers", "1"], BASE | {"fusionring.search", "fusionring.axioms"}),
-        (["search", "--degrees", "1,1,1"], BASE | {"fusionring.search", "fusionring.axioms"}),
+        (["search", "--degrees", "1,1,1", "--workers", "1"], BASE | AXIOMS | {"fusionring.search"}),
+        (["search", "--degrees", "1,1,1"], BASE | AXIOMS | {"fusionring.search"}),
         # a search that keeps no ring has nothing for the axiom checker
         (["search", "--degrees", "1,3"], BASE | {"fusionring.search"}),
     ],
@@ -94,8 +104,18 @@ def test_version_loads_only_cli_ring_specfmt():
         "search-serial", "search-default", "search-no-ring",
     ],
 )
-def test_op_loads_only_its_modules(so3_spec, argv, expected):
-    assert loaded_after(*[so3_spec if a == "SPEC" else a for a in argv]) == expected
+def test_op_loads_only_its_modules(specs, argv, expected):
+    assert loaded_after(*[specs.get(a, a) for a in argv]) == expected
+
+
+def test_a_descending_ladder_step_loads_the_diagnoses(specs):
+    # the fragment's ladder descends into the freeness-terminal branch, whose
+    # forced subrings `subrings` closes; the so3_7 verdict and ladder above
+    # reach the truncation and load neither
+    code, modules, _, err = spawn("verdict", specs["FRAGMENT"])
+    assert code == "1", err  # an obstruction
+    expected = LADDER | AXIOMS | {"fusionring._ladder_diagnoses", "fusionring.subrings"}
+    assert {m for m in modules if m.split(".")[0] == "fusionring"} == expected
 
 
 OPS = {
