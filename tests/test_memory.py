@@ -15,9 +15,9 @@ more on its way to stdout.
 With `PYTHONDONTWRITEBYTECODE` set, every op compiles each module it loads,
 and `compile()` holds a module's whole syntax tree at once: the largest
 module an op compiles sets much of its peak.  `cli`, which every op loads,
-is pinned as the largest (1.15 MiB of traced heap on CPython 3.11); the
+is pinned as the largest (1.15 MiB of traced heap on CPython 3.11.7); the
 axiom walks and the ladder's failure branches sit in modules of their own
-so that `axioms` (1.22 MiB before) and `ladder` (1.35 MiB) stay below it.
+so that `axioms` and `ladder` stay below it.
 """
 
 import os
