@@ -96,21 +96,27 @@ class CharacterTable:
             )
         if len(self.conjugate_map) != n:
             raise InvalidRing("conjugate map length mismatch")
+        # A pair's difference has no conjugate above 2L, so its residue decides it
+        # exactly, as a total's does, unless M = 1.  A table that mixes conductors is
+        # compared value by value, and refused when it is evaluated, after its degrees.
+        mixed = any(v.conductor != self.conductor for row in self.characters for v in row)
+        evaluation = None if mixed else _Evaluation(self)
         for i, j in enumerate(self.conjugate_map):
             if self.conjugate_map[j] != i:
                 raise InvalidRing("conjugate map is not an involution")
             for c in range(classes):
-                if self.characters[i][c].conj() != self.characters[j][c]:
-                    raise OrthogonalityFailure(
-                        f"row {j} is not the complex conjugate of row {i} at class {c}"
-                    )
+                if mixed or evaluation.modulus == 1 or evaluation.conjugates[i][c] != evaluation.rows[j][c]:
+                    if self.characters[i][c].conj() != self.characters[j][c]:
+                        raise OrthogonalityFailure(
+                            f"row {j} is not the complex conjugate of row {i} at class {c}"
+                        )
         for row in self.characters:
             deg = row[0]
             if not deg.is_integer() or deg.integer_value() < 1:
                 raise InvalidRing("character degree (value at the identity) must be a positive integer")
         # <chi_j, chi_i> is the conjugate of <chi_i, chi_j>, so a pair fails
         # exactly when its mirror does, and the first failure has i <= j.
-        evaluation = _Evaluation(self)
+        self._evaluation = evaluation = evaluation or _Evaluation(self)
         for i in range(n):
             for j in range(i, n):
                 try:
@@ -155,11 +161,11 @@ def _bound(table: CharacterTable, terms: list) -> int:
 class _Evaluation:
     """A table's values in Z/M under zeta_N -> w, and its exact inner product.
 
-    ``rows[i][c]`` is the image of chi_i at class c, ``weighted[k][c]`` that
-    of |c| * conj(chi_k(c)), ``bound`` is L and ``modulus`` is M = |Phi_N(w)|
-    at w = 2L + 2.  A table that fails the checks of :func:`_bound` has
-    L = -1, so w = 0 and M = |Phi_N(0)| = 1: no residue is trusted and every
-    total is derived in :class:`Cyclotomic` arithmetic.
+    ``rows[i][c]`` is the image of chi_i at class c, ``conjugates[i][c]`` that of
+    conj(chi_i(c)) and ``weighted[k][c]`` that of |c| * conj(chi_k(c)); ``bound`` is L
+    and ``modulus`` is M = |Phi_N(w)| at w = 2L + 2.  A table that fails the checks of
+    :func:`_bound` has L = -1, so w = 0 and M = |Phi_N(0)| = 1: no residue is trusted
+    and every total is derived in :class:`Cyclotomic` arithmetic.
     """
 
     def __init__(self, table: CharacterTable):
@@ -172,11 +178,11 @@ class _Evaluation:
         m, w = 0, 2 * self.bound + 2
         for coefficient in reversed(cyclotomic_polynomial(n)):  # M = |Phi_N(w)|, by Horner
             m = m * w + coefficient
-        m = abs(m)
+        self.modulus = m = abs(m)
         power = {e: pow(w, e, m) for e in {f % n for row in terms for value in row for e, _ in value for f in (e, -e)}}
-        self.modulus, sizes = m, table.class_sizes
         self.rows = [[sum(x * power[e] for e, x in value) % m for value in row] for row in terms]
-        self.weighted = [[s * sum(x * power[-e % n] for e, x in v) % m for s, v in zip(sizes, row)] for row in terms]
+        self.conjugates = [[sum(x * power[-e % n] for e, x in value) % m for value in row] for row in terms]
+        self.weighted = [[s * v % m for s, v in zip(table.class_sizes, row)] for row in self.conjugates]
 
     def inner(self, images: Sequence[int], k: int, rows: tuple[int, ...]) -> int:
         """<chi_r1 ... chi_rm, chi_k> for ``rows`` = (r1, ..., rm), whose product has ``images``."""
@@ -233,7 +239,7 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
 
     # Characters commute, so row (j, i) is row (i, j), and the first failure
     # in row-major order has i <= j.
-    evaluation = _Evaluation(table)
+    evaluation = getattr(table, "_evaluation", None) or _Evaluation(table)  # None: built without validate
     modulus, images = evaluation.modulus, evaluation.rows
     degrees = table.degrees
     rows: dict[tuple[int, int], dict[str, int]] = {}

@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
-from fusionring.axioms import FAIL, PASS, SKIPPED, CheckEntry, CheckReport, Witness, _blocks_agree
+from fusionring._axiom_walks import FAIL, PASS, SKIPPED, CheckEntry, Witness, _blocks_agree
+from fusionring.axioms import CheckReport
 from fusionring.cli import run
 from fusionring.ring import INT64_MAX, FusionRing, UnknownProduct
 

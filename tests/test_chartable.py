@@ -261,6 +261,14 @@ def _z2(conj=(0, 1), sizes=(1, 1), row1=(1, -1), conductor1=1):
     return fr.CharacterTable("Z2", 2, sizes, chars, conj)
 
 
+def _z3_mixed():
+    # Z3's table with chi2 in conductor 6: the pair (1, 2) breaks at class 0,
+    # where 1 in conductor 3 is not 1 in conductor 6, before the conductors are refused
+    one, z, w = Cyclotomic.integer(3, 1), Cyclotomic.zeta_power(3, 1), Cyclotomic.zeta_power(6, 2)
+    chars = ((one, one, one), (one, z, z * z), (Cyclotomic.integer(6, 1), w * w, w))
+    return fr.CharacterTable("Z3", 3, (1, 1, 1), chars, (0, 2, 1))
+
+
 # Faults the table file cannot hold are built through the public CharacterTable.
 @pytest.mark.parametrize("thunk,expected", [
     pytest.param(
@@ -285,6 +293,11 @@ def _z2(conj=(0, 1), sizes=(1, 1), row1=(1, -1), conductor1=1):
         id="degree-negative",
     ),
     pytest.param(lambda: _z2(conductor1=2), (ValueError, "mixed conductors"), id="mixed-conductors"),
+    pytest.param(
+        _z3_mixed,
+        (fr.OrthogonalityFailure, "row 2 is not the complex conjugate of row 1 at class 0"),
+        id="mixed-conductors-and-a-broken-pair",
+    ),
     pytest.param(
         lambda: fr.char_table_ring(fr.fixture_character_table("z3"), ("1", "g", "g")),
         (fr.InvalidRing, "labels must be distinct, one per character row"),

@@ -284,6 +284,36 @@ def test_a_total_not_divisible_by_the_order_fails_alike():
     assert outcome(fr.parse_character_table, text) == expect
 
 
+def test_a_conjugate_fault_in_a_table_of_no_group_is_found_value_by_value():
+    # chi1 is declared self-dual but takes z at class 1; column 2 sums to
+    # 1 + 1 + 4 = 6, not |G|/|c| = 3, so L = -1, M = 1 and no residue is trusted
+    text = "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\nchar 1 1 1 1\nchar 1 1 z z^2\nchar 1 1 z^2 2*z\n"
+    one, z = Cyclotomic.integer(3, 1), Cyclotomic.zeta_power(3, 1)
+    table = unchecked("Z3", 3, [1, 1, 1], [[one] * 3, [one, z, z * z], [one, z * z, 2 * z]], [0, 1, 2])
+    evaluation = _Evaluation(table)
+    assert (evaluation.bound, evaluation.modulus) == (-1, 1)
+    expect = ("OrthogonalityFailure", "row 1 is not the complex conjugate of row 1 at class 1")
+    assert outcome(reference_validate, table) == expect
+    assert outcome(table.validate) == expect
+    assert outcome(fr.parse_character_table, text) == expect
+
+
+def test_a_parsed_table_is_evaluated_once(monkeypatch):
+    # validate evaluates the table and keeps the evaluation; char_table_ring reads it
+    built = []
+
+    class Counting(_Evaluation):
+        def __init__(self, table):
+            built.append(table)
+            super().__init__(table)
+
+    monkeypatch.setattr("fusionring.chartable._Evaluation", Counting)
+    text = "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\nchar 1 1 1 1\nchar 1 1 z z^2\nchar 1 1 z^2 z\ndualpair 1 2\n"
+    table = fr.parse_character_table(text)
+    assert fr.char_table_ring(table) == reference_ring(table)
+    assert built == [table]
+
+
 # -- the evaluation modulo Phi_N(w) ------------------------------------------------
 
 

@@ -13,11 +13,16 @@ it is, and the op peaks about 14 MB above a bare interpreter, against about
 more on its way to stdout.
 
 With `PYTHONDONTWRITEBYTECODE` set, every op compiles each module it loads,
-and `compile()` holds a module's whole syntax tree at once: the largest
-module an op compiles sets much of its peak.  `cli`, which every op loads,
-is pinned as the largest (1.15 MiB of traced heap on CPython 3.11.7); the
-axiom walks and the ladder's failure branches sit in modules of their own
-so that `axioms` and `ladder` stay below it.
+and `compile()` holds a module's whole syntax tree at once.  A module whose
+compile heap rises above the others raises the peak of every op that
+compiles it: merged back into `axioms` (1.22 MiB), the axiom walks raise
+each workload's peak op by 0.16-0.20 MB, and merged back into `ladder`
+(1.35 MiB), the ladder's failure branches by 0.20-0.21 MB where the ladder
+runs (medians of 5 rounds, CPython 3.11.7).  Lowering one module of a
+near-equal group does not lower the peak: with `cli` at 0.53 MiB and `ring`
+at 0.91, the bench's `truncated` peak stayed at 15.26 against 15.27 MB.
+So no module may compile with a larger heap than `cli`, which every op
+loads (1.15 MiB of traced heap).
 """
 
 import os

@@ -6,8 +6,9 @@ Usage::
 
 It writes the four shipped fixtures; the cyclic 12/30/60 and dihedral
 21/45/63 tables of ``bench/workloads.py``'s generators at seeds 1-3; the
-trivial group's table at conductors 4620 and 5040; and the tables of 6 to 11
-classes that :func:`crafted` builds.  Run ``tools/same_outputs.py`` from
+trivial group's table at conductors 4620 and 5040; the tables of 6 to 11
+classes that :func:`crafted` builds; and :func:`badpair`'s table, which
+``gen chartable`` refuses.  Run ``tools/same_outputs.py`` from
 OUTDIR on the command file, which names each table by its file name.
 """
 
@@ -64,6 +65,16 @@ def crafted(classes: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def badpair(text: str) -> str:
+    """``text`` with the partners of its first two ``dualpair`` lines swapped,
+    so that each of those lines names two rows that are not conjugate."""
+    lines = text.splitlines()
+    first, second = [k for k, line in enumerate(lines) if line.startswith("dualpair")][:2]
+    (_, a, b), (_, c, d) = lines[first].split(), lines[second].split()
+    lines[first], lines[second] = f"dualpair {a} {d}", f"dualpair {c} {b}"
+    return "\n".join(lines) + "\n"
+
+
 def tables() -> dict[str, str]:
     """Each table's file name and text."""
     sys.path.insert(0, str(REPO / "bench"))
@@ -79,6 +90,7 @@ def tables() -> dict[str, str]:
         out[f"one{n}.chartab"] = f"group G 1\nconductor {n}\nclass 1\nchar 1 1\n"
     for k in range(6, 12):
         out[f"crafted{k}.chartab"] = crafted(k)
+    out["z12_badpair.chartab"] = badpair(out["z12_1.chartab"])
     return out
 
 
