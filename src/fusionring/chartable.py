@@ -111,8 +111,7 @@ class CharacterTable:
                             f"row {j} is not the complex conjugate of row {i} at class {c}"
                         )
         for row in self.characters:
-            deg = row[0]
-            if not deg.is_integer() or deg.integer_value() < 1:
+            if not row[0].is_integer() or row[0].integer_value() < 1:
                 raise InvalidRing("character degree (value at the identity) must be a positive integer")
         # <chi_j, chi_i> is the conjugate of <chi_i, chi_j>, so a pair fails
         # exactly when its mirror does, and the first failure has i <= j.
@@ -172,8 +171,9 @@ class _Evaluation:
         n = table.conductor
         if any(v.conductor != n for row in table.characters for v in row):
             raise ValueError("mixed conductors")
-        self.table = table
-        terms = [[[(e, x) for e, x in enumerate(v.coeffs) if x] for v in row] for row in table.characters]
+        # what it reads of the table, not the table, which keeps this evaluation: no reference cycle
+        self.order, self.sizes, self.values = table.group_order, table.class_sizes, table.characters
+        terms = [[[(e, x) for e, x in enumerate(v.coeffs) if x] for v in row] for row in self.values]
         self.bound = _bound(table, terms)
         m, w = 0, 2 * self.bound + 2
         for coefficient in reversed(cyclotomic_polynomial(n)):  # M = |Phi_N(w)|, by Horner
@@ -189,21 +189,21 @@ class _Evaluation:
         t = sum(map(mul, images, self.weighted[k])) % self.modulus
         if t > self.modulus // 2:
             t -= self.modulus
-        if abs(t) <= self.bound and t % self.table.group_order == 0:
-            return t // self.table.group_order
+        if abs(t) <= self.bound and t % self.order == 0:
+            return t // self.order
         return self._exact(rows, k)
 
     def _exact(self, rows: tuple[int, ...], k: int) -> int:
         """The inner product in :class:`Cyclotomic` arithmetic, which words a fault."""
-        chars, total = self.table.characters, Cyclotomic.integer(self.table.conductor, 0)
-        for c, size in enumerate(self.table.class_sizes):
+        chars, total = self.values, Cyclotomic.integer(self.values[0][0].conductor, 0)
+        for c, size in enumerate(self.sizes):
             term = chars[k][c].conj()
             for r in rows:
                 term = term * chars[r][c]
             total = total + size * term
         if not total.is_integer():
             raise NotIntegral(f"inner product total {total!r} is not rational")
-        value, order = total.integer_value(), self.table.group_order
+        value, order = total.integer_value(), self.order
         if value % order != 0:
             raise NotIntegral(
                 f"inner product total {value} is not divisible by |G| = {order}"
@@ -221,12 +221,8 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
     """
     n = len(table.characters)
 
-    trivial = None
-    one = Cyclotomic.integer(table.conductor, 1)
-    for i, row in enumerate(table.characters):
-        if all(v == one for v in row):
-            trivial = i
-            break
+    one = Cyclotomic.integer(table.conductor, 1)  # the table's own 1: all ones in another conductor is no trivial row
+    trivial = next((i for i, row in enumerate(table.characters) if all(v == one for v in row)), None)
     if trivial is None:
         raise InvalidRing("table has no trivial character row")
 
@@ -242,7 +238,7 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
     evaluation = getattr(table, "_evaluation", None) or _Evaluation(table)  # None: built without validate
     modulus, images = evaluation.modulus, evaluation.rows
     degrees = table.degrees
-    rows: dict[tuple[int, int], dict[str, int]] = {}
+    products: dict[tuple[str, str], dict[str, int]] = {}
     for i in range(n):
         for j in range(i, n):
             product = [a * b % modulus for a, b in zip(images[i], images[j])]
@@ -259,8 +255,7 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
                 raise OrthogonalityFailure(
                     f"chi{i} chi{j} decomposes into degree {degree}, expected {degrees[i] * degrees[j]}"
                 )
-            rows[i, j] = rows[j, i] = row
-    products = {(labels[i], labels[j]): rows[i, j] for i in range(n) for j in range(n)}
+            products[labels[i], labels[j]] = products[labels[j], labels[i]] = row
 
     basis = [
         BasisElement(labels[i], degrees[i], labels[table.conjugate_map[i]])
@@ -373,6 +368,7 @@ def parse_character_table(text: str) -> CharacterTable:
         raise ValueError("no char lines")
 
     characters = []
+    parsed: dict[str, Cyclotomic] = {}  # each distinct value token, parsed once
     for row_idx, (lineno, tokens) in enumerate(raw_chars):
         try:
             degree = _positive(tokens[0], f"char row {row_idx} degree")
@@ -381,8 +377,8 @@ def parse_character_table(text: str) -> CharacterTable:
                 raise ValueError(
                     f"char row {row_idx} has {len(values)} values for {len(sizes)} classes"
                 )
-            row = tuple(parse_value(v, conductor) for v in values)
-            if row[0] != Cyclotomic.integer(conductor, degree):
+            row = tuple(parsed[v] if v in parsed else parsed.setdefault(v, parse_value(v, conductor)) for v in values)
+            if row[0] != degree:
                 raise ValueError(f"char row {row_idx}: declared degree {degree} != value at identity")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc

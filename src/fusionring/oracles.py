@@ -152,9 +152,8 @@ def cyclic_character_table(n: int) -> CharacterTable:
 
     if type(n) is not int or n < 1:
         raise ValueError("n must be >= 1")
-    chars = tuple(
-        tuple(Cyclotomic.zeta_power(n, (j * k) % n) for k in range(n)) for j in range(n)
-    )
+    powers = [Cyclotomic.zeta_power(n, k) for k in range(n)]
+    chars = tuple(tuple(powers[j * k % n] for k in range(n)) for j in range(n))
     return CharacterTable(
         name=f"Z{n}",
         group_order=n,

@@ -10,10 +10,14 @@ exception class and message on both routes.
 from __future__ import annotations
 
 import functools
+import gc
+import importlib.util
 import math
 import random
 import sys
 import time
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +34,7 @@ from fusionring.cyclotomic import Cyclotomic
 from fusionring.ring import BasisElement, FusionRing, InvalidRing
 
 FIXTURES = ("s3", "a4", "f21", "z3")
+REPO = Path(__file__).resolve().parents[1]
 
 
 # -- reference route -----------------------------------------------------------
@@ -312,6 +317,54 @@ def test_a_parsed_table_is_evaluated_once(monkeypatch):
     table = fr.parse_character_table(text)
     assert fr.char_table_ring(table) == reference_ring(table)
     assert built == [table]
+
+
+@functools.cache
+def bench_tables() -> dict[str, str]:
+    """The tables that tools/chartable_tables.py writes, among them the bench generator's at seed 1."""
+    spec = importlib.util.spec_from_file_location("chartable_tables", REPO / "tools" / "chartable_tables.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tables()
+
+
+@pytest.mark.parametrize("name,most", [("d45_1", 73), ("z60_1", 120)])
+def test_each_distinct_value_token_is_parsed_once(monkeypatch, name, most):
+    # One Cyclotomic per distinct token, and one per class for the bound's column
+    # sums; parsing each entry, and each row's degree once more, built 624 on D45.
+    text, built = bench_tables()[f"{name}.chartab"], []
+    init = Cyclotomic.__init__
+    monkeypatch.setattr(Cyclotomic, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    table = fr.parse_character_table(text)
+    tokens = {v for line in text.splitlines() if line.startswith("char") for v in line.split()[2:]}
+    assert len({id(v) for row in table.characters for v in row}) == len(tokens)
+    assert len(tokens) + len(table.class_sizes) == most
+    assert len(built) <= most
+
+
+def test_the_cyclic_table_holds_each_power_of_zeta_once():
+    table = fr.cyclic_character_table(12)
+    assert len({id(v) for row in table.characters for v in row}) == 12
+
+
+def test_a_dropped_table_is_freed_without_the_cycle_collector():
+    # the evaluation that validate keeps on the table holds no reference back to it
+    gc.disable()
+    try:
+        table = fr.fixture_character_table("s3")
+        ref = weakref.ref(table)
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_an_all_ones_row_of_another_conductor_is_no_trivial_row():
+    # compared with the table's own 1; a bare `v == 1` would take row 1 as trivial
+    # and then refuse the table for its mixed conductors
+    one, other = Cyclotomic.integer(1, 1), Cyclotomic.integer(2, 1)
+    table = unchecked("Z2", 2, [1, 1], [[one, -one], [other, other]], [0, 1])
+    assert outcome(fr.char_table_ring, table) == ("InvalidRing", "table has no trivial character row")
 
 
 # -- the evaluation modulo Phi_N(w) ------------------------------------------------

@@ -1,12 +1,15 @@
 """``tools/same_outputs.py`` on a checkout against itself and against a
-checkout whose ``main`` prints one more line, and the crafted table that
+checkout whose ``main`` prints one more line, and the tables and specs that
 ``tools/chartable_tables.py`` writes."""
 
 import importlib.util
 import shutil
 from pathlib import Path
 
-from test_chartable_kernel import CRAFTED_10
+import pytest
+
+import fusionring as fr
+from test_chartable_kernel import CRAFTED_10, bench_tables
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -46,3 +49,17 @@ def test_an_extra_line_of_stdout_is_reported(tmp_path, capsys):
 
 def test_the_crafted_ten_class_table_is_the_tools():
     assert _tool("chartable_tables").crafted(10) == CRAFTED_10
+
+
+def test_the_bad_token_table_is_refused_at_its_last_value():
+    # every other token of the table, repeated ones included, parses first
+    with pytest.raises(ValueError) as refused:
+        fr.parse_character_table(bench_tables()["d21_badtoken.chartab"])
+    assert str(refused.value) == "line 26: bad cyclotomic term 'z^^2' in 'z^^2'"
+
+
+def test_the_tool_writes_the_specs_of_the_cli_commands(tmp_path):
+    tool = _tool("chartable_tables")
+    assert tool.main([str(tmp_path)]) == 0
+    names = {name: fr.parse_spec((tmp_path / name).read_text()).name for name in tool.SPECS}
+    assert names == {"so3_21.spec": "so3_21", "cyclic_12.spec": "Z12", "fragment.spec": "fragment"}

@@ -1,4 +1,4 @@
-"""Write the character tables that ``tools/chartable_cmds.txt`` names into a directory.
+"""Write the files that ``tools/chartable_cmds.txt`` and ``tools/cli_cmds.txt`` name into a directory.
 
 Usage::
 
@@ -7,15 +7,19 @@ Usage::
 It writes the four shipped fixtures; the cyclic 12/30/60 and dihedral
 21/45/63 tables of ``bench/workloads.py``'s generators at seeds 1-3; the
 trivial group's table at conductors 4620 and 5040; the tables of 6 to 11
-classes that :func:`crafted` builds; and :func:`badpair`'s table, which
-``gen chartable`` refuses.  Run ``tools/same_outputs.py`` from
-OUTDIR on the command file, which names each table by its file name.
+classes that :func:`crafted` builds; :func:`badpair`'s and
+:func:`badtoken`'s tables, which ``gen chartable`` refuses; and the specs
+``so3_21.spec``, ``cyclic_12.spec`` and ``fragment.spec``, which this
+checkout's ``src`` generates.  Run ``tools/same_outputs.py`` from OUTDIR
+on either command file, which names each file by its file name.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import shutil
+import subprocess
 import sys
 from math import isqrt
 from pathlib import Path
@@ -75,6 +79,19 @@ def badpair(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def badtoken(text: str) -> str:
+    """``text`` with the last value of its last ``char`` row replaced by the
+    malformed term ``z^^2``, which follows every repeated token of the table."""
+    lines = text.splitlines()
+    last = max(k for k, line in enumerate(lines) if line.startswith("char"))
+    lines[last] = lines[last].rsplit(" ", 1)[0] + " z^^2"
+    return "\n".join(lines) + "\n"
+
+
+# The spec files of tools/cli_cmds.txt, and the `gen` argv that writes each.
+SPECS = {"so3_21.spec": ("so3", "21"), "cyclic_12.spec": ("cyclic", "12"), "fragment.spec": ("fragment",)}
+
+
 def tables() -> dict[str, str]:
     """Each table's file name and text."""
     sys.path.insert(0, str(REPO / "bench"))
@@ -91,6 +108,7 @@ def tables() -> dict[str, str]:
     for k in range(6, 12):
         out[f"crafted{k}.chartab"] = crafted(k)
     out["z12_badpair.chartab"] = badpair(out["z12_1.chartab"])
+    out["d21_badtoken.chartab"] = badtoken(out["d21_1.chartab"])
     return out
 
 
@@ -104,6 +122,10 @@ def main(argv: list[str]) -> int:
         shutil.copy(fixture, outdir / fixture.name)
     for name, text in tables().items():
         (outdir / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for name, args in SPECS.items():
+        with open(outdir / name, "wb") as fh:
+            subprocess.run([sys.executable, "-m", "fusionring", "gen", *args], env=env, stdout=fh, check=True)
     return 0
 
 
