@@ -104,9 +104,9 @@ class CharacterTable:
         for i, j in enumerate(self.conjugate_map):
             if self.conjugate_map[j] != i:
                 raise InvalidRing("conjugate map is not an involution")
-            for c in range(classes):
-                if mixed or evaluation.modulus == 1 or evaluation.conjugates[i][c] != evaluation.rows[j][c]:
-                    if self.characters[i][c].conj() != self.characters[j][c]:
+            for c, (a, b) in enumerate(zip(self.characters[i], self.characters[j])):
+                if mixed or evaluation.modulus == 1 or evaluation.images[id(a)][1] != evaluation.images[id(b)][0]:
+                    if a.conj() != b:
                         raise OrthogonalityFailure(
                             f"row {j} is not the complex conjugate of row {i} at class {c}"
                         )
@@ -129,7 +129,7 @@ class CharacterTable:
                     )
 
 
-def _bound(table: CharacterTable, terms: list) -> int:
+def _bound(table: CharacterTable, terms: dict[int, list]) -> int:
     """L for a table that passes the checks of a group's table, else -1.
 
     A group's table has its identity class first, of size 1, class sizes
@@ -147,9 +147,9 @@ def _bound(table: CharacterTable, terms: list) -> int:
     bound = 0
     for c, size in enumerate(sizes):
         total = [0] * n  # |c| * sum_i chi_i(c) conj(chi_i(c)), unreduced
-        for row in terms:
-            for e, x in row[c]:
-                for f, y in row[c]:
+        for value in [terms[id(row[c])] for row in table.characters]:
+            for e, x in value:
+                for f, y in value:
                     total[(e - f) % n] += size * x * y
         if Cyclotomic(n, total) != order:
             return -1
@@ -160,11 +160,11 @@ def _bound(table: CharacterTable, terms: list) -> int:
 class _Evaluation:
     """A table's values in Z/M under zeta_N -> w, and its exact inner product.
 
-    ``rows[i][c]`` is the image of chi_i at class c, ``conjugates[i][c]`` that of
-    conj(chi_i(c)) and ``weighted[k][c]`` that of |c| * conj(chi_k(c)); ``bound`` is L
-    and ``modulus`` is M = |Phi_N(w)| at w = 2L + 2.  A table that fails the checks of
-    :func:`_bound` has L = -1, so w = 0 and M = |Phi_N(0)| = 1: no residue is trusted
-    and every total is derived in :class:`Cyclotomic` arithmetic.
+    ``images[id(v)]`` is the pair of images of v and conj(v), one per value object, and
+    ``rows[i][c]`` the image of chi_i at class c, shared with its value; ``weighted[k][c]`` is
+    that of |c| * conj(chi_k(c)), ``bound`` is L and ``modulus`` is M = |Phi_N(w)| at w = 2L + 2.
+    A table that fails the checks of :func:`_bound` has L = -1, so w = 0 and M = |Phi_N(0)| = 1:
+    no residue is trusted and every total is derived in :class:`Cyclotomic` arithmetic.
     """
 
     def __init__(self, table: CharacterTable):
@@ -173,16 +173,15 @@ class _Evaluation:
             raise ValueError("mixed conductors")
         # what it reads of the table, not the table, which keeps this evaluation: no reference cycle
         self.order, self.sizes, self.values = table.group_order, table.class_sizes, table.characters
-        terms = [[[(e, x) for e, x in enumerate(v.coeffs) if x] for v in row] for row in self.values]
+        terms = {id(v): [(e, x) for e, x in enumerate(v.coeffs) if x] for row in self.values for v in row}
         self.bound = _bound(table, terms)
         m, w = 0, 2 * self.bound + 2
         for coefficient in reversed(cyclotomic_polynomial(n)):  # M = |Phi_N(w)|, by Horner
             m = m * w + coefficient
         self.modulus = m = abs(m)
-        power = {e: pow(w, e, m) for e in {f % n for row in terms for value in row for e, _ in value for f in (e, -e)}}
-        self.rows = [[sum(x * power[e] for e, x in value) % m for value in row] for row in terms]
-        self.conjugates = [[sum(x * power[-e % n] for e, x in value) % m for value in row] for row in terms]
-        self.weighted = [[s * v % m for s, v in zip(table.class_sizes, row)] for row in self.conjugates]
+        self.images = {k: [sum(x * pow(w, f * e % n, m) for e, x in t) % m for f in (1, -1)] for k, t in terms.items()}
+        self.rows = [[self.images[id(v)][0] for v in row] for row in self.values]
+        self.weighted = [[s * self.images[id(v)][1] % m for s, v in zip(self.sizes, row)] for row in self.values]
 
     def inner(self, images: Sequence[int], k: int, rows: tuple[int, ...]) -> int:
         """<chi_r1 ... chi_rm, chi_k> for ``rows`` = (r1, ..., rm), whose product has ``images``."""
@@ -276,7 +275,7 @@ def parse_value(text: str, conductor: int) -> Cyclotomic:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty value")
-    terms = re.findall(r"[+-]?[^+-]+", s)
+    terms = re.split(r"(?<=.)(?=[+-])", s)  # before each sign but a leading one: a stray sign is a term of its own
     coeffs = [0] * conductor
     for term in terms:
         m = _TERM_RE.match(term)

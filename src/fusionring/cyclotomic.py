@@ -78,6 +78,8 @@ class Cyclotomic:
         self.conductor = conductor
         folded = [0] * conductor
         for i, c in enumerate(coeffs):
+            if type(c) is not int:  # exactly int: 1.5, 0.0 and True are no coefficients
+                raise ValueError(f"coefficient {c!r} is not an integer")
             if c:
                 folded[i % conductor] += c
         # Remainder modulo the monic Phi_N, in place: clear the top coefficient
@@ -100,6 +102,8 @@ class Cyclotomic:
     def zeta_power(cls, conductor: int, k: int) -> "Cyclotomic":
         if type(conductor) is not int or conductor < 1:  # before it sizes the list
             raise ValueError("conductor must be positive")
+        if type(k) is not int:
+            raise ValueError(f"exponent {k!r} is not an integer")
         coeffs = [0] * conductor
         coeffs[k % conductor] = 1
         return cls(conductor, coeffs)

@@ -27,10 +27,10 @@ def test_parse_value_forms():
         + Cyclotomic.zeta_power(21, 6)
         + Cyclotomic.zeta_power(21, 12)
     )
-    with pytest.raises(ValueError):
-        parse_value("z*2", 7)
-    with pytest.raises(ValueError):
-        parse_value("", 7)
+    # a stray sign is refused, not dropped: "--1" once read as -1, "1++2" as 3 and "-" as 0
+    for bad in ("z*2", "", "--1", "1+", "1++2", "-", "+", "z-", "1+-z"):
+        with pytest.raises(ValueError):
+            parse_value(bad, 7)
 
 
 @pytest.mark.parametrize("name,order,rank", [("s3", 6, 3), ("a4", 12, 4), ("f21", 21, 5), ("z3", 3, 3)])
@@ -222,6 +222,7 @@ def test_incomplete_table_rejected():
     ("group Z1 1\nconductor 1\nclass 0\nchar 1 1\n", "line 3: class size must be a positive integer"),
     ("group Z1 1\nconductor 1\nclass 1\n\nchar 1 2\n", "line 5: char row 0: declared degree 1"),
     ("group Z1 1\nconductor 1\nclass 1\nchar 1 y\n", "line 4: bad cyclotomic term"),
+    ("group Z1 1\nconductor 1\nclass 1\nchar 1 1+\n", r"line 4: bad cyclotomic term '\+' in '1\+'"),
     ("group Z2 2\ngroup Z3 3\nconductor 1\nclass 1\nchar 1 1\n", "line 2: duplicate group line"),
     ("group Z1 1\nconductor 1\nconductor 2\nclass 1\nchar 1 1\n", "line 3: duplicate conductor line"),
     (Z4_WITHOUT_CHI2.replace("dualpair 1 2", "char 1 1 -1 1 -1\ndualpair 1 3\ndualpair 3 2"),
@@ -245,7 +246,7 @@ def test_incomplete_table_rejected():
     ("group Z1 1\nconductor 1\nclass 1\nchar 1 1 1\n", "line 4: char row 0 has 2 values for 1 classes"),
 ], ids=[
     "conductor-0", "conductor-negative", "no-char", "empty-char", "dualpair-high", "dualpair-negative",
-    "order-0", "class-0", "degree-mismatch", "bad-value", "duplicate-group", "duplicate-conductor",
+    "order-0", "class-0", "degree-mismatch", "bad-value", "stray-sign", "duplicate-group", "duplicate-conductor",
     "dualpair-overlap", "conductor-over-bound", "group-no-order", "conductor-bare", "class-bare",
     "dualpair-one-index", "group-surplus", "conductor-surplus", "class-surplus", "dualpair-surplus",
     "unknown-directive", "no-group", "no-conductor", "no-class", "char-value-count",

@@ -347,6 +347,30 @@ def test_the_cyclic_table_holds_each_power_of_zeta_once():
     assert len({id(v) for row in table.characters for v in row}) == 12
 
 
+def test_each_value_object_is_mapped_into_z_mod_m_once():
+    # one residue pair per value object, which every entry holding it shares:
+    # 12 residue objects for the 144 entries, where mapping each entry made 105
+    evaluation = _Evaluation(fr.cyclic_character_table(12))
+    assert len({id(r) for row in evaluation.rows for r in row}) == 12
+    assert len(evaluation.images) == 12
+
+
+def test_equal_values_held_as_distinct_objects_evaluate_alike():
+    # a table built entry by entry, or a file that writes z^2 as z^14, holds
+    # equal values as distinct objects; each is mapped on its own, to the same residues
+    shared = fr.cyclic_character_table(12)
+    name, order, sizes, chars, conj = fields(shared)
+    copies = unchecked(name, order, sizes, [[Cyclotomic(12, v.coeffs) for v in row] for row in chars], conj)
+    assert len({id(v) for row in copies.characters for v in row}) == 144
+    a, b = _Evaluation(shared), _Evaluation(copies)
+    assert (a.bound, a.modulus, a.rows, a.weighted) == (b.bound, b.modulus, b.rows, b.weighted)
+    assert fr.char_table_ring(copies) == fr.char_table_ring(shared)
+    plain, synonyms = (fr.parse_character_table(bench_tables()[f"z12_{k}.chartab"]) for k in ("1", "synonyms"))
+    assert len({id(v) for row in synonyms.characters for v in row}) > 12
+    assert synonyms._evaluation.rows == plain._evaluation.rows
+    assert fr.char_table_ring(synonyms) == fr.char_table_ring(plain)
+
+
 def test_a_dropped_table_is_freed_without_the_cycle_collector():
     # the evaluation that validate keeps on the table holds no reference back to it
     gc.disable()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionring.chartable import CharacterTable
 from fusionring.cyclotomic import Cyclotomic, cyclotomic_polynomial
 
 from conftest import value_or_error
@@ -136,6 +137,16 @@ W = Cyclotomic.zeta_power(3, 1)
     pytest.param(lambda: Cyclotomic.integer(True, 5), (ValueError, "conductor must be positive"), id="integer-True"),
     pytest.param(lambda: Cyclotomic.integer(2.0, 5), (ValueError, "conductor must be positive"), id="integer-2.0"),
     pytest.param(lambda: Cyclotomic("3", [1]), (ValueError, "conductor must be positive"), id="conductor-str"),
+    # exactly int coefficients and exponents too: no float is held, and no bool read as 0 or 1
+    pytest.param(lambda: Cyclotomic(3, [1.5]), (ValueError, "coefficient 1.5 is not an integer"), id="coeff-1.5"),
+    pytest.param(lambda: Cyclotomic(3, [0.0]), (ValueError, "coefficient 0.0 is not an integer"), id="coeff-0.0"),
+    pytest.param(lambda: Cyclotomic(3, [True]), (ValueError, "coefficient True is not an integer"), id="coeff-True"),
+    pytest.param(lambda: Cyclotomic(3, [1, 2.0]), (ValueError, "coefficient 2.0 is not an integer"), id="coeff-2nd"),
+    pytest.param(lambda: Cyclotomic.integer(3, 2.0), (ValueError, "coefficient 2.0 is not an integer"), id="int-2.0"),
+    pytest.param(lambda: Cyclotomic.zeta_power(3, 1.5), (ValueError, "exponent 1.5 is not an integer"), id="exp-1.5"),
+    pytest.param(lambda: Cyclotomic.zeta_power(3, True), (ValueError, "exponent True is not an integer"), id="exp-T"),
+    pytest.param(lambda: CharacterTable("G", 1, (1,), ((Cyclotomic.integer(1, 1.0),),), (0,)),
+                 (ValueError, "coefficient 1.0 is not an integer"), id="table-float-degree"),
 ])
 def test_cyclotomic_value_protocol(thunk, expected):
     assert value_or_error(thunk) == expected

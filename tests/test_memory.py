@@ -23,6 +23,14 @@ near-equal group does not lower the peak: with `cli` at 0.53 MiB and `ring`
 at 0.91, the bench's `truncated` peak stayed at 15.26 against 15.27 MB.
 So no module may compile with a larger heap than `cli`, which every op
 loads (1.15 MiB of traced heap).
+
+A character table holds each distinct value once, and its evaluation maps
+each value object into Z/M once: Z60's 3600 entries share 60 value objects
+and 60 residue pairs.  `gen chartable` on Z60 then peaks 0.84-0.97 MiB
+above the same op on the Z3 fixture, which compiles the same modules;
+mapping each entry on its own (a term list and two residues per entry)
+made it 1.79-1.93 MiB (10 rounds each, half of them with cached bytecode,
+CPython 3.11.7).
 """
 
 import os
@@ -65,6 +73,24 @@ def test_gen_so3_255_peaks_under_16_mb_above_a_bare_interpreter():
     bare = peak_kb("pass")
     gen = peak_kb("from fusionring.cli import main\nmain()", "gen", "so3", "255")
     assert (gen - bare) / 1024 < 16
+
+
+def cyclic_table(n: int) -> str:
+    """Z_n's character table: chi_i takes zeta^(i*c) at class c."""
+    lines = [f"group Z{n} {n}", f"conductor {n}"] + ["class 1"] * n
+    lines += ["char 1 " + " ".join(f"z^{i * c % n}" if i * c % n else "1" for c in range(n)) for i in range(n)]
+    lines += [f"dualpair {i} {n - i}" for i in range(1, (n + 1) // 2)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_gen_chartable_z60_peaks_under_1_37_mib_above_the_z3_fixture(tmp_path):
+    path = tmp_path / "z60.chartab"
+    path.write_text(cyclic_table(60))
+    main = "from fusionring.cli import main\nmain()"
+    z3 = peak_kb(main, "gen", "chartable", str(SRC / "fusionring" / "fixtures" / "z3.chartab"))
+    z60 = peak_kb(main, "gen", "chartable", str(path))
+    assert (z60 - z3) / 1024 < 1.37  # halfway between 0.89 per value object and 1.85 per entry (medians)
 
 
 def compile_peak(path: Path) -> int:

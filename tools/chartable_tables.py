@@ -7,8 +7,9 @@ Usage::
 It writes the four shipped fixtures; the cyclic 12/30/60 and dihedral
 21/45/63 tables of ``bench/workloads.py``'s generators at seeds 1-3; the
 trivial group's table at conductors 4620 and 5040; the tables of 6 to 11
-classes that :func:`crafted` builds; :func:`badpair`'s and
-:func:`badtoken`'s tables, which ``gen chartable`` refuses; and the specs
+classes that :func:`crafted` builds; :func:`synonyms`' table, whose ring is
+seed 1's Z12 ring; :func:`badpair`'s and :func:`badtoken`'s tables, which
+``gen chartable`` refuses; and the specs
 ``so3_21.spec``, ``cyclic_12.spec`` and ``fragment.spec``, which this
 checkout's ``src`` generates.  Run ``tools/same_outputs.py`` from OUTDIR
 on either command file, which names each file by its file name.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -69,6 +71,20 @@ def crafted(classes: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def synonyms(text: str) -> str:
+    """``text`` with each ``z^k`` written as ``z^(k+N)`` and each value ``1`` as
+    ``z^0`` on every other ``char`` row, N being its conductor: equal values
+    from distinct tokens, which a parsed table holds as distinct objects."""
+    conductor = int(re.search(r"^conductor (\d+)$", text, re.M).group(1))
+    lines = text.splitlines()
+    rows = [k for k, line in enumerate(lines) if line.startswith("char")][1::2]
+    for k in rows:
+        tokens = lines[k].split()
+        values = [re.sub(r"\^(\d+)", lambda m: f"^{int(m.group(1)) + conductor}", v) for v in tokens[2:]]
+        lines[k] = " ".join(tokens[:2] + ["z^0" if v == "1" else v for v in values])
+    return "\n".join(lines) + "\n"
+
+
 def badpair(text: str) -> str:
     """``text`` with the partners of its first two ``dualpair`` lines swapped,
     so that each of those lines names two rows that are not conjugate."""
@@ -107,6 +123,7 @@ def tables() -> dict[str, str]:
         out[f"one{n}.chartab"] = f"group G 1\nconductor {n}\nclass 1\nchar 1 1\n"
     for k in range(6, 12):
         out[f"crafted{k}.chartab"] = crafted(k)
+    out["z12_synonyms.chartab"] = synonyms(out["z12_1.chartab"])
     out["z12_badpair.chartab"] = badpair(out["z12_1.chartab"])
     out["d21_badtoken.chartab"] = badtoken(out["d21_1.chartab"])
     return out
