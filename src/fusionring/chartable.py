@@ -8,17 +8,18 @@ must be complete, one character row per conjugacy class.  A table whose rows
 are not orthonormal, or whose products do not decompose with nonnegative
 integer multiplicities, is rejected loudly.
 
-Each total T is evaluated modulo M = |Phi_N(w)| at w = 2L + 2, much as
-Dixon computes characters modulo a prime P = 1 (mod N) ("High speed
+The values lie in Z[zeta_K], K = N/s for s the gcd of N and every exponent
+they use, and each total T is evaluated modulo M = |Phi_K(w)| at w = 2L + 2,
+much as Dixon computes characters modulo a prime P = 1 (mod N) ("High speed
 computation of group characters", Numer. Math. 10, 1967).  No conjugate of
-T exceeds L in absolute value (:func:`_bound`), and every root of Phi_N is
-at least w - 1 from w, so M >= (2L + 1)^phi(N).  Z[zeta_N] = Z[x]/(Phi_N)
+T exceeds L in absolute value (:func:`_bound`), and every root of Phi_K is
+at least w - 1 from w, so M >= (2L + 1)^phi(K).  Z[zeta_K] = Z[x]/(Phi_K)
 maps onto Z/M by x -> w, with a kernel ideal of index M: if T's symmetric
 residue t has |t| <= L, T - t lies in that ideal, so M divides its norm,
-which is at most (2L)^phi(N) < M, so T = t.  An integer T has |T| <= L,
+which is at most (2L)^phi(K) < M, so T = t.  An integer T has |T| <= L,
 so any other residue, like a total not divisible by |G|, is a fault,
 re-derived in :class:`Cyclotomic` arithmetic to word it.  So is every total
-of a table that fails the checks of a group's table that L rests on.
+of a table that mixes conductors, or fails the group-table checks L rests on.
 
 File format (``#`` comments, whitespace separated)::
 
@@ -37,7 +38,7 @@ Every directive but ``char`` takes exactly the tokens shown.
 from __future__ import annotations
 
 import re
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import Optional, Sequence
 
@@ -97,15 +98,13 @@ class CharacterTable:
         if len(self.conjugate_map) != n:
             raise InvalidRing("conjugate map length mismatch")
         # A pair's difference has no conjugate above 2L, so its residue decides it
-        # exactly, as a total's does, unless M = 1.  A table that mixes conductors is
-        # compared value by value, and refused when it is evaluated, after its degrees.
-        mixed = any(v.conductor != self.conductor for row in self.characters for v in row)
-        evaluation = None if mixed else _Evaluation(self)
+        # exactly, as a total's does, unless M = 1.
+        self._evaluation = evaluation = _Evaluation(self)
         for i, j in enumerate(self.conjugate_map):
             if self.conjugate_map[j] != i:
                 raise InvalidRing("conjugate map is not an involution")
             for c, (a, b) in enumerate(zip(self.characters[i], self.characters[j])):
-                if mixed or evaluation.modulus == 1 or evaluation.images[id(a)][1] != evaluation.images[id(b)][0]:
+                if evaluation.modulus == 1 or evaluation.images[id(a)][1] != evaluation.images[id(b)][0]:
                     if a.conj() != b:
                         raise OrthogonalityFailure(
                             f"row {j} is not the complex conjugate of row {i} at class {c}"
@@ -115,7 +114,6 @@ class CharacterTable:
                 raise InvalidRing("character degree (value at the identity) must be a positive integer")
         # <chi_j, chi_i> is the conjugate of <chi_i, chi_j>, so a pair fails
         # exactly when its mirror does, and the first failure has i <= j.
-        self._evaluation = evaluation = evaluation or _Evaluation(self)
         for i in range(n):
             for j in range(i, n):
                 try:
@@ -158,30 +156,30 @@ def _bound(table: CharacterTable, terms: dict[int, list]) -> int:
 
 
 class _Evaluation:
-    """A table's values in Z/M under zeta_N -> w, and its exact inner product.
+    """A table's values in Z/M under zeta_N^s -> w, and its exact inner product.
 
     ``images[id(v)]`` is the pair of images of v and conj(v), one per value object, and
     ``rows[i][c]`` the image of chi_i at class c, shared with its value; ``weighted[k][c]`` is
-    that of |c| * conj(chi_k(c)), ``bound`` is L and ``modulus`` is M = |Phi_N(w)| at w = 2L + 2.
-    A table that fails the checks of :func:`_bound` has L = -1, so w = 0 and M = |Phi_N(0)| = 1:
-    no residue is trusted and every total is derived in :class:`Cyclotomic` arithmetic.
+    that of |c| * conj(chi_k(c)), ``bound`` is L and ``modulus`` is M = |Phi_K(w)| at w = 2L + 2,
+    zeta_N^(+-e) mapping to w^(+-e/s), for K = N/s and s the gcd of N and every exponent of a value.
+    A table that fails the checks of :func:`_bound`, or mixes conductors, has L = -1, so w = 0
+    and M = |Phi_K(0)| = 1: no residue is trusted and every total is derived in :class:`Cyclotomic`.
     """
 
     def __init__(self, table: CharacterTable):
-        n = table.conductor
-        if any(v.conductor != n for row in table.characters for v in row):
-            raise ValueError("mixed conductors")
         # what it reads of the table, not the table, which keeps this evaluation: no reference cycle
         self.order, self.sizes, self.values = table.group_order, table.class_sizes, table.characters
         terms = {id(v): [(e, x) for e, x in enumerate(v.coeffs) if x] for row in self.values for v in row}
-        self.bound = _bound(table, terms)
-        m, w = 0, 2 * self.bound + 2
-        for coefficient in reversed(cyclotomic_polynomial(n)):  # M = |Phi_N(w)|, by Horner
+        n = table.conductor
+        self.bound = -1 if any(v.conductor != n for row in self.values for v in row) else _bound(table, terms)
+        s = gcd(n, *(e for t in terms.values() for e, _ in t))  # every value lies in Z[zeta_K], K = N/s
+        m, w, n = 0, 2 * self.bound + 2, n // s
+        for coefficient in reversed(cyclotomic_polynomial(n)):  # M = |Phi_K(w)|, by Horner
             m = m * w + coefficient
         self.modulus = m = abs(m)
-        self.images = {k: [sum(x * pow(w, f * e % n, m) for e, x in t) % m for f in (1, -1)] for k, t in terms.items()}
+        self.images = {k: [sum(x * pow(w, e // f % n, m) for e, x in t) % m for f in (s, -s)] for k, t in terms.items()}
         self.rows = [[self.images[id(v)][0] for v in row] for row in self.values]
-        self.weighted = [[s * self.images[id(v)][1] % m for s, v in zip(self.sizes, row)] for row in self.values]
+        self.weighted = [[size * self.images[id(v)][1] % m for size, v in zip(self.sizes, row)] for row in self.values]
 
     def inner(self, images: Sequence[int], k: int, rows: tuple[int, ...]) -> int:
         """<chi_r1 ... chi_rm, chi_k> for ``rows`` = (r1, ..., rm), whose product has ``images``."""

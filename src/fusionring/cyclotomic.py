@@ -108,17 +108,20 @@ class Cyclotomic:
         coeffs[k % conductor] = 1
         return cls(conductor, coeffs)
 
-    def _compatible(self, other: "Cyclotomic") -> None:
-        if self.conductor != other.conductor:
+    def _compatible(self, other: object) -> bool:
+        if isinstance(other, Cyclotomic) and self.conductor != other.conductor:
             raise ValueError("mixed conductors")
+        return isinstance(other, Cyclotomic)
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._compatible(other)
-        return Cyclotomic(self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        if self._compatible(other):
+            return Cyclotomic(self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return NotImplemented
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._compatible(other)
-        return Cyclotomic(self.conductor, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        if self._compatible(other):
+            return Cyclotomic(self.conductor, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return NotImplemented
 
     def __neg__(self) -> "Cyclotomic":
         return Cyclotomic(self.conductor, [-a for a in self.coeffs])
@@ -126,7 +129,8 @@ class Cyclotomic:
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, int):
             return Cyclotomic(self.conductor, [other * a for a in self.coeffs])
-        self._compatible(other)
+        if not self._compatible(other):
+            return NotImplemented
         n = self.conductor
         out = [0] * n
         for i, a in enumerate(self.coeffs):

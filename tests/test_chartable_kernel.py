@@ -411,9 +411,10 @@ def test_the_modulus_exceeds_the_norm_bound_and_carries_an_nth_root_of_unity():
             w = 2 * bound + 2
             modulus = cyclotomic_value(n, w)
             assert modulus > (2 * bound) ** phi and pow(w, n, modulus) == 1, (n, bound)
-        # the trivial group's table has L = 1 at any conductor
+        # the trivial group's table has L = 1 at any conductor, and its one value 1
+        # uses no exponent but 0: s = N, and M = Phi_1(4)
         trivial = unchecked("G", 1, [1], [[Cyclotomic.integer(n, 1)]], [0])
-        assert _Evaluation(trivial).modulus == cyclotomic_value(n, 4), n
+        assert _Evaluation(trivial).modulus == cyclotomic_value(1, 4) == 3, n
     for name in FIXTURES:
         table = fr.fixture_character_table(name)
         evaluation = _Evaluation(table)
@@ -425,7 +426,8 @@ def test_the_modulus_exceeds_the_norm_bound_and_carries_an_nth_root_of_unity():
 # the first nine Sylvester numbers 2, 3, 7, 43, ..., whose product is the
 # 105-digit |G|, so that their reciprocals and 1/|G| sum to 1.  Below a
 # trivial row, each column's squares sum to |G|/|c| - 1; the rows are not
-# orthonormal.  Its M has about phi(5040) * log2(2L + 2) = 600k bits.
+# orthonormal.  At N = 5040 its M would have about phi(5040) * log2(2L + 2) =
+# 600k bits; its values are integers, so it evaluates in Z, modulo 2L + 1.
 CRAFTED_10 = """\
 group S10 165506647324519964198468195444439180017513152706377497841851388766535868639572406808911988131737645185442
 conductor 5040
@@ -452,16 +454,93 @@ char 1 1 0 0 0 0 0 0 0 0 1
 """
 
 
-def test_a_crafted_table_near_landaus_bound_fails_alike_and_fast():
+def _crafted_10() -> CharacterTable:
     rows = [line.split() for line in CRAFTED_10.splitlines()]
     order, sizes = int(rows[0][2]), [int(r[1]) for r in rows if r[0] == "class"]
     chars = [[Cyclotomic.integer(5040, int(v)) for v in r[2:]] for r in rows if r[0] == "char"]
-    expect = outcome(reference_validate, unchecked("S10", order, sizes, chars, range(len(chars))))
+    return unchecked("S10", order, sizes, chars, range(len(chars)))
+
+
+def test_a_crafted_table_near_landaus_bound_fails_alike_and_fast():
+    expect = outcome(reference_validate, _crafted_10())
     assert expect[0] == "OrthogonalityFailure"
     start = time.perf_counter()
     assert outcome(fr.parse_character_table, CRAFTED_10) == expect
     # under a line tracer, as in tools/untraced_lines.py, every line runs several times slower
     assert time.perf_counter() - start < 2.0 or sys.gettrace() is not None
+
+
+def test_a_table_of_integers_evaluates_in_z_at_any_conductor():
+    # every exponent is 0, so s = N and M = Phi_1(2L + 2) = 2L + 1
+    one = fr.parse_character_table(bench_tables()["one5040.chartab"])._evaluation
+    assert (one.bound, one.modulus) == (1, 3)
+    crafted = _Evaluation(_crafted_10())
+    assert crafted.bound > 0 and crafted.modulus == 2 * crafted.bound + 1
+    assert crafted.modulus.bit_length() < 2000  # 599,399 bits modulo Phi_5040(2L + 2)
+
+
+@pytest.mark.parametrize("conductor,field", [(9, 3), (12, 6)])
+def test_a_table_evaluates_in_the_field_its_values_use(conductor, field):
+    # Z3's table at N = 9 writes its values z^3 and z^6, at N = 12 z^4 = z^2 - 1 and
+    # z^8 = -z^2: the exponents share s = 3 and s = 2, and the ring is Z3's
+    table = fr.parse_character_table(bench_tables()[f"z3_at{conductor}.chartab"])
+    evaluation, fixture = table._evaluation, fr.fixture_character_table("z3")
+    assert (table.conductor, evaluation.bound) == (conductor, fixture._evaluation.bound) == (conductor, 18)
+    assert evaluation.modulus == cyclotomic_value(field, 2 * evaluation.bound + 2)
+    assert fr.write_spec(fr.char_table_ring(table)) == fr.write_spec(fr.char_table_ring(fixture))
+
+
+def _mixed_tables():
+    one1, one2, one3 = Cyclotomic.integer(1, 1), Cyclotomic.integer(2, 1), Cyclotomic.integer(3, 1)
+    z = Cyclotomic.zeta_power(3, 1)
+    return {
+        # <chi0, chi0> = (4 + 0) / 2 fails before any inner product mixes conductors
+        "degree": ("Z2", 2, [1, 1], [[2 * one1, 0 * one1], [one2, one2]], [0, 1]),
+        # Z2's table with its sign row at conductor 2: <chi0, chi1> mixes them
+        "sign-row": ("Z2", 2, [1, 1], [[one1, one1], [one2, -one2]], [0, 1]),
+        # Z3's table with z^2 written as zeta_6^4 in row 2: a pair of conductors 3 and 6
+        "pair": ("Z3", 3, [1, 1, 1], [[one3] * 3, [one3, z, z * z], [one3, Cyclotomic.zeta_power(6, 4), z]], [0, 2, 1]),
+    }
+
+
+@st.composite
+def mixed_fields(draw):
+    """A valid table with one value written at a multiple of its conductor."""
+    name, order, sizes, chars, conj = draw(table_fields())
+    chars = [list(row) for row in chars]
+    r, c = draw(st.integers(0, len(chars) - 1)), draw(st.integers(0, len(sizes) - 1))
+    k, value = draw(st.integers(2, 3)), chars[r][c]
+    chars[r][c] = Cyclotomic(k * value.conductor, [x for e in value.coeffs for x in (e,) + (0,) * (k - 1)])
+    return name, order, sizes, chars, conj
+
+
+def _mixed_fail_alike(table_fields):
+    expect = outcome(reference_validate, unchecked(*table_fields))
+    assert outcome(unchecked(*table_fields).validate) == expect
+    if expect[0] != "ok":  # a one-value table has no other value to mix with
+        assert outcome(CharacterTable, *table_fields) == expect
+    ring = outcome(fr.char_table_ring, unchecked(*table_fields))
+    assert ring == outcome(reference_ring, unchecked(*table_fields))
+    return expect
+
+
+@pytest.mark.parametrize("name,expect", [
+    ("degree", ("OrthogonalityFailure", "<chi0, chi0> = 2, expected 1")),
+    ("sign-row", ("ValueError", "mixed conductors")),
+    ("pair", ("OrthogonalityFailure", "row 2 is not the complex conjugate of row 1 at class 1")),
+])
+def test_a_table_that_mixes_conductors_fails_as_the_reference_does(name, expect):
+    # its values lie in no common field: L = -1, M = 1, and Cyclotomic arithmetic
+    # refuses the first inner product that mixes them
+    evaluation = _Evaluation(unchecked(*_mixed_tables()[name]))
+    assert (evaluation.bound, evaluation.modulus) == (-1, 1)
+    assert _mixed_fail_alike(_mixed_tables()[name]) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_fields())
+def test_tables_with_a_value_at_another_conductor_fail_alike(table_fields):
+    _mixed_fail_alike(table_fields)
 
 
 def _dihedral(n):

@@ -58,8 +58,21 @@ def test_the_bad_token_table_is_refused_at_its_last_value():
     assert str(refused.value) == "line 26: bad cyclotomic term 'z^^2' in 'z^^2'"
 
 
-def test_the_tool_writes_the_specs_of_the_cli_commands(tmp_path):
-    tool = _tool("chartable_tables")
-    assert tool.main([str(tmp_path)]) == 0
-    names = {name: fr.parse_spec((tmp_path / name).read_text()).name for name in tool.SPECS}
+@pytest.fixture(scope="module")
+def written(tmp_path_factory) -> Path:
+    """A directory that ``tools/chartable_tables.py`` has written."""
+    outdir = tmp_path_factory.mktemp("tables")
+    assert _tool("chartable_tables").main([str(outdir)]) == 0
+    return outdir
+
+
+def test_the_tool_writes_the_specs_of_the_cli_commands(written):
+    names = {name: fr.parse_spec((written / name).read_text()).name for name in _tool("chartable_tables").SPECS}
     assert names == {"so3_21.spec": "so3_21", "cyclic_12.spec": "Z12", "fragment.spec": "fragment"}
+
+
+def test_the_tool_writes_every_table_of_the_chartable_commands(written):
+    lines = (REPO / "tools" / "chartable_cmds.txt").read_text().splitlines()
+    named = {line.split()[-1] for line in lines if line.strip() and not line.startswith("#")}
+    assert {"crafted12.chartab", "crafted13.chartab", "z3_at9.chartab", "z3_at12.chartab"} <= named
+    assert not {name for name in named if not (written / name).is_file()}

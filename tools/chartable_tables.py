@@ -6,9 +6,10 @@ Usage::
 
 It writes the four shipped fixtures; the cyclic 12/30/60 and dihedral
 21/45/63 tables of ``bench/workloads.py``'s generators at seeds 1-3; the
-trivial group's table at conductors 4620 and 5040; the tables of 6 to 11
+trivial group's table at conductors 4620 and 5040; the tables of 6 to 13
 classes that :func:`crafted` builds; :func:`synonyms`' table, whose ring is
-seed 1's Z12 ring; :func:`badpair`'s and :func:`badtoken`'s tables, which
+seed 1's Z12 ring; the Z3 fixture declared at conductors 9 and 12 by
+:func:`widened`; :func:`badpair`'s and :func:`badtoken`'s tables, which
 ``gen chartable`` refuses; and the specs
 ``so3_21.spec``, ``cyclic_12.spec`` and ``fragment.spec``, which this
 checkout's ``src`` generates.  Run ``tools/same_outputs.py`` from OUTDIR
@@ -85,6 +86,15 @@ def synonyms(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def widened(text: str, conductor: int) -> str:
+    """``text`` declared at ``conductor``, a multiple k of its own conductor N,
+    with each ``z^e`` (or ``z``) written as ``z^(k*e)``: the same values, whose
+    exponents all share the factor k."""
+    k = conductor // int(re.search(r"^conductor (\d+)$", text, re.M).group(1))
+    text = re.sub(r"^conductor \d+$", f"conductor {conductor}", text, flags=re.M)
+    return re.sub(r"z(?:\^(\d+))?", lambda m: f"z^{k * int(m.group(1) or 1)}", text)
+
+
 def badpair(text: str) -> str:
     """``text`` with the partners of its first two ``dualpair`` lines swapped,
     so that each of those lines names two rows that are not conjugate."""
@@ -121,9 +131,12 @@ def tables() -> dict[str, str]:
             out[f"d{n}_{seed}.chartab"] = workloads.dihedral_table_file(n, random.Random(seed))[0]
     for n in (4620, 5040):
         out[f"one{n}.chartab"] = f"group G 1\nconductor {n}\nclass 1\nchar 1 1\n"
-    for k in range(6, 12):
+    for k in range(6, 14):
         out[f"crafted{k}.chartab"] = crafted(k)
     out["z12_synonyms.chartab"] = synonyms(out["z12_1.chartab"])
+    z3 = (REPO / "src" / "fusionring" / "fixtures" / "z3.chartab").read_text()
+    for n in (9, 12):
+        out[f"z3_at{n}.chartab"] = widened(z3, n)
     out["z12_badpair.chartab"] = badpair(out["z12_1.chartab"])
     out["d21_badtoken.chartab"] = badtoken(out["d21_1.chartab"])
     return out
