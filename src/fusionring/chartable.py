@@ -16,10 +16,10 @@ T exceeds L in absolute value (:func:`_bound`), and every root of Phi_K is
 at least w - 1 from w, so M >= (2L + 1)^phi(K).  Z[zeta_K] = Z[x]/(Phi_K)
 maps onto Z/M by x -> w, with a kernel ideal of index M: if T's symmetric
 residue t has |t| <= L, T - t lies in that ideal, so M divides its norm,
-which is at most (2L)^phi(K) < M, so T = t.  An integer T has |T| <= L,
-so any other residue, like a total not divisible by |G|, is a fault,
-re-derived in :class:`Cyclotomic` arithmetic to word it.  So is every total
-of a table that mixes conductors, or fails the group-table checks L rests on.
+which is at most (2L)^phi(K) < M, so T = t.  An integer T has |T| <= L, so
+a residue above L is a total that is not rational, the one fault re-derived
+in :class:`Cyclotomic` arithmetic, to quote it.  So is every total of a table
+that mixes conductors or fails the checks L rests on: there L = -1, M = 1.
 
 File format (``#`` comments, whitespace separated)::
 
@@ -43,7 +43,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial
-from .ring import BasisElement, FusionRing, FusionRingError, InvalidRing
+from .ring import GEN_RANK_BOUND, BasisElement, FusionRing, FusionRingError, InvalidRing, _check_rank
 from .specfmt import _decimal
 
 
@@ -97,18 +97,18 @@ class CharacterTable:
             )
         if len(self.conjugate_map) != n:
             raise InvalidRing("conjugate map length mismatch")
-        # A pair's difference has no conjugate above 2L, so its residue decides it
-        # exactly, as a total's does, unless M = 1.
+        # A pair's difference has no conjugate above 2L, so its residue decides it exactly, as a
+        # total's does: unequal residues are unequal values.  Only when M = 1 are the values compared.
         self._evaluation = evaluation = _Evaluation(self)
+        images = evaluation.images
         for i, j in enumerate(self.conjugate_map):
             if self.conjugate_map[j] != i:
                 raise InvalidRing("conjugate map is not an involution")
             for c, (a, b) in enumerate(zip(self.characters[i], self.characters[j])):
-                if evaluation.modulus == 1 or evaluation.images[id(a)][1] != evaluation.images[id(b)][0]:
-                    if a.conj() != b:
-                        raise OrthogonalityFailure(
-                            f"row {j} is not the complex conjugate of row {i} at class {c}"
-                        )
+                if a.conj() != b if evaluation.modulus == 1 else images[id(a)][1] != images[id(b)][0]:
+                    raise OrthogonalityFailure(
+                        f"row {j} is not the complex conjugate of row {i} at class {c}"
+                    )
         for row in self.characters:
             if not row[0].is_integer() or row[0].integer_value() < 1:
                 raise InvalidRing("character degree (value at the identity) must be a positive integer")
@@ -162,16 +162,17 @@ class _Evaluation:
     ``rows[i][c]`` the image of chi_i at class c, shared with its value; ``weighted[k][c]`` is
     that of |c| * conj(chi_k(c)), ``bound`` is L and ``modulus`` is M = |Phi_K(w)| at w = 2L + 2,
     zeta_N^(+-e) mapping to w^(+-e/s), for K = N/s and s the gcd of N and every exponent of a value.
-    A table that fails the checks of :func:`_bound`, or mixes conductors, has L = -1, so w = 0
-    and M = |Phi_K(0)| = 1: no residue is trusted and every total is derived in :class:`Cyclotomic`.
+    A residue t with |t| <= L is the total and unequal residues are unequal values.  A table that fails
+    :func:`_bound`'s checks, or mixes conductors, has L = -1, so w = 0 and M = |Phi_K(0)| = 1: no residue decides.
     """
 
     def __init__(self, table: CharacterTable):
         # what it reads of the table, not the table, which keeps this evaluation: no reference cycle
         self.order, self.sizes, self.values = table.group_order, table.class_sizes, table.characters
-        terms = {id(v): [(e, x) for e, x in enumerate(v.coeffs) if x] for row in self.values for v in row}
+        distinct = {id(v): v for row in self.values for v in row}  # each value object once, however many hold it
+        terms = {k: [(e, x) for e, x in enumerate(v.coeffs) if x] for k, v in distinct.items()}
         n = table.conductor
-        self.bound = -1 if any(v.conductor != n for row in self.values for v in row) else _bound(table, terms)
+        self.bound = -1 if any(v.conductor != n for v in distinct.values()) else _bound(table, terms)
         s = gcd(n, *(e for t in terms.values() for e, _ in t))  # every value lies in Z[zeta_K], K = N/s
         m, w, n = 0, 2 * self.bound + 2, n // s
         for coefficient in reversed(cyclotomic_polynomial(n)):  # M = |Phi_K(w)|, by Horner
@@ -182,16 +183,17 @@ class _Evaluation:
         self.weighted = [[size * self.images[id(v)][1] % m for size, v in zip(self.sizes, row)] for row in self.values]
 
     def inner(self, images: Sequence[int], k: int, rows: tuple[int, ...]) -> int:
-        """<chi_r1 ... chi_rm, chi_k> for ``rows`` = (r1, ..., rm), whose product has ``images``."""
+        """<chi_r1 ... chi_rm, chi_k>, ``images`` the product of ``rows``; the total is its residue t if |t| <= L."""
         t = sum(map(mul, images, self.weighted[k])) % self.modulus
         if t > self.modulus // 2:
             t -= self.modulus
-        if abs(t) <= self.bound and t % self.order == 0:
-            return t // self.order
-        return self._exact(rows, k)
+        total = t if abs(t) <= self.bound else self._exact(rows, k)
+        if total % self.order != 0:
+            raise NotIntegral(f"inner product total {total} is not divisible by |G| = {self.order}")
+        return total // self.order
 
     def _exact(self, rows: tuple[int, ...], k: int) -> int:
-        """The inner product in :class:`Cyclotomic` arithmetic, which words a fault."""
+        """The total in :class:`Cyclotomic` arithmetic, where no residue decides it; a fault if not rational."""
         chars, total = self.values, Cyclotomic.integer(self.values[0][0].conductor, 0)
         for c, size in enumerate(self.sizes):
             term = chars[k][c].conj()
@@ -200,12 +202,7 @@ class _Evaluation:
             total = total + size * term
         if not total.is_integer():
             raise NotIntegral(f"inner product total {total!r} is not rational")
-        value, order = total.integer_value(), self.order
-        if value % order != 0:
-            raise NotIntegral(
-                f"inner product total {value} is not divisible by |G| = {order}"
-            )
-        return value // order
+        return total.integer_value()
 
 
 def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = None) -> FusionRing:
@@ -311,9 +308,9 @@ _DIRECTIVES = {"group": (3, "a name and an order"), "conductor": (2, "a number")
 def parse_character_table(text: str) -> CharacterTable:
     """Parse the character table file format; raises ValueError on bad input.
 
-    Errors in a line name its number.  A table that parses but is not a
-    complete orthonormal character table raises the errors of
-    :meth:`CharacterTable.validate`.
+    Errors in a line name its number.  A table of more than ``GEN_RANK_BOUND`` classes raises
+    RankTooLarge.  A table that parses but is not a complete orthonormal character table raises
+    the errors of :meth:`CharacterTable.validate`.
     """
     group_name = None
     order = None
@@ -363,6 +360,7 @@ def parse_character_table(text: str) -> CharacterTable:
         raise ValueError("no class lines")
     if not raw_chars:
         raise ValueError("no char lines")
+    _check_rank(len(sizes), GEN_RANK_BOUND)  # RankTooLarge before any value is parsed: the ring costs about n^4
 
     characters = []
     parsed: dict[str, Cyclotomic] = {}  # each distinct value token, parsed once

@@ -22,17 +22,12 @@ from . import __version__
 # Every op reads or writes a spec, so only `ring` and `specfmt` load here.
 # Each _cmd_* imports the modules it runs, so an op loads no others.
 from .ring import (
-    FusionRing, FusionRingError, InvalidSetting, RankTooLarge, UnknownLabel, UnknownProduct, _check_rank, format_terms,
+    GEN_RANK_BOUND, FusionRing, FusionRingError, InvalidSetting, RankTooLarge, UnknownLabel, UnknownProduct,
+    _check_rank, format_terms,
 )
 from .specfmt import RingSemanticError, RingSyntaxError, _decimal, parse_spec, write_spec
 
 SCHEMA = "fusionring-report/1"
-
-# The largest rank `gen cyclic` and `gen so3` build: spawned on a 2-CPU box,
-# at rank 128 `gen cyclic` took 0.26-0.32 s and 20 MB and `gen so3` 0.4-0.55 s
-# and 32 MB; at rank 256 they took 1.2-1.4 s and 34 MB, and 2.4-3.6 s and
-# 145-147 MB, most of it the 22 MB of spec text the so3 ring writes.
-GEN_RANK_BOUND = 128
 
 
 class _InputError(Exception):

@@ -74,6 +74,13 @@ def _check_rank(rank: int, bound: int, what: str = "bound") -> None:
         raise RankTooLarge(f"rank {rank} exceeds {what} {bound}")
 
 
+# The largest rank `gen cyclic` and `gen so3` build, and the most classes `gen chartable` reads.  Spawned on a
+# 2-CPU box, at rank 128 `gen cyclic` took 0.26-0.32 s and 20 MB and `gen so3` 0.4-0.55 s and 32 MB; at 256 they
+# took 1.2-1.4 s and 34 MB, and 2.4-3.6 s and 145-147 MB, most of it the so3 ring's 22 MB of spec text.  In-process,
+# `char_table_ring` on a Z_n table, whose cost grows about as n^4, took 1.2 s at n = 60, 8.9 s at 90 and 43 s at 120.
+GEN_RANK_BOUND = 128
+
+
 class BasisElement(NamedTuple):
     """One basis label with its degree and the label of its dual."""
 

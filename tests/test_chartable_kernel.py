@@ -223,6 +223,13 @@ def outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
+def counting(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` to record the arguments of each call in the list returned."""
+    calls, original = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 # -- tests ---------------------------------------------------------------------
 
 
@@ -454,11 +461,16 @@ char 1 1 0 0 0 0 0 0 0 0 1
 """
 
 
-def _crafted_10() -> CharacterTable:
-    rows = [line.split() for line in CRAFTED_10.splitlines()]
+def _crafted(text: str) -> CharacterTable:
+    """A crafted table's text as a table that skipped validation."""
+    rows = [line.split() for line in text.splitlines()]
     order, sizes = int(rows[0][2]), [int(r[1]) for r in rows if r[0] == "class"]
     chars = [[Cyclotomic.integer(5040, int(v)) for v in r[2:]] for r in rows if r[0] == "char"]
-    return unchecked("S10", order, sizes, chars, range(len(chars)))
+    return unchecked(rows[0][1], order, sizes, chars, range(len(chars)))
+
+
+def _crafted_10() -> CharacterTable:
+    return _crafted(CRAFTED_10)
 
 
 def test_a_crafted_table_near_landaus_bound_fails_alike_and_fast():
@@ -468,6 +480,49 @@ def test_a_crafted_table_near_landaus_bound_fails_alike_and_fast():
     assert outcome(fr.parse_character_table, CRAFTED_10) == expect
     # under a line tracer, as in tools/untraced_lines.py, every line runs several times slower
     assert time.perf_counter() - start < 2.0 or sys.gettrace() is not None
+
+
+@pytest.mark.parametrize("classes", [10, 11, 12, 13])
+def test_a_crafted_table_is_decided_by_its_residues_alone(monkeypatch, classes):
+    # <chi0, chi1>'s residue lies within L, so it is the total and words the fault:
+    # no total is derived again in Cyclotomic arithmetic and no value is conjugated
+    text = bench_tables()[f"crafted{classes}.chartab"]
+    expect = outcome(reference_validate, _crafted(text))
+    assert expect[0] == "OrthogonalityFailure"
+    exact, conj = counting(monkeypatch, _Evaluation, "_exact"), counting(monkeypatch, Cyclotomic, "conj")
+    assert outcome(fr.parse_character_table, text) == expect
+    assert (exact, conj) == ([], [])
+
+
+def test_a_bad_pair_is_refused_on_its_residues(monkeypatch):
+    # conj(chi0(c)) and chi9(c) have unequal residues, which proves them unequal values
+    conj = counting(monkeypatch, Cyclotomic, "conj")
+    assert outcome(fr.parse_character_table, bench_tables()["z12_badpair.chartab"]) == (
+        "OrthogonalityFailure", "row 9 is not the complex conjugate of row 0 at class 1"
+    )
+    assert conj == []
+
+
+@pytest.mark.parametrize("name,total", [("z5_swapped", "1+z+z^2+2*z^3"), ("z5_swapped_at10", "-z+z^3")])
+def test_a_total_that_is_not_rational_is_the_one_derived_exactly(monkeypatch, name, total):
+    # the rows pair and the columns pass the checks of a group's table, so L = 60; the
+    # residue of <chi0, chi1>'s total lies above L, so the total is not rational
+    exact = counting(monkeypatch, _Evaluation, "_exact")
+    assert outcome(fr.parse_character_table, bench_tables()[f"{name}.chartab"]) == (
+        "OrthogonalityFailure", f"<chi0, chi1>: inner product total {total} is not rational"
+    )
+    assert len(exact) == 1 and exact[0][0].bound == 60
+
+
+def test_each_value_object_gets_one_term_list(monkeypatch):
+    # Z60's table holds 60 value objects in 3600 entries; a term list per entry built 3600
+    import fusionring.chartable as chartable
+
+    table = fr.parse_character_table(bench_tables()["z60_1.chartab"])
+    coeffs, walked = {id(v.coeffs) for row in table.characters for v in row}, []
+    monkeypatch.setattr(chartable, "enumerate", lambda it, *a: walked.append(id(it)) or enumerate(it, *a), raising=False)
+    _Evaluation(table)
+    assert sum(k in coeffs for k in walked) == len(coeffs) == 60
 
 
 def test_a_table_of_integers_evaluates_in_z_at_any_conductor():

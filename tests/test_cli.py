@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -580,6 +581,36 @@ def test_gen_beyond_rank_bound_exit_two_at_once(monkeypatch, capsys):
     for argv in (["cyclic", str(bound)], ["so3", str(2 * bound - 1)]):
         assert run_cli(capsys, "gen", *argv)[0] == 0
     assert built == [bound, 2 * bound - 1]
+
+
+def test_gen_chartable_beyond_rank_bound_exit_two_at_once(tmp_path, capsys, monkeypatch):
+    # the bound is on the classes, checked before any value is parsed: Z_n's ring costs about n^4
+    import fusionring.chartable as chartable
+    from fusionring.cli import GEN_RANK_BOUND as bound
+
+    def cyclic(n, rows):
+        """Z_n's table at conductor n, with its first ``rows`` character rows."""
+        chars = "".join("char 1 " + " ".join(f"z^{k * c % n}" for c in range(n)) + "\n" for k in range(rows))
+        return f"group Z{n} {n}\nconductor {n}\n" + "class 1\n" * n + chars
+
+    parse_value, parsed = chartable.parse_value, []
+    monkeypatch.setattr(chartable, "parse_value", lambda *args: parsed.append(args) or parse_value(*args))
+    path = tmp_path / "big.chartab"
+    path.write_text(cyclic(bound + 1, bound + 1))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gen", "chartable", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"fusionring: {path}: rank {bound + 1} exceeds bound {bound}\n")
+    assert parsed == []
+    # at the bound the table is read on: one row of 128 classes is an incomplete table
+    path.write_text(cyclic(bound, 1))
+    code, out, err = run_cli(capsys, "gen", "chartable", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"fusionring: {path}: table has 1 character rows for {bound} classes; "
+        "it needs one row per class, with one value per class\n"
+    )
+    assert len(parsed) == 1  # the trivial row's one distinct token
 
 
 @pytest.mark.parametrize("command", ["subrings", "check", "verdict"])

@@ -76,3 +76,10 @@ def test_the_tool_writes_every_table_of_the_chartable_commands(written):
     named = {line.split()[-1] for line in lines if line.strip() and not line.startswith("#")}
     assert {"crafted12.chartab", "crafted13.chartab", "z3_at9.chartab", "z3_at12.chartab"} <= named
     assert not {name for name in named if not (written / name).is_file()}
+
+
+def test_the_tool_writes_the_tables_whose_total_is_not_rational(written):
+    lines = (REPO / "tools" / "chartable_cmds.txt").read_text().splitlines()
+    for name in ("z5_swapped.chartab", "z5_swapped_at10.chartab"):
+        assert {f"gen chartable {name}", f"--format json gen chartable {name}"} <= set(lines)
+        assert (written / name).is_file()

@@ -9,8 +9,9 @@ It writes the four shipped fixtures; the cyclic 12/30/60 and dihedral
 trivial group's table at conductors 4620 and 5040; the tables of 6 to 13
 classes that :func:`crafted` builds; :func:`synonyms`' table, whose ring is
 seed 1's Z12 ring; the Z3 fixture declared at conductors 9 and 12 by
-:func:`widened`; :func:`badpair`'s and :func:`badtoken`'s tables, which
-``gen chartable`` refuses; and the specs
+:func:`widened`; :func:`badpair`'s and :func:`badtoken`'s tables, and
+:func:`swapped`'s table at conductors 5 and 10, which ``gen chartable``
+refuses; and the specs
 ``so3_21.spec``, ``cyclic_12.spec`` and ``fragment.spec``, which this
 checkout's ``src`` generates.  Run ``tools/same_outputs.py`` from OUTDIR
 on either command file, which names each file by its file name.
@@ -114,6 +115,18 @@ def badtoken(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def swapped() -> str:
+    """Z5's table with the values of rows 1 and 2 swapped at class 1, and those
+    of their conjugate rows 4 and 3 to match: the rows still pair and each
+    column still sums as a group's does (L = 60), but <chi0, chi1> has the
+    total 1+z+z^2+2*z^3, which is not rational."""
+    rows = [[k * c % 5 for c in range(5)] for k in range(5)]
+    rows[1][1], rows[2][1], rows[4][1], rows[3][1] = rows[2][1], rows[1][1], rows[3][1], rows[4][1]
+    lines = ["group Z5 5", "conductor 5"] + ["class 1"] * 5
+    lines += ["char 1 " + " ".join(f"z^{e}" if e else "1" for e in row) for row in rows]
+    return "\n".join(lines + ["dualpair 1 4", "dualpair 2 3"]) + "\n"
+
+
 # The spec files of tools/cli_cmds.txt, and the `gen` argv that writes each.
 SPECS = {"so3_21.spec": ("so3", "21"), "cyclic_12.spec": ("cyclic", "12"), "fragment.spec": ("fragment",)}
 
@@ -139,6 +152,8 @@ def tables() -> dict[str, str]:
         out[f"z3_at{n}.chartab"] = widened(z3, n)
     out["z12_badpair.chartab"] = badpair(out["z12_1.chartab"])
     out["d21_badtoken.chartab"] = badtoken(out["d21_1.chartab"])
+    out["z5_swapped.chartab"] = swapped()
+    out["z5_swapped_at10.chartab"] = widened(swapped(), 10)
     return out
 
 
