@@ -8,18 +8,19 @@ must be complete, one character row per conjugacy class.  A table whose rows
 are not orthonormal, or whose products do not decompose with nonnegative
 integer multiplicities, is rejected loudly.
 
-The values lie in Z[zeta_K], K = N/s for s the gcd of N and every exponent
-they use, and each total T is evaluated modulo M = |Phi_K(w)| at w = 2L + 2,
-much as Dixon computes characters modulo a prime P = 1 (mod N) ("High speed
-computation of group characters", Numer. Math. 10, 1967).  No conjugate of
-T exceeds L in absolute value (:func:`_bound`), and every root of Phi_K is
-at least w - 1 from w, so M >= (2L + 1)^phi(K).  Z[zeta_K] = Z[x]/(Phi_K)
-maps onto Z/M by x -> w, with a kernel ideal of index M: if T's symmetric
-residue t has |t| <= L, T - t lies in that ideal, so M divides its norm,
-which is at most (2L)^phi(K) < M, so T = t.  An integer T has |T| <= L, so
-a residue above L is a total that is not rational, the one fault re-derived
-in :class:`Cyclotomic` arithmetic, to quote it.  So is every total of a table
-that mixes conductors or fails the checks L rests on: there L = -1, M = 1.
+A table's totals are trusted, or the table is refused up front, one message
+per fault.  It must pass a group table's checks (:class:`_Evaluation`),
+which bound every total by L, and be Galois-stable: its values lie in
+Z[zeta_K], K = N/s for s the gcd of N and every exponent they use, and for
+each generator a of (Z/K)^x, sigma_a: zeta_K -> zeta_K^a, applied exactly to
+each distinct value, permutes the columns within their class sizes, as
+sigma_a(chi(g)) = chi(g^b), b prime to |G|, does a group's.  Reindexing a
+total's sum over the classes shows it fixed by each sigma_a, so totals are
+Galois-fixed integers bounded by L, decided modulo q = |Phi_K(w)| for the
+least w with (w - 1)^phi(K) > 2L + 1: each root of Phi_K is at least w - 1
+from w, so q > 2L + 1, and zeta_K -> w maps Z[zeta_K] onto Z/q, much as
+Dixon computes characters modulo a prime P = 1 (mod N) ("High speed
+computation of group characters", Numer. Math. 10, 1967).
 
 File format (``#`` comments, whitespace separated)::
 
@@ -42,7 +43,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Optional, Sequence
 
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial
+from .cyclotomic import Cyclotomic, _small_modulus
 from .ring import GEN_RANK_BOUND, BasisElement, FusionRing, FusionRingError, InvalidRing, _check_rank
 from .specfmt import _decimal
 
@@ -82,10 +83,6 @@ class CharacterTable:
         return tuple(row[0].integer_value() for row in self.characters)
 
     def validate(self) -> None:
-        if sum(self.class_sizes) != self.group_order:
-            raise OrthogonalityFailure(
-                f"class sizes sum to {sum(self.class_sizes)}, group order is {self.group_order}"
-            )
         if any(size < 1 for size in self.class_sizes):
             raise OrthogonalityFailure("class sizes must be positive")
         n = len(self.characters)
@@ -97,18 +94,14 @@ class CharacterTable:
             )
         if len(self.conjugate_map) != n:
             raise InvalidRing("conjugate map length mismatch")
-        # A pair's difference has no conjugate above 2L, so its residue decides it exactly, as a
-        # total's does: unequal residues are unequal values.  Only when M = 1 are the values compared.
-        self._evaluation = evaluation = _Evaluation(self)
-        images = evaluation.images
+        self._evaluation = evaluation = _Evaluation(self)  # refuses a table whose totals it cannot trust
+        labelled, conjugate = evaluation.labelled, evaluation.conjugate
         for i, j in enumerate(self.conjugate_map):
             if self.conjugate_map[j] != i:
                 raise InvalidRing("conjugate map is not an involution")
-            for c, (a, b) in enumerate(zip(self.characters[i], self.characters[j])):
-                if a.conj() != b if evaluation.modulus == 1 else images[id(a)][1] != images[id(b)][0]:
-                    raise OrthogonalityFailure(
-                        f"row {j} is not the complex conjugate of row {i} at class {c}"
-                    )
+            for c, (a, b) in enumerate(zip(labelled[i], labelled[j])):
+                if conjugate[a] != b:
+                    raise OrthogonalityFailure(f"row {j} is not the complex conjugate of row {i} at class {c}")
         for row in self.characters:
             if not row[0].is_integer() or row[0].integer_value() < 1:
                 raise InvalidRing("character degree (value at the identity) must be a positive integer")
@@ -117,92 +110,82 @@ class CharacterTable:
         for i in range(n):
             for j in range(i, n):
                 try:
-                    val = evaluation.inner(evaluation.rows[i], j, (i,))
+                    val = evaluation.inner(evaluation.rows[i], j)
                 except NotIntegral as exc:
                     raise OrthogonalityFailure(f"<chi{i}, chi{j}>: {exc}") from exc
                 expect = 1 if i == j else 0
                 if val != expect:
-                    raise OrthogonalityFailure(
-                        f"<chi{i}, chi{j}> = {val}, expected {expect}"
-                    )
-
-
-def _bound(table: CharacterTable, terms: dict[int, list]) -> int:
-    """L for a table that passes the checks of a group's table, else -1.
-
-    A group's table has its identity class first, of size 1, class sizes
-    summing to |G|, and column orthogonality: sum_i chi_i(c) conj(chi_i(c))
-    = |G|/|c|.  Galois conjugation keeps that sum, so no conjugate of a value
-    at class c exceeds sqrt(|G|/|c|), and none of a total exceeds L = sum over
-    classes of |c| * (|G|/|c|)^(3/2), rounded up.  The checks bound |G| by the
-    number of classes, as the sizes then solve 1 = sum of 1/(|G|/|c|) in
-    integers (Landau, 1903); a table that fails them is decided value by
-    value, since M, of phi(N) * log2(2L) bits, would grow with its digits.
-    """
-    n, sizes, order = table.conductor, table.class_sizes, table.group_order
-    if sizes[0] != 1 or sum(sizes) != order:
-        return -1
-    bound = 0
-    for c, size in enumerate(sizes):
-        total = [0] * n  # |c| * sum_i chi_i(c) conj(chi_i(c)), unreduced
-        for value in [terms[id(row[c])] for row in table.characters]:
-            for e, x in value:
-                for f, y in value:
-                    total[(e - f) % n] += size * x * y
-        if Cyclotomic(n, total) != order:
-            return -1
-        bound += size * (isqrt((order // size) ** 3 - 1) + 1)
-    return bound
+                    raise OrthogonalityFailure(f"<chi{i}, chi{j}> = {val}, expected {expect}")
 
 
 class _Evaluation:
-    """A table's values in Z/M under zeta_N^s -> w, and its exact inner product.
+    """A table's values in Z/q under zeta_K -> w, and its exact inner product; refuses an untrusted table.
 
-    ``images[id(v)]`` is the pair of images of v and conj(v), one per value object, and
-    ``rows[i][c]`` the image of chi_i at class c, shared with its value; ``weighted[k][c]`` is
-    that of |c| * conj(chi_k(c)), ``bound`` is L and ``modulus`` is M = |Phi_K(w)| at w = 2L + 2,
-    zeta_N^(+-e) mapping to w^(+-e/s), for K = N/s and s the gcd of N and every exponent of a value.
-    A residue t with |t| <= L is the total and unequal residues are unequal values.  A table that fails
-    :func:`_bound`'s checks, or mixes conductors, has L = -1, so w = 0 and M = |Phi_K(0)| = 1: no residue decides.
+    A group's table has its identity class first, of size 1, class sizes summing to |G|, values of one
+    conductor, and column norms sum_i |chi_i(c)|^2 = |G|/|c|.  So no value at class c exceeds sqrt(|G|/|c|)
+    in absolute value, and no total exceeds L = sum over classes of |c| * (|G|/|c|)^(3/2), rounded up.
+    ``labelled[i][c]`` numbers chi_i(c) among the distinct values, equal values alike, and ``conjugate[l]``
+    labels value l's conjugate (-1 if the table holds none, which a Galois-stable table never does).
+    ``rows[i][c]`` is the image of chi_i(c) and ``weighted[k][c]`` that of |c| * conj(chi_k(c)); ``bound``
+    is L and ``modulus`` is q.
     """
 
     def __init__(self, table: CharacterTable):
         # what it reads of the table, not the table, which keeps this evaluation: no reference cycle
-        self.order, self.sizes, self.values = table.group_order, table.class_sizes, table.characters
-        distinct = {id(v): v for row in self.values for v in row}  # each value object once, however many hold it
-        terms = {k: [(e, x) for e, x in enumerate(v.coeffs) if x] for k, v in distinct.items()}
-        n = table.conductor
-        self.bound = -1 if any(v.conductor != n for v in distinct.values()) else _bound(table, terms)
-        s = gcd(n, *(e for t in terms.values() for e, _ in t))  # every value lies in Z[zeta_K], K = N/s
-        m, w, n = 0, 2 * self.bound + 2, n // s
-        for coefficient in reversed(cyclotomic_polynomial(n)):  # M = |Phi_K(w)|, by Horner
-            m = m * w + coefficient
-        self.modulus = m = abs(m)
-        self.images = {k: [sum(x * pow(w, e // f % n, m) for e, x in t) % m for f in (s, -s)] for k, t in terms.items()}
-        self.rows = [[self.images[id(v)][0] for v in row] for row in self.values]
-        self.weighted = [[size * self.images[id(v)][1] % m for size, v in zip(self.sizes, row)] for row in self.values]
+        self.order, sizes, chars = table.group_order, table.class_sizes, table.characters
+        distinct = {id(v): v for row in chars for v in row}  # each value object once, however many hold it
+        terms = {key: [(e, x) for e, x in enumerate(v.coeffs) if x] for key, v in distinct.items()}
+        n, order = table.conductor, self.order
+        if sum(sizes) != order:
+            raise OrthogonalityFailure(f"class sizes sum to {sum(sizes)}, group order is {order}")
+        if sizes[0] != 1:
+            raise OrthogonalityFailure(f"class 0 has size {sizes[0]}; the identity class comes first, of size 1")
+        for v in distinct.values():
+            if v.conductor != n:
+                raise OrthogonalityFailure(f"a value of conductor {v.conductor} in a table of conductor {n}")
+        self.bound = 0
+        for c, size in enumerate(sizes):
+            total = [0] * n  # |c| * sum_i chi_i(c) conj(chi_i(c)), unreduced
+            for value in [terms[id(row[c])] for row in chars]:
+                for e, x in value:
+                    for f, y in value:
+                        total[(e - f) % n] += size * x * y
+            if (norm := Cyclotomic(n, total)) != order:
+                raise OrthogonalityFailure(f"class {c}: |c| * sum_i |chi_i(c)|^2 is {norm!r}, not |G| = {order}")
+            self.bound += size * (isqrt((order // size) ** 3 - 1) + 1)
+        s = gcd(n, *(e for t in terms.values() for e, _ in t))
+        k, index = n // s, {}  # every value lies in Z[zeta_K], K = N/s, and is labelled there
+        label = {key: index.setdefault(Cyclotomic(k, v.coeffs[::s]), len(index)) for key, v in distinct.items()}
+        self.conjugate = conjugate = [index.get(v.galois(-1), -1) for v in index]
+        self.labelled = labelled = [[label[id(v)] for v in row] for row in chars]
+        columns = sorted(zip(zip(*labelled), sizes))
+        units = {1}  # the subgroup of (Z/K)^x that the units checked so far generate
+        for a in range(2, k):
+            if gcd(a, k) == 1 and a not in units:
+                sigma = [index.get(v.galois(a), -1) for v in index]
+                if sorted((tuple(map(sigma.__getitem__, col)), size) for col, size in columns) != columns:
+                    raise OrthogonalityFailure(
+                        f"the Galois map zeta_{k} -> zeta_{k}^{a} does not permute the columns within their class sizes"
+                    )
+                power, grown = a, set(units)
+                while power not in units:  # grown becomes the subgroup that units and a generate
+                    grown |= {u * power % k for u in units}
+                    power = power * a % k
+                units = grown
+        w, m = _small_modulus(k, 2 * self.bound + 1)  # q = |Phi_K(w)| > 2L + 1
+        self.modulus = m
+        residues = [sum(x * pow(w, e, m) for e, x in enumerate(v.coeffs)) % m for v in index]
+        self.rows = [[residues[x] for x in row] for row in labelled]
+        self.weighted = [[size * residues[conjugate[x]] % m for size, x in zip(sizes, row)] for row in labelled]
 
-    def inner(self, images: Sequence[int], k: int, rows: tuple[int, ...]) -> int:
-        """<chi_r1 ... chi_rm, chi_k>, ``images`` the product of ``rows``; the total is its residue t if |t| <= L."""
+    def inner(self, images: Sequence[int], k: int) -> int:
+        """<chi_r1 ... chi_rm, chi_k>, ``images`` the product of rows r1 ... rm: its total is its residue."""
         t = sum(map(mul, images, self.weighted[k])) % self.modulus
         if t > self.modulus // 2:
             t -= self.modulus
-        total = t if abs(t) <= self.bound else self._exact(rows, k)
-        if total % self.order != 0:
-            raise NotIntegral(f"inner product total {total} is not divisible by |G| = {self.order}")
-        return total // self.order
-
-    def _exact(self, rows: tuple[int, ...], k: int) -> int:
-        """The total in :class:`Cyclotomic` arithmetic, where no residue decides it; a fault if not rational."""
-        chars, total = self.values, Cyclotomic.integer(self.values[0][0].conductor, 0)
-        for c, size in enumerate(self.sizes):
-            term = chars[k][c].conj()
-            for r in rows:
-                term = term * chars[r][c]
-            total = total + size * term
-        if not total.is_integer():
-            raise NotIntegral(f"inner product total {total!r} is not rational")
-        return total.integer_value()
+        if t % self.order:
+            raise NotIntegral(f"inner product total {t} is not divisible by |G| = {self.order}")
+        return t // self.order
 
 
 def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = None) -> FusionRing:
@@ -239,7 +222,7 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
             row = {}
             degree = 0
             for k in range(n):
-                mult = evaluation.inner(product, k, (i, j))
+                mult = evaluation.inner(product, k)
                 if mult < 0:
                     raise NotIntegral(f"<chi{i} chi{j}, chi{k}> = {mult} is negative")
                 if mult:
@@ -296,8 +279,8 @@ def _positive(token: str, what: str) -> int:
 
 
 # The largest conductor a table may declare.  Spawned `gen chartable` on a one-class table (2 CPUs, no
-# bytecode cache) takes 0.08-0.14 s at N = 4620 and 5040 (medians of 5 runs in three rounds, as the host's
-# load moved), about 1.3 ms of it in the evaluation, M included.  What a larger N costs is not yet measured.
+# bytecode cache) takes 0.07-0.08 s at N = 4620 and 5040 (medians of 5 runs in three rounds), about 0.5-0.7 ms
+# of it in the evaluation, q included.  What a larger N costs is not yet measured.
 CONDUCTOR_BOUND = 5040
 
 # The fewest tokens of each directive, and what a shorter line lacks.

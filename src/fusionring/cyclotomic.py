@@ -59,6 +59,20 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(coeffs[: top + 1])
 
 
+def _small_modulus(n: int, bound: int) -> tuple[int, int]:
+    """(w, |Phi_n(w)|) for the least w with (w - 1)^phi(n) > bound >= 1, so that |Phi_n(w)| > bound.
+
+    Every root of Phi_n lies on the unit circle, at least w - 1 from w.  w - 2 is the integer phi(n)-th
+    root of ``bound``, which Newton's method reaches from above, from 2^ceil(bits/phi(n)).
+    """
+    phi = cyclotomic_polynomial(n)
+    k = len(phi) - 1
+    r = 1 << -(-bound.bit_length() // k)
+    while (y := ((k - 1) * r + bound // r ** (k - 1)) // k) < r:
+        r = y
+    return r + 2, abs(sum(c * (r + 2) ** i for i, c in enumerate(phi)))
+
+
 @lru_cache(maxsize=None)
 def _reducer(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The degree of the n-th cyclotomic polynomial and its nonzero lower terms."""
@@ -144,11 +158,12 @@ class Cyclotomic:
 
     def conj(self) -> "Cyclotomic":
         """Complex conjugation: zeta^i -> zeta^(N-i)."""
-        n = self.conductor
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            out[(n - i) % n] += a
-        return Cyclotomic(n, out)
+        return self.galois(-1)
+
+    def galois(self, a: int) -> "Cyclotomic":
+        """sigma_a: zeta^i -> zeta^(a*i), for a prime to N, which permutes the powers of zeta."""
+        n, b = self.conductor, pow(a, -1, self.conductor)
+        return Cyclotomic(n, [self.coeffs[b * e % n] for e in range(n)])
 
     def is_integer(self) -> bool:
         return not any(self.coeffs[1:])

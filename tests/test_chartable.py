@@ -263,8 +263,8 @@ def _z2(conj=(0, 1), sizes=(1, 1), row1=(1, -1), conductor1=1):
 
 
 def _z3_mixed():
-    # Z3's table with chi2 in conductor 6: the pair (1, 2) breaks at class 0,
-    # where 1 in conductor 3 is not 1 in conductor 6, before the conductors are refused
+    # Z3's table with chi2 in conductor 6: the pair (1, 2) breaks at class 0, where 1 in
+    # conductor 3 is not 1 in conductor 6, but the conductors are refused before any pair
     one, z, w = Cyclotomic.integer(3, 1), Cyclotomic.zeta_power(3, 1), Cyclotomic.zeta_power(6, 2)
     chars = ((one, one, one), (one, z, z * z), (Cyclotomic.integer(6, 1), w * w, w))
     return fr.CharacterTable("Z3", 3, (1, 1, 1), chars, (0, 2, 1))
@@ -273,17 +273,32 @@ def _z3_mixed():
 # Faults the table file cannot hold are built through the public CharacterTable.
 @pytest.mark.parametrize("thunk,expected", [
     pytest.param(
-        lambda: fr.parse_character_table("group Z2 2\nconductor 1\nclass 1\nclass 1\nchar 1 1 1\nchar 2 2 2\n"),
-        (fr.OrthogonalityFailure, "<chi0, chi1> = 2, expected 0"),
+        lambda: fr.parse_character_table("group Z2 2\nconductor 1\nclass 1\nclass 1\nchar 1 1 1\nchar 1 1 1\n"),
+        (fr.OrthogonalityFailure, "<chi0, chi1> = 1, expected 0"),
         id="not-orthonormal",
+    ),
+    pytest.param(
+        lambda: fr.parse_character_table("group Z2 2\nconductor 1\nclass 1\nclass 1\nchar 1 1 1\nchar 2 2 2\n"),
+        (fr.OrthogonalityFailure, "class 0: |c| * sum_i |chi_i(c)|^2 is 5, not |G| = 2"),
+        id="column-norm",
+    ),
+    pytest.param(
+        lambda: fr.parse_character_table("group Z2 3\nconductor 1\nclass 1\nclass 1\nchar 1 1 1\nchar 1 1 -1\n"),
+        (fr.OrthogonalityFailure, "class sizes sum to 2, group order is 3"),
+        id="class-sizes-sum",
+    ),
+    pytest.param(
+        lambda: fr.parse_character_table("group Z1 2\nconductor 1\nclass 2\nchar 1 1\n"),
+        (fr.OrthogonalityFailure, "class 0 has size 2; the identity class comes first, of size 1"),
+        id="identity-class-size",
     ),
     pytest.param(
         lambda: fr.parse_character_table(
             "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\n"
             "char 1 1 1 1\nchar 1 1 z z\nchar 1 1 z^2 z^2\ndualpair 1 2\n"
         ),
-        (fr.OrthogonalityFailure, "<chi0, chi1>: inner product total -1-2*z is not rational"),
-        id="not-rational",
+        (fr.OrthogonalityFailure, "the Galois map zeta_3 -> zeta_3^2 does not permute the columns within their class sizes"),
+        id="not-galois-stable",
     ),
     pytest.param(lambda: _z2(sizes=(2, 0)), (fr.OrthogonalityFailure, "class sizes must be positive"), id="class-size-0"),
     pytest.param(lambda: _z2(conj=(0,)), (fr.InvalidRing, "conjugate map length mismatch"), id="conjugate-map-length"),
@@ -293,10 +308,14 @@ def _z3_mixed():
         (fr.InvalidRing, "character degree (value at the identity) must be a positive integer"),
         id="degree-negative",
     ),
-    pytest.param(lambda: _z2(conductor1=2), (ValueError, "mixed conductors"), id="mixed-conductors"),
+    pytest.param(
+        lambda: _z2(conductor1=2),
+        (fr.OrthogonalityFailure, "a value of conductor 2 in a table of conductor 1"),
+        id="mixed-conductors",
+    ),
     pytest.param(
         _z3_mixed,
-        (fr.OrthogonalityFailure, "row 2 is not the complex conjugate of row 1 at class 0"),
+        (fr.OrthogonalityFailure, "a value of conductor 6 in a table of conductor 3"),
         id="mixed-conductors-and-a-broken-pair",
     ),
     pytest.param(

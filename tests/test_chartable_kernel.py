@@ -2,9 +2,12 @@
 
 The reference below is the route the kernel replaced: every sum, product and
 conjugate is a reduced ``Cyclotomic``, and the ring loop runs over all
-(i, j, k).  Valid tables must give equal rings; corrupted tables must fail
-validation, and the ring loop when it is run unvalidated, with the same
-exception class and message on both routes.
+(i, j, k).  Valid tables must give equal rings.  The kernel refuses up front
+a table that fails a group table's checks or is not Galois-stable, with the
+message that :func:`reference_refusal` derives; the reference must refuse it
+too.  Every other corrupted table must fail validation, and the ring loop
+when it is run unvalidated, with the same exception class and message on
+both routes.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import random
 import sys
 import time
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,7 +34,7 @@ from fusionring.chartable import (
     OrthogonalityFailure,
     _Evaluation,
 )
-from fusionring.cyclotomic import Cyclotomic
+from fusionring.cyclotomic import Cyclotomic, _small_modulus, cyclotomic_polynomial
 from fusionring.ring import BasisElement, FusionRing, InvalidRing
 
 FIXTURES = ("s3", "a4", "f21", "z3")
@@ -114,6 +118,76 @@ def reference_ring(table) -> FusionRing:
             products[(labels[i], labels[j])] = row
     basis = [BasisElement(labels[i], degrees[i], labels[table.conjugate_map[i]]) for i in range(n)]
     return FusionRing(table.name, basis, labels[trivial], products)
+
+
+def galois(value, a) -> Cyclotomic:
+    """sigma_a at the value's own conductor N: each zeta_N^e goes to zeta_N^(a*e)."""
+    coeffs = [0] * value.conductor
+    for e, x in enumerate(value.coeffs):
+        coeffs[a * e % value.conductor] += x
+    return Cyclotomic(value.conductor, coeffs)
+
+
+def field_of(table) -> int:
+    """K = N/s, for s the gcd of N and every exponent that a value uses."""
+    n = table.characters[0][0].conductor
+    return n // math.gcd(n, *(e for row in table.characters for v in row for e, x in enumerate(v.coeffs) if x))
+
+
+def reference_refusal(table):
+    """The message of the first up-front check that ``table`` fails, or None if it passes them all:
+    the checks of a group's table in Cyclotomic arithmetic, then every unit a of (Z/K)^x in turn,
+    where the kernel tries only generators."""
+    sizes, order, chars = table.class_sizes, table.group_order, table.characters
+    n = chars[0][0].conductor
+    if sum(sizes) != order:
+        return f"class sizes sum to {sum(sizes)}, group order is {order}"
+    if sizes[0] != 1:
+        return f"class 0 has size {sizes[0]}; the identity class comes first, of size 1"
+    stray = next((v for row in chars for v in row if v.conductor != n), None)
+    if stray is not None:
+        return f"a value of conductor {stray.conductor} in a table of conductor {n}"
+    for c, size in enumerate(sizes):
+        norm = size * sum((row[c] * row[c].conj() for row in chars), Cyclotomic.integer(n, 0))
+        if norm != order:
+            return f"class {c}: |c| * sum_i |chi_i(c)|^2 is {norm!r}, not |G| = {order}"
+    k, columns = field_of(table), Counter(zip(zip(*chars), sizes))
+    for a in (a for a in range(2, k) if math.gcd(a, k) == 1):
+        if Counter({(tuple(galois(v, a) for v in col), size): m for (col, size), m in columns.items()}) != columns:
+            return f"the Galois map zeta_{k} -> zeta_{k}^{a} does not permute the columns within their class sizes"
+    return None
+
+
+def unit_generators(k) -> list[int]:
+    """Units that generate (Z/k)^x, each the least unit outside the subgroup of those before it."""
+    gens, subgroup = [], {1}
+    for a in range(2, k):
+        if math.gcd(a, k) == 1 and a not in subgroup:
+            gens.append(a)
+            while not {x * a % k for x in subgroup} <= subgroup:
+                subgroup |= {x * a % k for x in subgroup}
+    return gens
+
+
+def galois_automorphisms(table, ring, generators_only=False) -> int:
+    """Check, for every unit a of (Z/K)^x, or for generators of it, that the row permutation pi_a
+    with sigma_a(chi_i) = chi_{pi_a(i)} is an automorphism of ``ring``: N_{pi i, pi j}^{pi k} =
+    N_ij^k.  Returns the number of units checked."""
+    chars, k = table.characters, field_of(table)
+    row_of = {tuple(row): r for r, row in enumerate(chars)}
+    trivial = next(r for r, row in enumerate(chars) if all(v == 1 for v in row))
+    at = [ring.index("1" if r == trivial else f"chi{r}") for r in range(len(chars))]  # each row's basis index
+    units = unit_generators(k) if generators_only else [a for a in range(2, k) if math.gcd(a, k) == 1]
+    for a in units:
+        pi = [0] * len(at)  # pi_a on basis indices
+        for r, row in enumerate(chars):
+            pi[at[r]] = at[row_of[tuple(galois(v, a) for v in row)]]
+        inverse = sorted(range(len(pi)), key=pi.__getitem__)
+        for i in range(len(pi)):
+            for j in range(len(pi)):
+                expect = tuple(map(ring.product_row(i, j).__getitem__, inverse))
+                assert ring.product_row(pi[i], pi[j]) == expect, (a, i, j)
+    return len(units)
 
 
 # -- tables --------------------------------------------------------------------
@@ -241,12 +315,25 @@ def test_valid_tables_give_the_reference_ring(table_fields):
     ring, expect = fr.char_table_ring(table), reference_ring(table)
     assert ring == expect
     assert fr.write_spec(ring) == fr.write_spec(expect)
+    galois_automorphisms(table, ring)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_rings_equal_the_reference(name):
     table = fr.fixture_character_table(name)
-    assert fr.char_table_ring(table) == reference_ring(table)
+    ring = fr.char_table_ring(table)
+    assert ring == reference_ring(table)
+    assert galois_automorphisms(table, ring) == {"s3": 0, "a4": 1, "f21": 11, "z3": 1}[name]
+
+
+NO_TRIVIAL_ROW = ("InvalidRing", "table has no trivial character row")
+
+
+# The one table the reference takes and the kernel refuses: Z1 with its one class resized, which
+# passes every check of the reference but is refused for a first class of another size than 1.
+def resized_z1(table_fields) -> bool:
+    name, order, sizes, chars, conj = table_fields
+    return len(sizes) == 1 and sizes[0] != 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,13 +341,19 @@ def test_fixture_rings_equal_the_reference(name):
 def test_corrupted_tables_fail_alike(corrupted):
     what, table_fields = corrupted
     expect = outcome(reference_validate, unchecked(*table_fields))
+    refusal = reference_refusal(unchecked(*table_fields))
+    if refusal is not None:  # refused up front, by validation and by the ring loop alike
+        assert expect[0] != "ok" or resized_z1(table_fields)
+        expect = ("OrthogonalityFailure", refusal)
     assert outcome(unchecked(*table_fields).validate) == expect
-    if expect[0] != "ok":  # Z1 with its one class resized stays a valid table
+    if expect[0] != "ok":
         assert outcome(CharacterTable, *table_fields) == expect
     if what != "dualpair":  # the dual map does not enter the ring arithmetic
         # the ring loop on the unvalidated table: same first failure, or same ring
-        ring = outcome(fr.char_table_ring, unchecked(*table_fields))
-        assert ring == outcome(reference_ring, unchecked(*table_fields))
+        ring = outcome(reference_ring, unchecked(*table_fields))
+        if refusal is not None and ring != NO_TRIVIAL_ROW:  # the ring loop looks for the trivial row first
+            ring = expect
+        assert outcome(fr.char_table_ring, unchecked(*table_fields)) == ring
 
 
 def test_negative_multiplicity_names_the_first_pair():
@@ -276,36 +369,49 @@ def test_negative_multiplicity_names_the_first_pair():
 
 
 def test_degree_mismatch_on_an_unvalidated_table():
-    # chi1 takes 3 at the identity class but is not a character: every
-    # constant of chi0 chi0 is a nonnegative integer, and its degree is wrong
+    # two trivial rows pass every up-front check: each column's squares sum to |G| = 2, and
+    # the values are integers; chi0 chi0 then decomposes as chi0 + chi1, of degree 2
     one = Cyclotomic.integer(1, 1)
-    table = unchecked("deg", 2, [1, 1], [[one, one], [3 * one, -one]], [0, 1])
-    expect = ("OrthogonalityFailure", "chi0 chi0 decomposes into degree 4, expected 1")
+    table = unchecked("deg", 2, [1, 1], [[one, one], [one, one]], [0, 1])
+    expect = ("OrthogonalityFailure", "chi0 chi0 decomposes into degree 2, expected 1")
     assert outcome(reference_ring, table) == expect
     assert outcome(fr.char_table_ring, unchecked(*fields(table))) == expect
+    # chi1 = (3, -1) is refused up front, where the reference reads a degree of 4
+    table = unchecked("deg", 2, [1, 1], [[one, one], [3 * one, -one]], [0, 1])
+    refused = ("OrthogonalityFailure", "class 0: |c| * sum_i |chi_i(c)|^2 is 10, not |G| = 2")
+    assert outcome(fr.char_table_ring, table) == refused
+    assert outcome(reference_ring, table) == ("OrthogonalityFailure", "chi0 chi0 decomposes into degree 4, expected 1")
 
 
 def test_a_total_not_divisible_by_the_order_fails_alike():
-    # <chi0, chi1> = (1*2 + 2*1*0) / 3: the total 2 is an integer, not a multiple of |G|
-    text = "group G 3\nconductor 1\nclass 1\nclass 2\nchar 1 1 1\nchar 2 2 0\n"
+    # every column's squares sum to |G| = 3, and <chi0, chi1> = (1 + 1 - 1) / 3: the total 1 is
+    # an integer, not a multiple of |G|
+    text = "group G 3\nconductor 1\nclass 1\nclass 1\nclass 1\nchar 1 1 -1 -1\nchar 1 1 -1 1\nchar 1 1 1 1\n"
     one = Cyclotomic.integer(1, 1)
-    table = unchecked("G", 3, [1, 2], [[one, one], [2 * one, 0 * one]], [0, 1])
-    expect = ("OrthogonalityFailure", "<chi0, chi1>: inner product total 2 is not divisible by |G| = 3")
+    table = unchecked("G", 3, [1, 1, 1], [[one, -one, -one], [one, -one, one], [one, one, one]], [0, 1, 2])
+    expect = ("OrthogonalityFailure", "<chi0, chi1>: inner product total 1 is not divisible by |G| = 3")
+    assert reference_refusal(table) is None
     assert outcome(reference_validate, table) == expect
     assert outcome(table.validate) == expect
     assert outcome(fr.parse_character_table, text) == expect
+    # <chi0, chi1> = (1*2 + 2*1*0) / 3 of a table whose first column's squares sum to 5 is refused up front
+    text = "group G 3\nconductor 1\nclass 1\nclass 2\nchar 1 1 1\nchar 2 2 0\n"
+    assert outcome(fr.parse_character_table, text) == (
+        "OrthogonalityFailure", "class 0: |c| * sum_i |chi_i(c)|^2 is 5, not |G| = 3"
+    )
 
 
-def test_a_conjugate_fault_in_a_table_of_no_group_is_found_value_by_value():
-    # chi1 is declared self-dual but takes z at class 1; column 2 sums to
-    # 1 + 1 + 4 = 6, not |G|/|c| = 3, so L = -1, M = 1 and no residue is trusted
+def test_a_table_that_fails_a_column_check_is_refused_before_its_pairs_are_compared():
+    # chi1 is declared self-dual but takes z at class 1, which the reference finds first; column 2
+    # sums to 1 + 1 + 4 = 6, not |G|/|c| = 3, so the table is refused before any pair is compared
     text = "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\nchar 1 1 1 1\nchar 1 1 z z^2\nchar 1 1 z^2 2*z\n"
     one, z = Cyclotomic.integer(3, 1), Cyclotomic.zeta_power(3, 1)
     table = unchecked("Z3", 3, [1, 1, 1], [[one] * 3, [one, z, z * z], [one, z * z, 2 * z]], [0, 1, 2])
-    evaluation = _Evaluation(table)
-    assert (evaluation.bound, evaluation.modulus) == (-1, 1)
-    expect = ("OrthogonalityFailure", "row 1 is not the complex conjugate of row 1 at class 1")
-    assert outcome(reference_validate, table) == expect
+    expect = ("OrthogonalityFailure", "class 2: |c| * sum_i |chi_i(c)|^2 is 6, not |G| = 3")
+    assert reference_refusal(table) == expect[1]
+    assert outcome(reference_validate, table) == (
+        "OrthogonalityFailure", "row 1 is not the complex conjugate of row 1 at class 1"
+    )
     assert outcome(table.validate) == expect
     assert outcome(fr.parse_character_table, text) == expect
 
@@ -335,18 +441,23 @@ def bench_tables() -> dict[str, str]:
     return module.tables()
 
 
-@pytest.mark.parametrize("name,most", [("d45_1", 73), ("z60_1", 120)])
-def test_each_distinct_value_token_is_parsed_once(monkeypatch, name, most):
-    # One Cyclotomic per distinct token, and one per class for the bound's column
-    # sums; parsing each entry, and each row's degree once more, built 624 on D45.
-    text, built = bench_tables()[f"{name}.chartab"], []
-    init = Cyclotomic.__init__
+@pytest.mark.parametrize("name,objects,values,generators", [("d45_1", 49, 25, 2), ("z60_1", 60, 60, 3)])
+def test_each_distinct_value_token_is_parsed_once(monkeypatch, name, objects, values, generators):
+    # One Cyclotomic per distinct token; parsing each entry, and each row's degree once
+    # more, built 624 on D45.  The evaluation builds one per class for the column norms,
+    # one per value object for its label in Z[zeta_K], and per distinct value (D45 writes
+    # some twice, as z^a+z^b and z^b+z^a) its conjugate and its image under each generator
+    # sigma_a of the Galois group that the check tries.
+    text, built, evaluated = bench_tables()[f"{name}.chartab"], [], []
+    init, evaluate = Cyclotomic.__init__, _Evaluation.__init__
     monkeypatch.setattr(Cyclotomic, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    monkeypatch.setattr(_Evaluation, "__init__", lambda self, table: evaluated.append(
+        -len(built)) or evaluate(self, table) or evaluated.append(len(built)))
     table = fr.parse_character_table(text)
     tokens = {v for line in text.splitlines() if line.startswith("char") for v in line.split()[2:]}
-    assert len({id(v) for row in table.characters for v in row}) == len(tokens)
-    assert len(tokens) + len(table.class_sizes) == most
-    assert len(built) <= most
+    assert len({id(v) for row in table.characters for v in row}) == len(tokens) == objects
+    assert len(built) - sum(evaluated) == len(tokens)
+    assert sum(evaluated) == len(table.class_sizes) + objects + (1 + generators) * values
 
 
 def test_the_cyclic_table_holds_each_power_of_zeta_once():
@@ -354,23 +465,23 @@ def test_the_cyclic_table_holds_each_power_of_zeta_once():
     assert len({id(v) for row in table.characters for v in row}) == 12
 
 
-def test_each_value_object_is_mapped_into_z_mod_m_once():
-    # one residue pair per value object, which every entry holding it shares:
+def test_each_distinct_value_is_mapped_into_z_mod_q_once():
+    # one label and one residue per distinct value, which every entry holding it shares:
     # 12 residue objects for the 144 entries, where mapping each entry made 105
     evaluation = _Evaluation(fr.cyclic_character_table(12))
     assert len({id(r) for row in evaluation.rows for r in row}) == 12
-    assert len(evaluation.images) == 12
+    assert sorted({x for row in evaluation.labelled for x in row}) == sorted(evaluation.conjugate) == list(range(12))
 
 
 def test_equal_values_held_as_distinct_objects_evaluate_alike():
     # a table built entry by entry, or a file that writes z^2 as z^14, holds
-    # equal values as distinct objects; each is mapped on its own, to the same residues
+    # equal values as distinct objects; equal values get one label, and so one residue
     shared = fr.cyclic_character_table(12)
     name, order, sizes, chars, conj = fields(shared)
     copies = unchecked(name, order, sizes, [[Cyclotomic(12, v.coeffs) for v in row] for row in chars], conj)
     assert len({id(v) for row in copies.characters for v in row}) == 144
     a, b = _Evaluation(shared), _Evaluation(copies)
-    assert (a.bound, a.modulus, a.rows, a.weighted) == (b.bound, b.modulus, b.rows, b.weighted)
+    assert (a.bound, a.modulus, a.labelled, a.rows, a.weighted) == (b.bound, b.modulus, b.labelled, b.rows, b.weighted)
     assert fr.char_table_ring(copies) == fr.char_table_ring(shared)
     plain, synonyms = (fr.parse_character_table(bench_tables()[f"z12_{k}.chartab"]) for k in ("1", "synonyms"))
     assert len({id(v) for row in synonyms.characters for v in row}) > 12
@@ -398,7 +509,7 @@ def test_an_all_ones_row_of_another_conductor_is_no_trivial_row():
     assert outcome(fr.char_table_ring, table) == ("InvalidRing", "table has no trivial character row")
 
 
-# -- the evaluation modulo Phi_N(w) ------------------------------------------------
+# -- the evaluation modulo q = |Phi_K(w)| ---------------------------------------------
 
 
 @functools.cache
@@ -411,21 +522,37 @@ def cyclotomic_value(n, w):
     return value
 
 
-def test_the_modulus_exceeds_the_norm_bound_and_carries_an_nth_root_of_unity():
+def least_w(n, total_bound):
+    """The least w with (w - 1)^phi(n) > total_bound, found one step at a time."""
+    phi, w = len(cyclotomic_polynomial(n)) - 1, 2
+    while (w - 1) ** phi <= total_bound:
+        w += 1
+    return w
+
+
+def test_the_modulus_is_phi_k_at_the_least_w_above_the_norm_bound():
     for n in range(1, 301):
-        phi = sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
-        for bound in (1, 972):
-            w = 2 * bound + 2
-            modulus = cyclotomic_value(n, w)
-            assert modulus > (2 * bound) ** phi and pow(w, n, modulus) == 1, (n, bound)
-        # the trivial group's table has L = 1 at any conductor, and its one value 1
-        # uses no exponent but 0: s = N, and M = Phi_1(4)
+        for bound in (1, 36, 972, 10**4):
+            w, modulus = _small_modulus(n, 2 * bound + 1)
+            assert w == least_w(n, 2 * bound + 1), (n, bound)
+            assert modulus == cyclotomic_value(n, w) > 2 * bound + 1 and pow(w, n, modulus) == 1, (n, bound)
+        # the trivial group's table has L = 1 at any conductor, and its one value 1 uses
+        # no exponent but 0: s = N, K = 1, w = 5 and q = Phi_1(5) = 4
         trivial = unchecked("G", 1, [1], [[Cyclotomic.integer(n, 1)]], [0])
-        assert _Evaluation(trivial).modulus == cyclotomic_value(1, 4) == 3, n
+        assert _Evaluation(trivial).modulus == cyclotomic_value(1, 5) == 4, n
     for name in FIXTURES:
         table = fr.fixture_character_table(name)
-        evaluation = _Evaluation(table)
-        assert evaluation.modulus == cyclotomic_value(table.conductor, 2 * evaluation.bound + 2), name
+        evaluation, k = _Evaluation(table), field_of(table)
+        assert evaluation.modulus == cyclotomic_value(k, least_w(k, 2 * evaluation.bound + 1)), name
+
+
+def test_the_least_w_is_found_in_closed_form_for_a_wide_bound():
+    # phi(1) = 1, so w - 2 is the bound itself; a step-by-step search would take a step per unit
+    bound = 7**2000
+    assert _small_modulus(1, bound) == (bound + 2, bound + 1)
+    for n, phi in ((7, 6), (60, 16), (5040, 1152)):
+        w, _ = _small_modulus(n, bound)
+        assert (w - 2) ** phi <= bound < (w - 1) ** phi, n
 
 
 # A table that passes the checks of a group's table and is no group's, as
@@ -484,34 +611,52 @@ def test_a_crafted_table_near_landaus_bound_fails_alike_and_fast():
 
 @pytest.mark.parametrize("classes", [10, 11, 12, 13])
 def test_a_crafted_table_is_decided_by_its_residues_alone(monkeypatch, classes):
-    # <chi0, chi1>'s residue lies within L, so it is the total and words the fault:
-    # no total is derived again in Cyclotomic arithmetic and no value is conjugated
+    # its values are integers, so K = 1: no Galois map but conjugation is tried, and its totals
+    # are decided modulo q = Phi_1(2L + 3) = 2L + 2; <chi0, chi1>'s residue words the fault
     text = bench_tables()[f"crafted{classes}.chartab"]
     expect = outcome(reference_validate, _crafted(text))
-    assert expect[0] == "OrthogonalityFailure"
-    exact, conj = counting(monkeypatch, _Evaluation, "_exact"), counting(monkeypatch, Cyclotomic, "conj")
+    assert expect[0] == "OrthogonalityFailure" and reference_refusal(_crafted(text)) is None
+    evaluations, maps = counting(monkeypatch, _Evaluation, "inner"), counting(monkeypatch, Cyclotomic, "galois")
     assert outcome(fr.parse_character_table, text) == expect
-    assert (exact, conj) == ([], [])
+    evaluation = evaluations[0][0]
+    assert evaluation.modulus == 2 * evaluation.bound + 2
+    assert {a for _, a in maps} == {-1} and len(maps) == len(evaluation.conjugate)
 
 
-def test_a_bad_pair_is_refused_on_its_residues(monkeypatch):
-    # conj(chi0(c)) and chi9(c) have unequal residues, which proves them unequal values
-    conj = counting(monkeypatch, Cyclotomic, "conj")
+def test_a_bad_pair_is_refused_on_its_labels(monkeypatch):
+    # conj(chi0(c)) and chi9(c) have unequal labels: each distinct value is conjugated once
+    conj = counting(monkeypatch, Cyclotomic, "galois")
     assert outcome(fr.parse_character_table, bench_tables()["z12_badpair.chartab"]) == (
         "OrthogonalityFailure", "row 9 is not the complex conjugate of row 0 at class 1"
     )
-    assert conj == []
+    assert sorted(a for _, a in conj if a == -1) == [-1] * 12
 
 
-@pytest.mark.parametrize("name,total", [("z5_swapped", "1+z+z^2+2*z^3"), ("z5_swapped_at10", "-z+z^3")])
-def test_a_total_that_is_not_rational_is_the_one_derived_exactly(monkeypatch, name, total):
-    # the rows pair and the columns pass the checks of a group's table, so L = 60; the
-    # residue of <chi0, chi1>'s total lies above L, so the total is not rational
-    exact = counting(monkeypatch, _Evaluation, "_exact")
-    assert outcome(fr.parse_character_table, bench_tables()[f"{name}.chartab"]) == (
+def _parsed_unchecked(text: str) -> CharacterTable:
+    """``text`` parsed into a table that skipped validation."""
+    validate = CharacterTable.validate
+    CharacterTable.validate = lambda self: None
+    try:
+        return fr.parse_character_table(text)
+    finally:
+        CharacterTable.validate = validate
+
+
+@pytest.mark.parametrize("name,k,a,total", [
+    ("z5_swapped", 5, 2, "1+z+z^2+2*z^3"), ("z5_swapped_at10", 10, 3, "-z+z^3"),
+])
+def test_a_table_that_is_not_galois_stable_is_refused_before_any_inner_product(monkeypatch, name, k, a, total):
+    # the rows pair and the columns pass the checks of a group's table, but sigma_a maps column 1
+    # to no column: <chi0, chi1>'s total, which the reference finds not rational, is never taken
+    text = bench_tables()[f"{name}.chartab"]
+    inner = counting(monkeypatch, _Evaluation, "inner")
+    refused = ("OrthogonalityFailure", reference_refusal(_parsed_unchecked(text)))
+    assert refused[1] == f"the Galois map zeta_{k} -> zeta_{k}^{a} does not permute the columns within their class sizes"
+    assert outcome(fr.parse_character_table, text) == refused
+    assert outcome(reference_validate, _parsed_unchecked(text)) == (
         "OrthogonalityFailure", f"<chi0, chi1>: inner product total {total} is not rational"
     )
-    assert len(exact) == 1 and exact[0][0].bound == 60
+    assert inner == []
 
 
 def test_each_value_object_gets_one_term_list(monkeypatch):
@@ -526,11 +671,11 @@ def test_each_value_object_gets_one_term_list(monkeypatch):
 
 
 def test_a_table_of_integers_evaluates_in_z_at_any_conductor():
-    # every exponent is 0, so s = N and M = Phi_1(2L + 2) = 2L + 1
+    # every exponent is 0, so s = N, K = 1 and q = Phi_1(2L + 3) = 2L + 2
     one = fr.parse_character_table(bench_tables()["one5040.chartab"])._evaluation
-    assert (one.bound, one.modulus) == (1, 3)
+    assert (one.bound, one.modulus) == (1, 4)
     crafted = _Evaluation(_crafted_10())
-    assert crafted.bound > 0 and crafted.modulus == 2 * crafted.bound + 1
+    assert crafted.bound > 0 and crafted.modulus == 2 * crafted.bound + 2
     assert crafted.modulus.bit_length() < 2000  # 599,399 bits modulo Phi_5040(2L + 2)
 
 
@@ -541,7 +686,7 @@ def test_a_table_evaluates_in_the_field_its_values_use(conductor, field):
     table = fr.parse_character_table(bench_tables()[f"z3_at{conductor}.chartab"])
     evaluation, fixture = table._evaluation, fr.fixture_character_table("z3")
     assert (table.conductor, evaluation.bound) == (conductor, fixture._evaluation.bound) == (conductor, 18)
-    assert evaluation.modulus == cyclotomic_value(field, 2 * evaluation.bound + 2)
+    assert evaluation.modulus == cyclotomic_value(field, least_w(field, 2 * evaluation.bound + 1))
     assert fr.write_spec(fr.char_table_ring(table)) == fr.write_spec(fr.char_table_ring(fixture))
 
 
@@ -569,33 +714,36 @@ def mixed_fields(draw):
     return name, order, sizes, chars, conj
 
 
-def _mixed_fail_alike(table_fields):
-    expect = outcome(reference_validate, unchecked(*table_fields))
-    assert outcome(unchecked(*table_fields).validate) == expect
-    if expect[0] != "ok":  # a one-value table has no other value to mix with
-        assert outcome(CharacterTable, *table_fields) == expect
-    ring = outcome(fr.char_table_ring, unchecked(*table_fields))
-    assert ring == outcome(reference_ring, unchecked(*table_fields))
-    return expect
+def _mixed_refused_alike(table_fields):
+    """A table whose values mix conductors is refused up front, where the reference refuses it
+    too, unless it holds a single value; the ring loop looks for the trivial row first."""
+    expect, refusal = outcome(reference_validate, unchecked(*table_fields)), reference_refusal(unchecked(*table_fields))
+    if refusal is None:  # a one-value table has no other value to mix with
+        assert expect == outcome(unchecked(*table_fields).validate) == ("ok", None)
+        return expect
+    assert expect[0] != "ok"
+    refused = ("OrthogonalityFailure", refusal)
+    assert outcome(unchecked(*table_fields).validate) == outcome(CharacterTable, *table_fields) == refused
+    ring = outcome(reference_ring, unchecked(*table_fields))
+    assert outcome(fr.char_table_ring, unchecked(*table_fields)) == (ring if ring == NO_TRIVIAL_ROW else refused)
+    return refused, expect
 
 
-@pytest.mark.parametrize("name,expect", [
-    ("degree", ("OrthogonalityFailure", "<chi0, chi0> = 2, expected 1")),
-    ("sign-row", ("ValueError", "mixed conductors")),
-    ("pair", ("OrthogonalityFailure", "row 2 is not the complex conjugate of row 1 at class 1")),
+@pytest.mark.parametrize("name,refused,expect", [
+    ("degree", "a value of conductor 2 in a table of conductor 1", ("OrthogonalityFailure", "<chi0, chi0> = 2, expected 1")),
+    ("sign-row", "a value of conductor 2 in a table of conductor 1", ("ValueError", "mixed conductors")),
+    ("pair", "a value of conductor 6 in a table of conductor 3",
+     ("OrthogonalityFailure", "row 2 is not the complex conjugate of row 1 at class 1")),
 ])
-def test_a_table_that_mixes_conductors_fails_as_the_reference_does(name, expect):
-    # its values lie in no common field: L = -1, M = 1, and Cyclotomic arithmetic
-    # refuses the first inner product that mixes them
-    evaluation = _Evaluation(unchecked(*_mixed_tables()[name]))
-    assert (evaluation.bound, evaluation.modulus) == (-1, 1)
-    assert _mixed_fail_alike(_mixed_tables()[name]) == expect
+def test_a_table_that_mixes_conductors_is_refused_up_front(name, refused, expect):
+    # its values lie in no common field; the reference refuses it at its first fault
+    assert _mixed_refused_alike(_mixed_tables()[name]) == (("OrthogonalityFailure", refused), expect)
 
 
 @settings(max_examples=40, deadline=None)
 @given(mixed_fields())
-def test_tables_with_a_value_at_another_conductor_fail_alike(table_fields):
-    _mixed_fail_alike(table_fields)
+def test_tables_with_a_value_at_another_conductor_are_refused_alike(table_fields):
+    _mixed_refused_alike(table_fields)
 
 
 def _dihedral(n):
@@ -614,6 +762,7 @@ def test_generated_tables_give_the_reference_constants(build):
     table = build()
     assert _Evaluation(table).bound > 0  # a group's table: its constants come from the residues
     ring = fr.char_table_ring(table)
+    galois_automorphisms(table, ring)
     chars, n = table.characters, len(table.characters)
     if n <= 9:
         reference_validate(table)
@@ -628,11 +777,50 @@ def test_generated_tables_give_the_reference_constants(build):
         assert ring.product_row(index[i], index[j])[index[k]] == expect, (i, j, k)
 
 
+CORPUS = sorted(name for name in bench_tables() if not name.startswith(("crafted", "z120")) and name.count("_") < 2
+                and not name.endswith(("badpair.chartab", "badtoken.chartab", "swapped.chartab")))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_each_galois_map_permutes_the_rows_of_a_corpus_ring_by_an_automorphism(name):
+    # automorphisms compose, so generators of (Z/K)^x stand for all of it: 3 maps for Z60's 15
+    table = fr.parse_character_table(bench_tables()[name])
+    assert galois_automorphisms(table, fr.char_table_ring(table), generators_only=True) == len(
+        unit_generators(field_of(table))
+    )
+
+
+def _refused_tables():
+    one, z = Cyclotomic.integer(3, 1), Cyclotomic.zeta_power(3, 1)
+    z3 = [[one] * 3, [one, z, z * z], [one, z * z, z]]
+    return {
+        "identity": (("Z3", 4, [2, 1, 1], z3, [0, 2, 1]), "class 0 has size 2; the identity class comes first, of size 1"),
+        "sizes": (("Z3", 4, [1, 1, 1], z3, [0, 2, 1]), "class sizes sum to 3, group order is 4"),
+        "conductor": (("Z3", 3, [1, 1, 1], [z3[0], z3[1], [Cyclotomic.integer(6, 1), z * z, z]], [0, 2, 1]),
+                      "a value of conductor 6 in a table of conductor 3"),
+        "norm": (("Z3", 3, [1, 1, 1], [z3[0], z3[1], [one, z * z, 2 * z]], [0, 2, 1]),
+                 "class 2: |c| * sum_i |chi_i(c)|^2 is 6, not |G| = 3"),
+        "galois": (("Z3", 3, [1, 1, 1], [z3[0], [one, z, z], [one, z * z, z * z]], [0, 2, 1]),
+                   "the Galois map zeta_3 -> zeta_3^2 does not permute the columns within their class sizes"),
+    }
+
+
+@pytest.mark.parametrize("fault", list(_refused_tables()))
+def test_a_refused_table_makes_no_inner_call(monkeypatch, fault):
+    table_fields, message = _refused_tables()[fault]
+    assert reference_refusal(unchecked(*table_fields)) == message
+    assert outcome(reference_validate, unchecked(*table_fields))[0] != "ok"
+    inner = counting(monkeypatch, _Evaluation, "inner")
+    refused = ("OrthogonalityFailure", message)
+    assert outcome(CharacterTable, *table_fields) == outcome(fr.char_table_ring, unchecked(*table_fields)) == refused
+    assert inner == []
+
+
 def test_the_bound_is_read_off_the_columns():
     # S3: classes of sizes 1, 3, 2 with centralizers 6, 2, 3, so L = 1*15 + 3*3 + 2*6
     evaluation = _Evaluation(fr.fixture_character_table("s3"))
     assert evaluation.bound == 36
-    assert evaluation.modulus == 73  # Phi_1(74)
+    assert evaluation.modulus == 74  # its values are integers: Phi_1(75)
 
 
 def test_a_column_preserving_corruption_fails_through_the_residues():
@@ -664,13 +852,22 @@ def _no_group_tables():
     }
 
 
-@pytest.mark.parametrize("name", list(_no_group_tables()))
-def test_tables_of_no_group_trust_no_residue(name):
-    """M has about phi(N) * log2(2L) bits, so a table with many-digit numbers
-    would be evaluated modulo millions of bits; one that fails the checks of
-    a group's table has M = 1, and is decided value by value, alike."""
+@pytest.mark.parametrize("name,prefix", [
+    ("degree", "class 0: |c| * sum_i |chi_i(c)|^2 is 1000"),
+    ("value", "class 1: |c| * sum_i |chi_i(c)|^2 is "),
+    ("class-size", "class 0 has size 1000"),
+])
+def test_tables_of_no_group_are_refused_up_front(monkeypatch, name, prefix):
+    """A table with many-digit numbers that fails the checks of a group's table is refused before
+    any modulus is chosen or any inner product taken.  The reference refuses it too, but for the
+    one-class table of a 401-digit size, the resized Z1 that only the kernel refuses."""
     table = unchecked(*_no_group_tables()[name])
-    evaluation = _Evaluation(table)
-    assert (evaluation.bound, evaluation.modulus) == (-1, 1)
-    assert outcome(table.validate) == outcome(reference_validate, table)
-    assert outcome(fr.char_table_ring, table) == outcome(reference_ring, table)
+    refusal = reference_refusal(table)
+    assert refusal.startswith(prefix)
+    inner = counting(monkeypatch, _Evaluation, "inner")
+    refused = ("OrthogonalityFailure", refusal)
+    assert outcome(table.validate) == refused
+    # the big degree leaves no trivial row, which the ring loop looks for first
+    assert outcome(fr.char_table_ring, table) == (NO_TRIVIAL_ROW if name == "degree" else refused)
+    assert inner == []
+    assert outcome(reference_validate, table)[0] == ("ok" if name == "class-size" else "OrthogonalityFailure")

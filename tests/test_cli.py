@@ -268,8 +268,13 @@ def test_gen_chartable(tmp_path, capsys):
     assert ring.dimension() == 12
 
 
-# Rows (1, i) and (1, -i) are orthonormal and conjugate, but neither is trivial.
-NO_TRIVIAL_ROW = "group fake 2\nconductor 4\nclass 1\nclass 1\nchar 1 1 z\nchar 1 1 z^3\ndualpair 0 1\n"
+# Z4's rows times (1, 1, -1, 1), which no character of Z4 is: the rows stay orthonormal and
+# conjugate, the columns keep their norms and complex conjugation still swaps classes 1 and 3,
+# but no row is trivial.
+NO_TRIVIAL_ROW = (
+    "group fake 4\nconductor 4\nclass 1\nclass 1\nclass 1\nclass 1\n"
+    "char 1 1 1 -1 1\nchar 1 1 z 1 z^3\nchar 1 1 -1 -1 -1\nchar 1 1 z^3 1 z\ndualpair 1 3\n"
+)
 Z3_TABLE = (
     "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\n"
     "char 1 1 1 1\nchar 1 1 z z^2\nchar 1 1 z^2 z\ndualpair 1 2\n"

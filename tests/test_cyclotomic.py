@@ -2,6 +2,7 @@
 the dense long-division routine the sparse product replaced."""
 
 import cmath
+import math
 from functools import lru_cache
 
 import pytest
@@ -183,6 +184,23 @@ def test_arithmetic_matches_float_evaluation(n, coeffs_a, coeffs_b):
     assert abs(ev(a + b) - (ev(a) + ev(b))) < 1e-7
     assert abs(ev(a * b) - (ev(a) * ev(b))) < 1e-6
     assert abs(ev(a.conj()) - ev(a).conjugate()) < 1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=24),
+    st.integers(min_value=-30, max_value=30),
+)
+def test_galois_maps_match_float_evaluation(n, coeffs, a):
+    # sigma_a sends zeta to zeta^a, for each a prime to n; an a that shares a factor with n is refused
+    if math.gcd(a, n) != 1:
+        with pytest.raises(ValueError):
+            Cyclotomic(n, coeffs).galois(a)
+        return
+    x, zeta = Cyclotomic(n, coeffs), cmath.exp(2j * cmath.pi / n)
+    image = sum(c * zeta ** (a * k) for k, c in enumerate(x.coeffs))
+    assert abs(sum(c * zeta**k for k, c in enumerate(x.galois(a).coeffs)) - image) < 1e-6
 
 
 @settings(max_examples=40, deadline=None)

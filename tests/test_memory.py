@@ -25,8 +25,9 @@ So no module may compile with a larger heap than `cli`, which every op
 loads (1.15 MiB of traced heap).
 
 A character table holds each distinct value once, and its evaluation maps
-each value object into Z/M once: Z60's 3600 entries share 60 value objects
-and 60 residue pairs.  `gen chartable` on Z60 then peaks 0.84-0.97 MiB
+each distinct value into Z/q once: Z60's 3600 entries share 60 value objects,
+60 labels and 60 residues.  With a residue pair per value object and the
+modulus M = |Phi_60(2L + 2)|, `gen chartable` on Z60 peaked 0.84-0.97 MiB
 above the same op on the Z3 fixture, which compiles the same modules;
 mapping each entry on its own (a term list and two residues per entry)
 made it 1.79-1.93 MiB (10 rounds each, half of them with cached bytecode,

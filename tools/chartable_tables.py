@@ -5,7 +5,8 @@ Usage::
     python3 tools/chartable_tables.py OUTDIR
 
 It writes the four shipped fixtures; the cyclic 12/30/60 and dihedral
-21/45/63 tables of ``bench/workloads.py``'s generators at seeds 1-3; the
+21/45/63 tables of ``bench/workloads.py``'s generators at seeds 1-3, and
+their cyclic 120 table at seed 1; the
 trivial group's table at conductors 4620 and 5040; the tables of 6 to 13
 classes that :func:`crafted` builds; :func:`synonyms`' table, whose ring is
 seed 1's Z12 ring; the Z3 fixture declared at conductors 9 and 12 by
@@ -154,6 +155,7 @@ def tables() -> dict[str, str]:
     out["d21_badtoken.chartab"] = badtoken(out["d21_1.chartab"])
     out["z5_swapped.chartab"] = swapped()
     out["z5_swapped_at10.chartab"] = widened(swapped(), 10)
+    out["z120_1.chartab"] = workloads.cyclic_table_file(120, random.Random(1))[0]
     return out
 
 
