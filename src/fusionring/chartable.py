@@ -8,18 +8,20 @@ must be complete, one character row per conjugacy class.  A table whose rows
 are not orthonormal, or whose products do not decompose with nonnegative
 integer multiplicities, is rejected loudly.
 
-A table's totals are trusted, or the table is refused up front, one message
-per fault.  It must pass a group table's checks (:class:`_Evaluation`),
-which bound every total by L, and be Galois-stable: its values lie in
-Z[zeta_K], K = N/s for s the gcd of N and every exponent they use, and for
-each generator a of (Z/K)^x, sigma_a: zeta_K -> zeta_K^a, applied exactly to
-each distinct value, permutes the columns within their class sizes, as
-sigma_a(chi(g)) = chi(g^b), b prime to |G|, does a group's.  Reindexing a
-total's sum over the classes shows it fixed by each sigma_a, so totals are
-Galois-fixed integers bounded by L, decided modulo q = |Phi_K(w)| for the
-least w with (w - 1)^phi(K) > 2L + 1: each root of Phi_K is at least w - 1
-from w, so q > 2L + 1, and zeta_K -> w maps Z[zeta_K] onto Z/q, much as
-Dixon computes characters modulo a prime P = 1 (mod N) ("High speed
+Every route passes one gate, :class:`_Evaluation`: the constructor,
+:meth:`CharacterTable.validate` and :func:`char_table_ring` on a table built
+without validation.  It refuses a table up front with its first fault, in
+this order: its shape, a group table's checks, which bound every total by L,
+Galois stability, the conjugate map and the degrees.  Galois-stable: values
+lie in Z[zeta_K], K = N/s for s the gcd of N and every exponent they use,
+and for each generator a of (Z/K)^x, sigma_a: zeta_K -> zeta_K^a, applied
+exactly to each distinct value, permutes the columns within their class
+sizes, as sigma_a(chi(g)) = chi(g^b), b prime to |G|, does a group's.
+Reindexing a total's sum over the classes shows it fixed by each sigma_a, so
+totals are Galois-fixed integers bounded by L, decided modulo q = |Phi_K(w)|
+for the least w with (w - 1)^phi(K) > 2L + 1: each root of Phi_K is at least
+w - 1 from w, so q > 2L + 1, and zeta_K -> w maps Z[zeta_K] onto Z/q, much
+as Dixon computes characters modulo a prime P = 1 (mod N) ("High speed
 computation of group characters", Numer. Math. 10, 1967).
 
 File format (``#`` comments, whitespace separated)::
@@ -83,28 +85,8 @@ class CharacterTable:
         return tuple(row[0].integer_value() for row in self.characters)
 
     def validate(self) -> None:
-        if any(size < 1 for size in self.class_sizes):
-            raise OrthogonalityFailure("class sizes must be positive")
+        self._evaluation = evaluation = _Evaluation(self)  # the gate, which raises the table's first fault
         n = len(self.characters)
-        classes = len(self.class_sizes)
-        if n == 0 or n != classes or any(len(row) != classes for row in self.characters):
-            raise OrthogonalityFailure(
-                f"table has {n} character rows for {classes} classes; "
-                "it needs one row per class, with one value per class"
-            )
-        if len(self.conjugate_map) != n:
-            raise InvalidRing("conjugate map length mismatch")
-        self._evaluation = evaluation = _Evaluation(self)  # refuses a table whose totals it cannot trust
-        labelled, conjugate = evaluation.labelled, evaluation.conjugate
-        for i, j in enumerate(self.conjugate_map):
-            if self.conjugate_map[j] != i:
-                raise InvalidRing("conjugate map is not an involution")
-            for c, (a, b) in enumerate(zip(labelled[i], labelled[j])):
-                if conjugate[a] != b:
-                    raise OrthogonalityFailure(f"row {j} is not the complex conjugate of row {i} at class {c}")
-        for row in self.characters:
-            if not row[0].is_integer() or row[0].integer_value() < 1:
-                raise InvalidRing("character degree (value at the identity) must be a positive integer")
         # <chi_j, chi_i> is the conjugate of <chi_i, chi_j>, so a pair fails
         # exactly when its mirror does, and the first failure has i <= j.
         for i in range(n):
@@ -119,7 +101,7 @@ class CharacterTable:
 
 
 class _Evaluation:
-    """A table's values in Z/q under zeta_K -> w, and its exact inner product; refuses an untrusted table.
+    """A table's values in Z/q under zeta_K -> w, and its exact inner product: the gate every table passes.
 
     A group's table has its identity class first, of size 1, class sizes summing to |G|, values of one
     conductor, and column norms sum_i |chi_i(c)|^2 = |G|/|c|.  So no value at class c exceeds sqrt(|G|/|c|)
@@ -127,12 +109,21 @@ class _Evaluation:
     ``labelled[i][c]`` numbers chi_i(c) among the distinct values, equal values alike, and ``conjugate[l]``
     labels value l's conjugate (-1 if the table holds none, which a Galois-stable table never does).
     ``rows[i][c]`` is the image of chi_i(c) and ``weighted[k][c]`` that of |c| * conj(chi_k(c)); ``bound``
-    is L and ``modulus`` is q.
+    is L, ``modulus`` is q, and ``trivial`` is the first row whose every value is 1 (None if none is).
     """
 
     def __init__(self, table: CharacterTable):
         # what it reads of the table, not the table, which keeps this evaluation: no reference cycle
-        self.order, sizes, chars = table.group_order, table.class_sizes, table.characters
+        self.order, sizes, chars, duals = table.group_order, table.class_sizes, table.characters, table.conjugate_map
+        if any(size < 1 for size in sizes):
+            raise OrthogonalityFailure("class sizes must be positive")
+        if not chars or len(chars) != len(sizes) or any(len(row) != len(sizes) for row in chars):
+            raise OrthogonalityFailure(
+                f"table has {len(chars)} character rows for {len(sizes)} classes; "
+                "it needs one row per class, with one value per class"
+            )
+        if len(duals) != len(chars):
+            raise InvalidRing("conjugate map length mismatch")
         distinct = {id(v): v for row in chars for v in row}  # each value object once, however many hold it
         terms = {key: [(e, x) for e, x in enumerate(v.coeffs) if x] for key, v in distinct.items()}
         n, order = table.conductor, self.order
@@ -177,6 +168,17 @@ class _Evaluation:
         residues = [sum(x * pow(w, e, m) for e, x in enumerate(v.coeffs)) % m for v in index]
         self.rows = [[residues[x] for x in row] for row in labelled]
         self.weighted = [[size * residues[conjugate[x]] % m for size, x in zip(sizes, row)] for row in labelled]
+        for i, j in enumerate(duals):
+            if duals[j] != i:
+                raise InvalidRing("conjugate map is not an involution")
+            for c, (a, b) in enumerate(zip(labelled[i], labelled[j])):
+                if conjugate[a] != b:
+                    raise OrthogonalityFailure(f"row {j} is not the complex conjugate of row {i} at class {c}")
+        for row in chars:
+            if not row[0].is_integer() or row[0].integer_value() < 1:
+                raise InvalidRing("character degree (value at the identity) must be a positive integer")
+        one = next((label for label, v in enumerate(index) if v == 1), None)  # the label of 1, if a value is 1
+        self.trivial = next((i for i, row in enumerate(labelled) if set(row) == {one}), None)
 
     def inner(self, images: Sequence[int], k: int) -> int:
         """<chi_r1 ... chi_rm, chi_k>, ``images`` the product of rows r1 ... rm: its total is its residue."""
@@ -196,10 +198,8 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
     ``labels`` (one per character row) defaults to "1" for the trivial
     character and "chiK" for row K.
     """
-    n = len(table.characters)
-
-    one = Cyclotomic.integer(table.conductor, 1)  # the table's own 1: all ones in another conductor is no trivial row
-    trivial = next((i for i, row in enumerate(table.characters) if all(v == one for v in row)), None)
+    evaluation = getattr(table, "_evaluation", None) or _Evaluation(table)  # None: built without validate
+    n, trivial = len(table.characters), evaluation.trivial
     if trivial is None:
         raise InvalidRing("table has no trivial character row")
 
@@ -212,7 +212,6 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
 
     # Characters commute, so row (j, i) is row (i, j), and the first failure
     # in row-major order has i <= j.
-    evaluation = getattr(table, "_evaluation", None) or _Evaluation(table)  # None: built without validate
     modulus, images = evaluation.modulus, evaluation.rows
     degrees = table.degrees
     products: dict[tuple[str, str], dict[str, int]] = {}

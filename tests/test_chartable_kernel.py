@@ -66,6 +66,20 @@ def reference_validate(table) -> None:
     n = len(table.characters)
     if len(table.conjugate_map) != n:
         raise InvalidRing("conjugate map length mismatch")
+    reference_duals_and_degrees(table)
+    for i in range(n):
+        for j in range(n):
+            try:
+                val = reference_inner(table, table.characters[i], table.characters[j])
+            except NotIntegral as exc:
+                raise OrthogonalityFailure(f"<chi{i}, chi{j}>: {exc}") from exc
+            expect = 1 if i == j else 0
+            if val != expect:
+                raise OrthogonalityFailure(f"<chi{i}, chi{j}> = {val}, expected {expect}")
+
+
+def reference_duals_and_degrees(table) -> None:
+    """The checks of the dual map and the degrees, which the kernel's gate makes last."""
     for i, j in enumerate(table.conjugate_map):
         if table.conjugate_map[j] != i:
             raise InvalidRing("conjugate map is not an involution")
@@ -78,15 +92,6 @@ def reference_validate(table) -> None:
         deg = row[0]
         if not deg.is_integer() or deg.integer_value() < 1:
             raise InvalidRing("character degree (value at the identity) must be a positive integer")
-    for i in range(n):
-        for j in range(n):
-            try:
-                val = reference_inner(table, table.characters[i], table.characters[j])
-            except NotIntegral as exc:
-                raise OrthogonalityFailure(f"<chi{i}, chi{j}>: {exc}") from exc
-            expect = 1 if i == j else 0
-            if val != expect:
-                raise OrthogonalityFailure(f"<chi{i}, chi{j}> = {val}, expected {expect}")
 
 
 def reference_ring(table) -> FusionRing:
@@ -261,8 +266,7 @@ def table_fields(draw):
 
 @st.composite
 def corrupted_fields(draw):
-    """What was changed in a valid table (one value, one class size or one
-    dual pair), and the changed table."""
+    """A valid table with one value, one class size or one dual pair changed."""
     name, order, sizes, chars, conj = draw(table_fields())
     sizes, chars, conj = list(sizes), [list(row) for row in chars], list(conj)
     n, classes = len(chars), len(sizes)
@@ -287,7 +291,7 @@ def corrupted_fields(draw):
             conj[leftover[0]], conj[leftover[1]] = leftover[1], leftover[0]
         elif leftover:
             conj[leftover[0]] = leftover[0]
-    return what, (name, order, sizes, chars, conj)
+    return name, order, sizes, chars, conj
 
 
 def outcome(fn, *args):
@@ -326,9 +330,6 @@ def test_fixture_rings_equal_the_reference(name):
     assert galois_automorphisms(table, ring) == {"s3": 0, "a4": 1, "f21": 11, "z3": 1}[name]
 
 
-NO_TRIVIAL_ROW = ("InvalidRing", "table has no trivial character row")
-
-
 # The one table the reference takes and the kernel refuses: Z1 with its one class resized, which
 # passes every check of the reference but is refused for a first class of another size than 1.
 def resized_z1(table_fields) -> bool:
@@ -338,32 +339,31 @@ def resized_z1(table_fields) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(corrupted_fields())
-def test_corrupted_tables_fail_alike(corrupted):
-    what, table_fields = corrupted
-    expect = outcome(reference_validate, unchecked(*table_fields))
+def test_corrupted_tables_fail_alike(table_fields):
     refusal = reference_refusal(unchecked(*table_fields))
-    if refusal is not None:  # refused up front, by validation and by the ring loop alike
-        assert expect[0] != "ok" or resized_z1(table_fields)
-        expect = ("OrthogonalityFailure", refusal)
+    if refusal is not None:  # refused up front, where the reference refuses too, but for the resized Z1
+        assert outcome(reference_validate, unchecked(*table_fields))[0] != "ok" or resized_z1(table_fields)
+        gate = ("OrthogonalityFailure", refusal)
+    else:
+        gate = outcome(reference_duals_and_degrees, unchecked(*table_fields))
+    # a table the gate passes fails validation as the reference does, and its ring loop gives the same
+    # first failure or the same ring
+    expect = outcome(reference_validate, unchecked(*table_fields)) if gate[0] == "ok" else gate
     assert outcome(unchecked(*table_fields).validate) == expect
     if expect[0] != "ok":
         assert outcome(CharacterTable, *table_fields) == expect
-    if what != "dualpair":  # the dual map does not enter the ring arithmetic
-        # the ring loop on the unvalidated table: same first failure, or same ring
-        ring = outcome(reference_ring, unchecked(*table_fields))
-        if refusal is not None and ring != NO_TRIVIAL_ROW:  # the ring loop looks for the trivial row first
-            ring = expect
-        assert outcome(fr.char_table_ring, unchecked(*table_fields)) == ring
+    ring = outcome(reference_ring, unchecked(*table_fields)) if gate[0] == "ok" else gate
+    assert outcome(fr.char_table_ring, unchecked(*table_fields)) == ring
 
 
 def test_negative_multiplicity_names_the_first_pair():
-    # row 2 is minus row 1, so <chi0 chi1, chi2> = -1 is the first failure in
-    # row-major order; its mirror (1, 0) must not be the one reported
-    w = Cyclotomic.zeta_power(3, 1)
-    one = Cyclotomic.integer(3, 1)
-    row = [one, w, w * w]
-    table = unchecked("neg", 3, [1, 1, 1], [[one] * 3, row, [-v for v in row]], [0, 1, 2])
-    expect = ("NotIntegral", "<chi0 chi1, chi2> = -1 is negative")
+    # every column's squares sum to |G|/|c|, and the values are integers with positive degrees, so
+    # the table passes the gate; but <chi0 chi0, chi1> = (1 - 3 - 4 - 6) / 12 = -1 is the first
+    # failure in row-major order
+    rows = [[1, 1, 1, 1], [1, -3, -1, -1], [1, -1, -1, 0], [3, -1, 0, 0]]
+    table = unchecked("neg", 12, [1, 1, 4, 6], [[Cyclotomic.integer(1, x) for x in row] for row in rows], [0, 1, 2, 3])
+    expect = ("NotIntegral", "<chi0 chi0, chi1> = -1 is negative")
+    assert reference_refusal(table) is None
     assert outcome(reference_ring, table) == expect
     assert outcome(fr.char_table_ring, unchecked(*fields(table))) == expect
 
@@ -502,11 +502,11 @@ def test_a_dropped_table_is_freed_without_the_cycle_collector():
 
 
 def test_an_all_ones_row_of_another_conductor_is_no_trivial_row():
-    # compared with the table's own 1; a bare `v == 1` would take row 1 as trivial
-    # and then refuse the table for its mixed conductors
+    # the gate refuses the table for its mixed conductors before any row is taken as trivial
     one, other = Cyclotomic.integer(1, 1), Cyclotomic.integer(2, 1)
     table = unchecked("Z2", 2, [1, 1], [[one, -one], [other, other]], [0, 1])
-    assert outcome(fr.char_table_ring, table) == ("InvalidRing", "table has no trivial character row")
+    refused = ("OrthogonalityFailure", "a value of conductor 2 in a table of conductor 1")
+    assert outcome(fr.char_table_ring, table) == outcome(table.validate) == refused
 
 
 # -- the evaluation modulo q = |Phi_K(w)| ---------------------------------------------
@@ -715,8 +715,8 @@ def mixed_fields(draw):
 
 
 def _mixed_refused_alike(table_fields):
-    """A table whose values mix conductors is refused up front, where the reference refuses it
-    too, unless it holds a single value; the ring loop looks for the trivial row first."""
+    """A table whose values mix conductors is refused up front on every route, where the reference
+    refuses it too, unless it holds a single value."""
     expect, refusal = outcome(reference_validate, unchecked(*table_fields)), reference_refusal(unchecked(*table_fields))
     if refusal is None:  # a one-value table has no other value to mix with
         assert expect == outcome(unchecked(*table_fields).validate) == ("ok", None)
@@ -724,8 +724,7 @@ def _mixed_refused_alike(table_fields):
     assert expect[0] != "ok"
     refused = ("OrthogonalityFailure", refusal)
     assert outcome(unchecked(*table_fields).validate) == outcome(CharacterTable, *table_fields) == refused
-    ring = outcome(reference_ring, unchecked(*table_fields))
-    assert outcome(fr.char_table_ring, unchecked(*table_fields)) == (ring if ring == NO_TRIVIAL_ROW else refused)
+    assert outcome(fr.char_table_ring, unchecked(*table_fields)) == refused
     return refused, expect
 
 
@@ -805,17 +804,6 @@ def _refused_tables():
     }
 
 
-@pytest.mark.parametrize("fault", list(_refused_tables()))
-def test_a_refused_table_makes_no_inner_call(monkeypatch, fault):
-    table_fields, message = _refused_tables()[fault]
-    assert reference_refusal(unchecked(*table_fields)) == message
-    assert outcome(reference_validate, unchecked(*table_fields))[0] != "ok"
-    inner = counting(monkeypatch, _Evaluation, "inner")
-    refused = ("OrthogonalityFailure", message)
-    assert outcome(CharacterTable, *table_fields) == outcome(fr.char_table_ring, unchecked(*table_fields)) == refused
-    assert inner == []
-
-
 def test_the_bound_is_read_off_the_columns():
     # S3: classes of sizes 1, 3, 2 with centralizers 6, 2, 3, so L = 1*15 + 3*3 + 2*6
     evaluation = _Evaluation(fr.fixture_character_table("s3"))
@@ -866,8 +854,46 @@ def test_tables_of_no_group_are_refused_up_front(monkeypatch, name, prefix):
     assert refusal.startswith(prefix)
     inner = counting(monkeypatch, _Evaluation, "inner")
     refused = ("OrthogonalityFailure", refusal)
-    assert outcome(table.validate) == refused
-    # the big degree leaves no trivial row, which the ring loop looks for first
-    assert outcome(fr.char_table_ring, table) == (NO_TRIVIAL_ROW if name == "degree" else refused)
+    assert outcome(table.validate) == outcome(fr.char_table_ring, table) == refused
     assert inner == []
     assert outcome(reference_validate, table)[0] == ("ok" if name == "class-size" else "OrthogonalityFailure")
+
+
+def _gate_faults():
+    """One table for each refusal of the gate, in the gate's order, and its first fault."""
+    one, z = Cyclotomic.integer(3, 1), Cyclotomic.zeta_power(3, 1)
+    z3 = [[one] * 3, [one, z, z * z], [one, z * z, z]]
+    refused = {fault: (table, ("OrthogonalityFailure", message)) for fault, (table, message) in _refused_tables().items()}
+    big_degree = _no_group_tables()["degree"]
+    return {
+        "size": (("Z3", 3, [1, 0, 2], z3, [0, 2, 1]), ("OrthogonalityFailure", "class sizes must be positive")),
+        "shape": (("Z3", 3, [1, 1, 1], z3[:2], [0, 2]), ("OrthogonalityFailure", (
+            "table has 2 character rows for 3 classes; it needs one row per class, with one value per class"))),
+        "dual-length": (("Z3", 3, [1, 1, 1], z3, [0, 2]), ("InvalidRing", "conjugate map length mismatch")),
+        **refused,
+        "big-degree": (big_degree, ("OrthogonalityFailure", reference_refusal(unchecked(*big_degree)))),
+        "involution": (("Z3", 3, [1, 1, 1], z3, [0, 2, 0]), ("InvalidRing", "conjugate map is not an involution")),
+        "dual": (("Z3", 3, [1, 1, 1], z3, [0, 1, 2]),
+                 ("OrthogonalityFailure", "row 1 is not the complex conjugate of row 1 at class 1")),
+        # Z3's table with its identity column last: every check but the degrees passes
+        "degree": (("Z3", 3, [1, 1, 1], [row[1:] + row[:1] for row in z3], [0, 2, 1]),
+                   ("InvalidRing", "character degree (value at the identity) must be a positive integer")),
+    }
+
+
+@pytest.mark.parametrize("fault", list(_gate_faults()))
+def test_a_refused_table_makes_no_inner_call(monkeypatch, fault):
+    """Validation, the constructor and the ring loop on an unvalidated table meet one gate, so they
+    refuse a table alike, before any inner product; among them the Z1 table of a 1001-digit degree,
+    which has no trivial row."""
+    table_fields, refused = _gate_faults()[fault]
+    if fault in _refused_tables():  # the checks of a group's table, which the reference makes too
+        assert reference_refusal(unchecked(*table_fields)) == refused[1]
+        assert outcome(reference_validate, unchecked(*table_fields))[0] != "ok"
+    inner = counting(monkeypatch, _Evaluation, "inner")
+    assert outcome(unchecked(*table_fields).validate) == refused
+    assert outcome(CharacterTable, *table_fields) == refused
+    assert outcome(fr.char_table_ring, unchecked(*table_fields)) == refused
+    assert inner == []
+    if fault == "big-degree":
+        assert refused[1].startswith("class 0: |c| * sum_i |chi_i(c)|^2 is 1000")
