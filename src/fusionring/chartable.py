@@ -10,18 +10,18 @@ integer multiplicities, is rejected loudly.
 
 Every route passes one gate, :class:`_Evaluation`: the constructor,
 :meth:`CharacterTable.validate` and :func:`char_table_ring` on a table built
-without validation.  It refuses a table up front with its first fault, in
-this order: its shape, a group table's checks, which bound every total by L,
-Galois stability, the conjugate map and the degrees.  Galois-stable: values
-lie in Z[zeta_K], K = N/s for s the gcd of N and every exponent they use,
-and for each generator a of (Z/K)^x, sigma_a: zeta_K -> zeta_K^a, applied
-exactly to each distinct value, permutes the columns within their class
-sizes, as sigma_a(chi(g)) = chi(g^b), b prime to |G|, does a group's.
+without validation.  It refuses a table with its first fault, in this order:
+its shape, a group table's checks, which bound every total by L, Galois
+stability, the conjugate map, the degrees and orthonormality.  Galois-stable:
+values lie in Z[zeta_K], K = N/s for s the gcd of N and every exponent they
+use, and for each generator a of (Z/K)^x, sigma_a: zeta_K -> zeta_K^a,
+applied exactly to each distinct value, permutes the columns within their
+class sizes, as sigma_a(chi(g)) = chi(g^b), b prime to |G|, does a group's.
 Reindexing a total's sum over the classes shows it fixed by each sigma_a, so
 totals are Galois-fixed integers bounded by L, decided modulo q = |Phi_K(w)|
 for the least w with (w - 1)^phi(K) > 2L + 1: each root of Phi_K is at least
-w - 1 from w, so q > 2L + 1, and zeta_K -> w maps Z[zeta_K] onto Z/q, much
-as Dixon computes characters modulo a prime P = 1 (mod N) ("High speed
+w - 1 from w, so q > 2L + 1, and zeta_K -> w maps Z[zeta_K] onto Z/q, much as
+Dixon computes characters modulo a prime P = 1 (mod N) ("High speed
 computation of group characters", Numer. Math. 10, 1967).
 
 File format (``#`` comments, whitespace separated)::
@@ -85,19 +85,7 @@ class CharacterTable:
         return tuple(row[0].integer_value() for row in self.characters)
 
     def validate(self) -> None:
-        self._evaluation = evaluation = _Evaluation(self)  # the gate, which raises the table's first fault
-        n = len(self.characters)
-        # <chi_j, chi_i> is the conjugate of <chi_i, chi_j>, so a pair fails
-        # exactly when its mirror does, and the first failure has i <= j.
-        for i in range(n):
-            for j in range(i, n):
-                try:
-                    val = evaluation.inner(evaluation.rows[i], j)
-                except NotIntegral as exc:
-                    raise OrthogonalityFailure(f"<chi{i}, chi{j}>: {exc}") from exc
-                expect = 1 if i == j else 0
-                if val != expect:
-                    raise OrthogonalityFailure(f"<chi{i}, chi{j}> = {val}, expected {expect}")
+        self._evaluation = _Evaluation(self)  # the gate, which raises the table's first fault
 
 
 class _Evaluation:
@@ -110,6 +98,7 @@ class _Evaluation:
     labels value l's conjugate (-1 if the table holds none, which a Galois-stable table never does).
     ``rows[i][c]`` is the image of chi_i(c) and ``weighted[k][c]`` that of |c| * conj(chi_k(c)); ``bound``
     is L, ``modulus`` is q, and ``trivial`` is the first row whose every value is 1 (None if none is).
+    The last check is orthonormality, so an evaluation exists only for a table that passed every check.
     """
 
     def __init__(self, table: CharacterTable):
@@ -179,6 +168,17 @@ class _Evaluation:
                 raise InvalidRing("character degree (value at the identity) must be a positive integer")
         one = next((label for label, v in enumerate(index) if v == 1), None)  # the label of 1, if a value is 1
         self.trivial = next((i for i, row in enumerate(labelled) if set(row) == {one}), None)
+        # <chi_j, chi_i> is the conjugate of <chi_i, chi_j>, so a pair fails
+        # exactly when its mirror does, and the first failure has i <= j.
+        for i in range(len(chars)):
+            for j in range(i, len(chars)):
+                try:
+                    val = self.inner(self.rows[i], j)
+                except NotIntegral as exc:
+                    raise OrthogonalityFailure(f"<chi{i}, chi{j}>: {exc}") from exc
+                expect = 1 if i == j else 0
+                if val != expect:
+                    raise OrthogonalityFailure(f"<chi{i}, chi{j}> = {val}, expected {expect}")
 
     def inner(self, images: Sequence[int], k: int) -> int:
         """<chi_r1 ... chi_rm, chi_k>, ``images`` the product of rows r1 ... rm: its total is its residue."""
@@ -193,10 +193,9 @@ class _Evaluation:
 def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = None) -> FusionRing:
     """Fusion ring of a character table: N[i][j][k] = <chi_i chi_j, chi_k>.
 
-    Every structure constant must reduce to a nonnegative rational integer,
-    and each row must satisfy sum_k N[i][j][k] * d_k = d_i * d_j.
-    ``labels`` (one per character row) defaults to "1" for the trivial
-    character and "chiK" for row K.
+    Every structure constant must reduce to a nonnegative integer.  The gate's orthonormal rows make the
+    columns orthogonal, so each row keeps sum_k N[i][j][k] * d_k = d_i * d_j unchecked.  ``labels`` (one
+    per character row) defaults to "1" for the trivial character and "chiK" for row K.
     """
     evaluation = getattr(table, "_evaluation", None) or _Evaluation(table)  # None: built without validate
     n, trivial = len(table.characters), evaluation.trivial
@@ -219,18 +218,12 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
         for j in range(i, n):
             product = [a * b % modulus for a, b in zip(images[i], images[j])]
             row = {}
-            degree = 0
             for k in range(n):
                 mult = evaluation.inner(product, k)
                 if mult < 0:
                     raise NotIntegral(f"<chi{i} chi{j}, chi{k}> = {mult} is negative")
                 if mult:
                     row[labels[k]] = mult
-                    degree += mult * degrees[k]
-            if degree != degrees[i] * degrees[j]:
-                raise OrthogonalityFailure(
-                    f"chi{i} chi{j} decomposes into degree {degree}, expected {degrees[i] * degrees[j]}"
-                )
             products[labels[i], labels[j]] = products[labels[j], labels[i]] = row
 
     basis = [

@@ -308,6 +308,22 @@ def counting(monkeypatch, owner, name) -> list:
     return calls
 
 
+def modulus_choices(monkeypatch) -> list:
+    """Patch the evaluation's ``_small_modulus`` to record, for each table it evaluates, (K, L, q):
+    the field and the bound L read off its arguments K and 2L + 1, and q off its result (w, q)."""
+    import fusionring.chartable as chartable
+
+    choices, original = [], chartable._small_modulus
+
+    def spy(k, least):
+        w, q = original(k, least)
+        choices.append((k, (least - 1) // 2, q))
+        return w, q
+
+    monkeypatch.setattr(chartable, "_small_modulus", spy)
+    return choices
+
+
 # -- tests ---------------------------------------------------------------------
 
 
@@ -352,30 +368,46 @@ def test_corrupted_tables_fail_alike(table_fields):
     assert outcome(unchecked(*table_fields).validate) == expect
     if expect[0] != "ok":
         assert outcome(CharacterTable, *table_fields) == expect
-    ring = outcome(reference_ring, unchecked(*table_fields)) if gate[0] == "ok" else gate
+    # orthonormality closes the gate, so a table that validation refuses gets the same fault from the
+    # ring loop
+    ring = outcome(reference_ring, unchecked(*table_fields)) if expect[0] == "ok" else expect
     assert outcome(fr.char_table_ring, unchecked(*table_fields)) == ring
 
 
 def test_negative_multiplicity_names_the_first_pair():
-    # every column's squares sum to |G|/|c|, and the values are integers with positive degrees, so
-    # the table passes the gate; but <chi0 chi0, chi1> = (1 - 3 - 4 - 6) / 12 = -1 is the first
-    # failure in row-major order
-    rows = [[1, 1, 1, 1], [1, -3, -1, -1], [1, -1, -1, 0], [3, -1, 0, 0]]
-    table = unchecked("neg", 12, [1, 1, 4, 6], [[Cyclotomic.integer(1, x) for x in row] for row in rows], [0, 1, 2, 3])
-    expect = ("NotIntegral", "<chi0 chi0, chi1> = -1 is negative")
-    assert reference_refusal(table) is None
+    # an orthonormal table of integers, of no group, passes the gate and validates; but
+    # <chi1 chi1, chi1> = (1 - 16 + 3) / 12 = -1 is the first failure in row-major order
+    rows = [[1, 1, 1, 1], [1, -2, 1, 0], [1, 1, 1, -1], [3, 0, -1, 0]]
+    chars = tuple(tuple(Cyclotomic.integer(1, x) for x in row) for row in rows)
+    table = CharacterTable("G12", 12, (1, 2, 3, 6), chars, (0, 1, 2, 3))
+    assert fields(fr.parse_character_table(bench_tables()["g12_negative.chartab"])) == fields(table)
+    expect = ("NotIntegral", "<chi1 chi1, chi1> = -1 is negative")
+    assert outcome(reference_validate, table) == ("ok", None)
     assert outcome(reference_ring, table) == expect
-    assert outcome(fr.char_table_ring, unchecked(*fields(table))) == expect
+    assert outcome(fr.char_table_ring, table) == outcome(fr.char_table_ring, unchecked(*fields(table))) == expect
+    # this table's ring loop would also find a negative multiplicity, but it passes only the checks
+    # before orthonormality: <chi0, chi1> = (1 - 3 - 4 - 6) / 12 = -1 refuses it on every route
+    rows = [[1, 1, 1, 1], [1, -3, -1, -1], [1, -1, -1, 0], [3, -1, 0, 0]]
+    other = ("neg", 12, [1, 1, 4, 6], [[Cyclotomic.integer(1, x) for x in row] for row in rows], [0, 1, 2, 3])
+    assert outcome(reference_ring, unchecked(*other)) == ("NotIntegral", "<chi0 chi0, chi1> = -1 is negative")
+    expect = ("OrthogonalityFailure", "<chi0, chi1> = -1, expected 0")
+    assert reference_refusal(unchecked(*other)) is None
+    assert outcome(reference_validate, unchecked(*other)) == outcome(unchecked(*other).validate) == expect
+    assert outcome(CharacterTable, *other) == outcome(fr.char_table_ring, unchecked(*other)) == expect
 
 
 def test_degree_mismatch_on_an_unvalidated_table():
-    # two trivial rows pass every up-front check: each column's squares sum to |G| = 2, and
-    # the values are integers; chi0 chi0 then decomposes as chi0 + chi1, of degree 2
+    # two trivial rows pass every check before orthonormality: each column's squares sum to
+    # |G| = 2, and the values are integers; the reference's ring loop finds chi0 chi0 = chi0 + chi1,
+    # of degree 2, but every route refuses the table first, for <chi0, chi1> = 1
     one = Cyclotomic.integer(1, 1)
-    table = unchecked("deg", 2, [1, 1], [[one, one], [one, one]], [0, 1])
-    expect = ("OrthogonalityFailure", "chi0 chi0 decomposes into degree 2, expected 1")
-    assert outcome(reference_ring, table) == expect
-    assert outcome(fr.char_table_ring, unchecked(*fields(table))) == expect
+    both = ("deg", 2, [1, 1], [[one, one], [one, one]], [0, 1])
+    expect = ("OrthogonalityFailure", "<chi0, chi1> = 1, expected 0")
+    assert outcome(reference_ring, unchecked(*both)) == (
+        "OrthogonalityFailure", "chi0 chi0 decomposes into degree 2, expected 1"
+    )
+    assert outcome(reference_validate, unchecked(*both)) == outcome(unchecked(*both).validate) == expect
+    assert outcome(CharacterTable, *both) == outcome(fr.char_table_ring, unchecked(*both)) == expect
     # chi1 = (3, -1) is refused up front, where the reference reads a degree of 4
     table = unchecked("deg", 2, [1, 1], [[one, one], [3 * one, -one]], [0, 1])
     refused = ("OrthogonalityFailure", "class 0: |c| * sum_i |chi_i(c)|^2 is 10, not |G| = 2")
@@ -670,13 +702,15 @@ def test_each_value_object_gets_one_term_list(monkeypatch):
     assert sum(k in coeffs for k in walked) == len(coeffs) == 60
 
 
-def test_a_table_of_integers_evaluates_in_z_at_any_conductor():
+def test_a_table_of_integers_evaluates_in_z_at_any_conductor(monkeypatch):
     # every exponent is 0, so s = N, K = 1 and q = Phi_1(2L + 3) = 2L + 2
     one = fr.parse_character_table(bench_tables()["one5040.chartab"])._evaluation
     assert (one.bound, one.modulus) == (1, 4)
-    crafted = _Evaluation(_crafted_10())
-    assert crafted.bound > 0 and crafted.modulus == 2 * crafted.bound + 2
-    assert crafted.modulus.bit_length() < 2000  # 599,399 bits modulo Phi_5040(2L + 2)
+    choices = modulus_choices(monkeypatch)
+    assert outcome(_Evaluation, _crafted_10())[0] == "OrthogonalityFailure"  # its rows are not orthonormal
+    [(field, bound, modulus)] = choices
+    assert field == 1 and bound > 0 and modulus == 2 * bound + 2
+    assert modulus.bit_length() < 2000  # 599,399 bits modulo Phi_5040(2L + 2)
 
 
 @pytest.mark.parametrize("conductor,field", [(9, 3), (12, 6)])
@@ -777,7 +811,8 @@ def test_generated_tables_give_the_reference_constants(build):
 
 
 CORPUS = sorted(name for name in bench_tables() if not name.startswith(("crafted", "z120")) and name.count("_") < 2
-                and not name.endswith(("badpair.chartab", "badtoken.chartab", "swapped.chartab")))
+                and not name.endswith(("badpair.chartab", "badtoken.chartab", "swapped.chartab", "negative.chartab",
+                                       "paley.chartab")))
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -811,7 +846,7 @@ def test_the_bound_is_read_off_the_columns():
     assert evaluation.modulus == 74  # its values are integers: Phi_1(75)
 
 
-def test_a_column_preserving_corruption_fails_through_the_residues():
+def test_a_column_preserving_corruption_fails_through_the_residues(monkeypatch):
     # S3's trivial and 2-dimensional rows trade their values at the class of
     # size 2: every column keeps its sum of squares, so the residues are
     # trusted, and the fault is worded alike
@@ -819,11 +854,12 @@ def test_a_column_preserving_corruption_fails_through_the_residues():
     chars = [list(row) for row in chars]
     chars[0][2], chars[2][2] = chars[2][2], chars[0][2]
     table = unchecked(name, order, sizes, chars, conj)
-    assert _Evaluation(table).bound == 36
+    choices = modulus_choices(monkeypatch)
     expect = outcome(reference_validate, table)
     assert expect[0] == "OrthogonalityFailure"
     assert outcome(table.validate) == expect
-    assert outcome(fr.char_table_ring, table) == outcome(reference_ring, table)
+    assert [bound for _, bound, _ in choices] == [36]
+    assert outcome(fr.char_table_ring, table) == expect
 
 
 def _no_group_tables():

@@ -17,6 +17,7 @@ import fusionring as fr
 from fusionring.cli import run
 
 from conftest import TERMINAL_WITHOUT_VIOLATION, Z4_WITHOUT_CHI2, factorization_branch_ring, withhold_rows
+from test_chartable_kernel import bench_tables
 
 
 def run_cli(capsys, *argv):
@@ -319,18 +320,15 @@ def test_gen_chartable_bad_table_exit_two(tmp_path, capsys, text, message):
     assert err.startswith(f"fusionring: {path}: {message}") and err.count("\n") == 1
 
 
-def test_gen_chartable_not_integral_exit_two(tmp_path, capsys, monkeypatch):
-    import fusionring.chartable as chartable
-
-    def not_integral(table):
-        raise fr.NotIntegral("inner product total 1 is not divisible by |G| = 3")
-
-    monkeypatch.setattr(chartable, "char_table_ring", not_integral)
-    path = tmp_path / "z3.chartab"
-    path.write_text(Z3_TABLE)
-    code, _, err = run_cli(capsys, "gen", "chartable", str(path))
-    assert code == 2
-    assert err == f"fusionring: {path}: inner product total 1 is not divisible by |G| = 3\n"
+def test_gen_chartable_not_integral_exit_two(tmp_path, capsys):
+    # the normalized Paley Hadamard table of order 12 validates, but it is no group's: the product
+    # of rows 1 and 2 has the inner product total 4 with row 3, which |G| = 12 does not divide
+    path = tmp_path / "h12_paley.chartab"
+    path.write_text(bench_tables()["h12_paley.chartab"])
+    fr.parse_character_table(path.read_text())  # it validates
+    code, out, err = run_cli(capsys, "gen", "chartable", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"fusionring: {path}: inner product total 4 is not divisible by |G| = 12\n"
 
 
 def test_gen_chartable_not_utf8_exit_two(tmp_path, capsys):

@@ -12,7 +12,8 @@ classes that :func:`crafted` builds; :func:`synonyms`' table, whose ring is
 seed 1's Z12 ring; the Z3 fixture declared at conductors 9 and 12 by
 :func:`widened`; :func:`badpair`'s and :func:`badtoken`'s tables, and
 :func:`swapped`'s table at conductors 5 and 10, which ``gen chartable``
-refuses; and the specs
+refuses; :func:`negative`'s and :func:`paley`'s tables, which pass
+validation and which ``gen chartable`` refuses in its ring loop; and the specs
 ``so3_21.spec``, ``cyclic_12.spec`` and ``fragment.spec``, which this
 checkout's ``src`` generates.  Run ``tools/same_outputs.py`` from OUTDIR
 on either command file, which names each file by its file name.
@@ -128,6 +129,27 @@ def swapped() -> str:
     return "\n".join(lines + ["dualpair 1 4", "dualpair 2 3"]) + "\n"
 
 
+def negative() -> str:
+    """An orthonormal table of integers of no group: |G| = 12, class sizes
+    1, 2, 3 and 6.  It passes validation, but <chi1 chi1, chi1> =
+    (1 - 16 + 3) / 12 = -1 is a negative multiplicity."""
+    rows = [(1, 1, 1, 1), (1, -2, 1, 0), (1, 1, 1, -1), (3, 0, -1, 0)]
+    lines = ["group G12 12", "conductor 1"] + [f"class {size}" for size in (1, 2, 3, 6)]
+    return "\n".join(lines + [f"char {row[0]} " + " ".join(map(str, row)) for row in rows]) + "\n"
+
+
+def paley() -> str:
+    """The normalized Paley Hadamard matrix of order 12 as a table of 12
+    classes of size 1 and conductor 1.  Its first row and column are all 1
+    and H H^T = 12 I, so it passes validation, but it is no group's table:
+    the product of rows 1 and 2 has the inner product total 4 with row 3,
+    which |G| = 12 does not divide."""
+    residues = {x * x % 11 for x in range(1, 11)}
+    rows = [[1] * 12] + [[1] + [-1 if j == i or (j - i) % 11 in residues else 1 for j in range(11)] for i in range(11)]
+    lines = ["group H12 12", "conductor 1"] + ["class 1"] * 12
+    return "\n".join(lines + ["char 1 " + " ".join(map(str, row)) for row in rows]) + "\n"
+
+
 # The spec files of tools/cli_cmds.txt, and the `gen` argv that writes each.
 SPECS = {"so3_21.spec": ("so3", "21"), "cyclic_12.spec": ("cyclic", "12"), "fragment.spec": ("fragment",)}
 
@@ -156,6 +178,8 @@ def tables() -> dict[str, str]:
     out["z5_swapped.chartab"] = swapped()
     out["z5_swapped_at10.chartab"] = widened(swapped(), 10)
     out["z120_1.chartab"] = workloads.cyclic_table_file(120, random.Random(1))[0]
+    out["g12_negative.chartab"] = negative()
+    out["h12_paley.chartab"] = paley()
     return out
 
 
