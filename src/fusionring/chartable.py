@@ -8,21 +8,21 @@ must be complete, one character row per conjugacy class.  A table whose rows
 are not orthonormal, or whose products do not decompose with nonnegative
 integer multiplicities, is rejected loudly.
 
-Every route passes one gate, :class:`_Evaluation`: the constructor,
-:meth:`CharacterTable.validate` and :func:`char_table_ring` on a table built
-without validation.  It refuses a table with its first fault, in this order:
-its shape, a group table's checks, which bound every total by L, Galois
-stability, the conjugate map, the degrees and orthonormality.  Galois-stable:
-values lie in Z[zeta_K], K = N/s for s the gcd of N and every exponent they
-use, and for each generator a of (Z/K)^x, sigma_a: zeta_K -> zeta_K^a,
-applied exactly to each distinct value, permutes the columns within their
-class sizes, as sigma_a(chi(g)) = chi(g^b), b prime to |G|, does a group's.
-Reindexing a total's sum over the classes shows it fixed by each sigma_a, so
-totals are Galois-fixed integers bounded by L, decided modulo q = |Phi_K(w)|
-for the least w with (w - 1)^phi(K) > 2L + 1: each root of Phi_K is at least
-w - 1 from w, so q > 2L + 1, and zeta_K -> w maps Z[zeta_K] onto Z/q, much as
-Dixon computes characters modulo a prime P = 1 (mod N) ("High speed
-computation of group characters", Numer. Math. 10, 1967).
+A table reaches its ring one way: the constructor calls
+:meth:`CharacterTable.validate`, which keeps the evaluation that the gate,
+:class:`_Evaluation`, builds, and :func:`char_table_ring` reads it.  The gate
+refuses a table with its first fault, in this order: its shape, a group
+table's checks, which bound every total by L, Galois stability, the conjugate
+map, the degrees and orthonormality.  Galois-stable: values lie in Z[zeta_K],
+K = N/s for s the gcd of N and every exponent they use, and for each generator
+a of (Z/K)^x, sigma_a: zeta_K -> zeta_K^a, applied exactly to each distinct
+value, permutes the columns within their class sizes, as sigma_a(chi(g)) =
+chi(g^b), b prime to |G|, does a group's.  Reindexing a total's sum over the
+classes shows it fixed by each sigma_a, so totals are Galois-fixed integers
+bounded by L, decided modulo q = |Phi_K(w)| > 2L + 1, w >= 2 the least that
+gives one: zeta_K -> w maps Z[zeta_K] onto Z/q, much as Dixon computes
+characters modulo a prime P = 1 (mod N) ("High speed computation of group
+characters", Numer. Math. 10, 1967).
 
 File format (``#`` comments, whitespace separated)::
 
@@ -113,20 +113,19 @@ class _Evaluation:
             )
         if len(duals) != len(chars):
             raise InvalidRing("conjugate map length mismatch")
-        distinct = {id(v): v for row in chars for v in row}  # each value object once, however many hold it
-        terms = {key: [(e, x) for e, x in enumerate(v.coeffs) if x] for key, v in distinct.items()}
+        terms = {v: [(e, x) for e, x in enumerate(v.coeffs) if x] for v in dict.fromkeys(v for r in chars for v in r)}
         n, order = table.conductor, self.order
         if sum(sizes) != order:
             raise OrthogonalityFailure(f"class sizes sum to {sum(sizes)}, group order is {order}")
         if sizes[0] != 1:
             raise OrthogonalityFailure(f"class 0 has size {sizes[0]}; the identity class comes first, of size 1")
-        for v in distinct.values():
+        for v in terms:
             if v.conductor != n:
                 raise OrthogonalityFailure(f"a value of conductor {v.conductor} in a table of conductor {n}")
         self.bound = 0
         for c, size in enumerate(sizes):
             total = [0] * n  # |c| * sum_i chi_i(c) conj(chi_i(c)), unreduced
-            for value in [terms[id(row[c])] for row in chars]:
+            for value in [terms[row[c]] for row in chars]:
                 for e, x in value:
                     for f, y in value:
                         total[(e - f) % n] += size * x * y
@@ -135,9 +134,9 @@ class _Evaluation:
             self.bound += size * (isqrt((order // size) ** 3 - 1) + 1)
         s = gcd(n, *(e for t in terms.values() for e, _ in t))
         k, index = n // s, {}  # every value lies in Z[zeta_K], K = N/s, and is labelled there
-        label = {key: index.setdefault(Cyclotomic(k, v.coeffs[::s]), len(index)) for key, v in distinct.items()}
+        label = {v: index.setdefault(Cyclotomic(k, v.coeffs[::s]), len(index)) for v in terms}
         self.conjugate = conjugate = [index.get(v.galois(-1), -1) for v in index]
-        self.labelled = labelled = [[label[id(v)] for v in row] for row in chars]
+        self.labelled = labelled = [[label[v] for v in row] for row in chars]
         columns = sorted(zip(zip(*labelled), sizes))
         units = {1}  # the subgroup of (Z/K)^x that the units checked so far generate
         for a in range(2, k):
@@ -147,11 +146,8 @@ class _Evaluation:
                     raise OrthogonalityFailure(
                         f"the Galois map zeta_{k} -> zeta_{k}^{a} does not permute the columns within their class sizes"
                     )
-                power, grown = a, set(units)
-                while power not in units:  # grown becomes the subgroup that units and a generate
-                    grown |= {u * power % k for u in units}
-                    power = power * a % k
-                units = grown
+                while not {u * a % k for u in units} <= units:  # until units is the subgroup it and a generate
+                    units |= {u * a % k for u in units}
         w, m = _small_modulus(k, 2 * self.bound + 1)  # q = |Phi_K(w)| > 2L + 1
         self.modulus = m
         residues = [sum(x * pow(w, e, m) for e, x in enumerate(v.coeffs)) % m for v in index]
@@ -197,7 +193,7 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
     columns orthogonal, so each row keeps sum_k N[i][j][k] * d_k = d_i * d_j unchecked.  ``labels`` (one
     per character row) defaults to "1" for the trivial character and "chiK" for row K.
     """
-    evaluation = getattr(table, "_evaluation", None) or _Evaluation(table)  # None: built without validate
+    evaluation = table._evaluation  # the constructor's gate: every table reaches the ring through it
     n, trivial = len(table.characters), evaluation.trivial
     if trivial is None:
         raise InvalidRing("table has no trivial character row")

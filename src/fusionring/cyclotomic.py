@@ -60,17 +60,18 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 def _small_modulus(n: int, bound: int) -> tuple[int, int]:
-    """(w, |Phi_n(w)|) for the least w with (w - 1)^phi(n) > bound >= 1, so that |Phi_n(w)| > bound.
+    """(w, |Phi_n(w)|) for the least w >= 2 with |Phi_n(w)| > bound >= 1.
 
-    Every root of Phi_n lies on the unit circle, at least w - 1 from w.  w - 2 is the integer phi(n)-th
-    root of ``bound``, which Newton's method reaches from above, from 2^ceil(bits/phi(n)).
+    Every root of Phi_n lies on the unit circle, so (w - 1)^phi(n) <= |Phi_n(w)| <= (w + 1)^phi(n), growing with w.
+    Newton's method reaches r, the integer phi(n)-th root of ``bound``, from above, from 2^ceil(bits/phi(n)).
+    Then |Phi_n(r - 1)| <= r^phi(n) <= bound < (r + 1)^phi(n) <= |Phi_n(r + 2)|: w is r, r + 1 or r + 2.
     """
     phi = cyclotomic_polynomial(n)
     k = len(phi) - 1
     r = 1 << -(-bound.bit_length() // k)
     while (y := ((k - 1) * r + bound // r ** (k - 1)) // k) < r:
         r = y
-    return r + 2, abs(sum(c * (r + 2) ** i for i, c in enumerate(phi)))
+    return next((w, q) for w in range(max(2, r), r + 3) if (q := abs(sum(c * w**i for i, c in enumerate(phi)))) > bound)
 
 
 @lru_cache(maxsize=None)

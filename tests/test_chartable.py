@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
+from fusionring import chartable
 from fusionring.chartable import parse_value
 from fusionring.cyclotomic import Cyclotomic
 
@@ -393,3 +394,16 @@ def test_gen_chartable_never_prints_a_traceback(tmp_path_factory, text):
         assert code == 2
         assert err.getvalue().startswith(f"fusionring: {path}: ")
         assert err.getvalue().count("\n") == 1
+
+
+def test_a_conductor_over_the_bound_is_refused_before_any_value_is_parsed(monkeypatch):
+    # the char line's value is malformed, but the conductor line before it is refused first
+    parsed = []
+    monkeypatch.setattr(chartable, "parse_value", lambda *args: parsed.append(args) or parse_value(*args))
+    text = "group Z1 1\nconductor 5041\nclass 1\nchar 1 y\n"
+    with pytest.raises(ValueError, match="^line 2: conductor 5041 exceeds bound 5040$"):
+        fr.parse_character_table(text)
+    assert parsed == []
+    with pytest.raises(ValueError, match="^line 4: bad cyclotomic term 'y' in 'y'$"):
+        fr.parse_character_table(text.replace("5041", "5040"))
+    assert parsed == [("y", 5040)]

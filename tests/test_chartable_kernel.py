@@ -5,9 +5,9 @@ conjugate is a reduced ``Cyclotomic``, and the ring loop runs over all
 (i, j, k).  Valid tables must give equal rings.  The kernel refuses up front
 a table that fails a group table's checks or is not Galois-stable, with the
 message that :func:`reference_refusal` derives; the reference must refuse it
-too.  Every other corrupted table must fail validation, and the ring loop
-when it is run unvalidated, with the same exception class and message on
-both routes.
+too.  Every other corrupted table must fail validation as the reference
+does, with the same exception class and message; a table reaches the ring
+only through the constructor, so the ring route refuses it alike.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fusionring.chartable import (
     OrthogonalityFailure,
     _Evaluation,
 )
-from fusionring.cyclotomic import Cyclotomic, _small_modulus, cyclotomic_polynomial
+from fusionring.cyclotomic import Cyclotomic, _small_modulus
 from fusionring.ring import BasisElement, FusionRing, InvalidRing
 
 FIXTURES = ("s3", "a4", "f21", "z3")
@@ -216,6 +216,11 @@ def fields(table):
     return [table.name, table.group_order, table.class_sizes, table.characters, table.conjugate_map]
 
 
+def table_ring(*table_fields) -> FusionRing:
+    """The one route to a ring: the constructor's gate, then the ring loop on its evaluation."""
+    return fr.char_table_ring(CharacterTable(*table_fields))
+
+
 def shuffled(name, order, sizes, chars, conj, rng: random.Random):
     """The table with its rows and its non-identity classes in a seeded order."""
     n = len(chars)
@@ -368,10 +373,10 @@ def test_corrupted_tables_fail_alike(table_fields):
     assert outcome(unchecked(*table_fields).validate) == expect
     if expect[0] != "ok":
         assert outcome(CharacterTable, *table_fields) == expect
-    # orthonormality closes the gate, so a table that validation refuses gets the same fault from the
-    # ring loop
+    # a table reaches the ring loop only through the constructor's gate, so a table that validation
+    # refuses gets the same fault on the ring route
     ring = outcome(reference_ring, unchecked(*table_fields)) if expect[0] == "ok" else expect
-    assert outcome(fr.char_table_ring, unchecked(*table_fields)) == ring
+    assert outcome(table_ring, *table_fields) == ring
 
 
 def test_negative_multiplicity_names_the_first_pair():
@@ -384,7 +389,7 @@ def test_negative_multiplicity_names_the_first_pair():
     expect = ("NotIntegral", "<chi1 chi1, chi1> = -1 is negative")
     assert outcome(reference_validate, table) == ("ok", None)
     assert outcome(reference_ring, table) == expect
-    assert outcome(fr.char_table_ring, table) == outcome(fr.char_table_ring, unchecked(*fields(table))) == expect
+    assert outcome(fr.char_table_ring, table) == outcome(table_ring, *fields(table)) == expect
     # this table's ring loop would also find a negative multiplicity, but it passes only the checks
     # before orthonormality: <chi0, chi1> = (1 - 3 - 4 - 6) / 12 = -1 refuses it on every route
     rows = [[1, 1, 1, 1], [1, -3, -1, -1], [1, -1, -1, 0], [3, -1, 0, 0]]
@@ -393,7 +398,7 @@ def test_negative_multiplicity_names_the_first_pair():
     expect = ("OrthogonalityFailure", "<chi0, chi1> = -1, expected 0")
     assert reference_refusal(unchecked(*other)) is None
     assert outcome(reference_validate, unchecked(*other)) == outcome(unchecked(*other).validate) == expect
-    assert outcome(CharacterTable, *other) == outcome(fr.char_table_ring, unchecked(*other)) == expect
+    assert outcome(CharacterTable, *other) == outcome(table_ring, *other) == expect
 
 
 def test_degree_mismatch_on_an_unvalidated_table():
@@ -407,11 +412,11 @@ def test_degree_mismatch_on_an_unvalidated_table():
         "OrthogonalityFailure", "chi0 chi0 decomposes into degree 2, expected 1"
     )
     assert outcome(reference_validate, unchecked(*both)) == outcome(unchecked(*both).validate) == expect
-    assert outcome(CharacterTable, *both) == outcome(fr.char_table_ring, unchecked(*both)) == expect
+    assert outcome(CharacterTable, *both) == outcome(table_ring, *both) == expect
     # chi1 = (3, -1) is refused up front, where the reference reads a degree of 4
     table = unchecked("deg", 2, [1, 1], [[one, one], [3 * one, -one]], [0, 1])
     refused = ("OrthogonalityFailure", "class 0: |c| * sum_i |chi_i(c)|^2 is 10, not |G| = 2")
-    assert outcome(fr.char_table_ring, table) == refused
+    assert outcome(table_ring, *fields(table)) == refused
     assert outcome(reference_ring, table) == ("OrthogonalityFailure", "chi0 chi0 decomposes into degree 4, expected 1")
 
 
@@ -476,10 +481,10 @@ def bench_tables() -> dict[str, str]:
 @pytest.mark.parametrize("name,objects,values,generators", [("d45_1", 49, 25, 2), ("z60_1", 60, 60, 3)])
 def test_each_distinct_value_token_is_parsed_once(monkeypatch, name, objects, values, generators):
     # One Cyclotomic per distinct token; parsing each entry, and each row's degree once
-    # more, built 624 on D45.  The evaluation builds one per class for the column norms,
-    # one per value object for its label in Z[zeta_K], and per distinct value (D45 writes
-    # some twice, as z^a+z^b and z^b+z^a) its conjugate and its image under each generator
-    # sigma_a of the Galois group that the check tries.
+    # more, built 624 on D45.  The evaluation builds one per class for the column norms and,
+    # per distinct value (D45 writes some twice, as z^a+z^b and z^b+z^a, as two objects), its
+    # label in Z[zeta_K], its conjugate and its image under each generator sigma_a of the
+    # Galois group that the check tries.
     text, built, evaluated = bench_tables()[f"{name}.chartab"], [], []
     init, evaluate = Cyclotomic.__init__, _Evaluation.__init__
     monkeypatch.setattr(Cyclotomic, "__init__", lambda self, *args: built.append(1) or init(self, *args))
@@ -489,7 +494,7 @@ def test_each_distinct_value_token_is_parsed_once(monkeypatch, name, objects, va
     tokens = {v for line in text.splitlines() if line.startswith("char") for v in line.split()[2:]}
     assert len({id(v) for row in table.characters for v in row}) == len(tokens) == objects
     assert len(built) - sum(evaluated) == len(tokens)
-    assert sum(evaluated) == len(table.class_sizes) + objects + (1 + generators) * values
+    assert sum(evaluated) == len(table.class_sizes) + (2 + generators) * values
 
 
 def test_the_cyclic_table_holds_each_power_of_zeta_once():
@@ -510,7 +515,7 @@ def test_equal_values_held_as_distinct_objects_evaluate_alike():
     # equal values as distinct objects; equal values get one label, and so one residue
     shared = fr.cyclic_character_table(12)
     name, order, sizes, chars, conj = fields(shared)
-    copies = unchecked(name, order, sizes, [[Cyclotomic(12, v.coeffs) for v in row] for row in chars], conj)
+    copies = CharacterTable(name, order, sizes, tuple(tuple(Cyclotomic(12, v.coeffs) for v in r) for r in chars), conj)
     assert len({id(v) for row in copies.characters for v in row}) == 144
     a, b = _Evaluation(shared), _Evaluation(copies)
     assert (a.bound, a.modulus, a.labelled, a.rows, a.weighted) == (b.bound, b.modulus, b.labelled, b.rows, b.weighted)
@@ -538,7 +543,7 @@ def test_an_all_ones_row_of_another_conductor_is_no_trivial_row():
     one, other = Cyclotomic.integer(1, 1), Cyclotomic.integer(2, 1)
     table = unchecked("Z2", 2, [1, 1], [[one, -one], [other, other]], [0, 1])
     refused = ("OrthogonalityFailure", "a value of conductor 2 in a table of conductor 1")
-    assert outcome(fr.char_table_ring, table) == outcome(table.validate) == refused
+    assert outcome(table_ring, *fields(table)) == outcome(table.validate) == refused
 
 
 # -- the evaluation modulo q = |Phi_K(w)| ---------------------------------------------
@@ -555,9 +560,9 @@ def cyclotomic_value(n, w):
 
 
 def least_w(n, total_bound):
-    """The least w with (w - 1)^phi(n) > total_bound, found one step at a time."""
-    phi, w = len(cyclotomic_polynomial(n)) - 1, 2
-    while (w - 1) ** phi <= total_bound:
+    """The least w >= 2 with Phi_n(w) > total_bound, found one step at a time."""
+    w = 2
+    while cyclotomic_value(n, w) <= total_bound:
         w += 1
     return w
 
@@ -582,9 +587,12 @@ def test_the_least_w_is_found_in_closed_form_for_a_wide_bound():
     # phi(1) = 1, so w - 2 is the bound itself; a step-by-step search would take a step per unit
     bound = 7**2000
     assert _small_modulus(1, bound) == (bound + 2, bound + 1)
-    for n, phi in ((7, 6), (60, 16), (5040, 1152)):
-        w, _ = _small_modulus(n, bound)
-        assert (w - 2) ** phi <= bound < (w - 1) ** phi, n
+    for n in (7, 60, 5040):
+        w, modulus = _small_modulus(n, bound)
+        assert cyclotomic_value(n, w - 1) <= bound < cyclotomic_value(n, w) == modulus, n
+    # Z120's bound: (w - 1)^32 > 2L + 1 took w = 3 and a 51-bit q, where Phi_120(2) has 33 bits
+    w, modulus = _small_modulus(120, 3 * 10**5)
+    assert (w, modulus.bit_length()) == (2, 33)
 
 
 # A table that passes the checks of a group's table and is no group's, as
@@ -692,14 +700,19 @@ def test_a_table_that_is_not_galois_stable_is_refused_before_any_inner_product(m
 
 
 def test_each_value_object_gets_one_term_list(monkeypatch):
-    # Z60's table holds 60 value objects in 3600 entries; a term list per entry built 3600
+    # Z60's table holds 60 value objects in 3600 entries; a term list per entry built 3600.
+    # The terms are keyed by value, so Z12's synonyms, more objects than its 12 values, get 12.
     import fusionring.chartable as chartable
 
-    table = fr.parse_character_table(bench_tables()["z60_1.chartab"])
-    coeffs, walked = {id(v.coeffs) for row in table.characters for v in row}, []
+    tables = {name: _parsed_unchecked(bench_tables()[f"{name}.chartab"]) for name in ("z60_1", "z12_synonyms")}
+    walked = []
     monkeypatch.setattr(chartable, "enumerate", lambda it, *a: walked.append(id(it)) or enumerate(it, *a), raising=False)
-    _Evaluation(table)
-    assert sum(k in coeffs for k in walked) == len(coeffs) == 60
+    for name, values in (("z60_1", 60), ("z12_synonyms", 12)):
+        coeffs = {id(v.coeffs) for row in tables[name].characters for v in row}
+        walked.clear()
+        _Evaluation(tables[name])
+        assert sum(k in coeffs for k in walked) == values <= len(coeffs), name
+    assert len(coeffs) > 12
 
 
 def test_a_table_of_integers_evaluates_in_z_at_any_conductor(monkeypatch):
@@ -758,7 +771,7 @@ def _mixed_refused_alike(table_fields):
     assert expect[0] != "ok"
     refused = ("OrthogonalityFailure", refusal)
     assert outcome(unchecked(*table_fields).validate) == outcome(CharacterTable, *table_fields) == refused
-    assert outcome(fr.char_table_ring, unchecked(*table_fields)) == refused
+    assert outcome(table_ring, *table_fields) == refused
     return refused, expect
 
 
@@ -859,7 +872,7 @@ def test_a_column_preserving_corruption_fails_through_the_residues(monkeypatch):
     assert expect[0] == "OrthogonalityFailure"
     assert outcome(table.validate) == expect
     assert [bound for _, bound, _ in choices] == [36]
-    assert outcome(fr.char_table_ring, table) == expect
+    assert outcome(table_ring, *fields(table)) == expect
 
 
 def _no_group_tables():
@@ -890,7 +903,7 @@ def test_tables_of_no_group_are_refused_up_front(monkeypatch, name, prefix):
     assert refusal.startswith(prefix)
     inner = counting(monkeypatch, _Evaluation, "inner")
     refused = ("OrthogonalityFailure", refusal)
-    assert outcome(table.validate) == outcome(fr.char_table_ring, table) == refused
+    assert outcome(table.validate) == outcome(table_ring, *fields(table)) == refused
     assert inner == []
     assert outcome(reference_validate, table)[0] == ("ok" if name == "class-size" else "OrthogonalityFailure")
 
@@ -919,9 +932,9 @@ def _gate_faults():
 
 @pytest.mark.parametrize("fault", list(_gate_faults()))
 def test_a_refused_table_makes_no_inner_call(monkeypatch, fault):
-    """Validation, the constructor and the ring loop on an unvalidated table meet one gate, so they
-    refuse a table alike, before any inner product; among them the Z1 table of a 1001-digit degree,
-    which has no trivial row."""
+    """Validation, the constructor and the ring route, which passes the constructor, meet one gate, so
+    they refuse a table alike, before any inner product; among them the Z1 table of a 1001-digit
+    degree, which has no trivial row."""
     table_fields, refused = _gate_faults()[fault]
     if fault in _refused_tables():  # the checks of a group's table, which the reference makes too
         assert reference_refusal(unchecked(*table_fields)) == refused[1]
@@ -929,7 +942,7 @@ def test_a_refused_table_makes_no_inner_call(monkeypatch, fault):
     inner = counting(monkeypatch, _Evaluation, "inner")
     assert outcome(unchecked(*table_fields).validate) == refused
     assert outcome(CharacterTable, *table_fields) == refused
-    assert outcome(fr.char_table_ring, unchecked(*table_fields)) == refused
+    assert outcome(table_ring, *table_fields) == refused
     assert inner == []
     if fault == "big-degree":
         assert refused[1].startswith("class 0: |c| * sum_i |chi_i(c)|^2 is 1000")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -629,6 +630,19 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("module", ["fusionring", "fusionring.cli"])
+def test_both_entry_modules_print_the_version_in_process(monkeypatch, capsys, module):
+    # `python -m fusionring --version` and `python -m fusionring.cli --version`, run as __main__ in
+    # this process, so that a line tracer over the suite sees both entry points run
+    monkeypatch.setattr(sys, "argv", [module, "--version"])
+    with contextlib.ExitStack() as stack:
+        if module == "fusionring.cli":  # the package has imported it already, and runpy warns of that
+            stack.enter_context(pytest.warns(RuntimeWarning, match="'fusionring.cli' found in sys.modules"))
+        exc = stack.enter_context(pytest.raises(SystemExit))
+        runpy.run_module(module, run_name="__main__")
+    assert (exc.value.code, capsys.readouterr()) == (0, ("fusionring 0.1.0\n", ""))
 
 
 def test_run_reads_sys_argv_by_default(monkeypatch, capsys):

@@ -74,6 +74,14 @@ def test_rank_bound():
         fr.enumerate_rings([1] * 7, max_mult=1)
 
 
+def test_degrees_above_the_default_bound_build_no_search(monkeypatch):
+    built = []
+    monkeypatch.setattr(search, "_Search", lambda *args: built.append(args))
+    with pytest.raises(fr.RankTooLarge, match="^rank 7 exceeds bound 6$"):
+        fr.enumerate_rings([1, 3, 3, 3, 3, 3, 3], max_mult=1)
+    assert built == []
+
+
 def test_unit_required():
     with pytest.raises(fr.PreconditionUnmet):
         fr.enumerate_rings([3, 3], max_mult=1)

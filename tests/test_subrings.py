@@ -239,6 +239,14 @@ def test_enumerate_rank_bound():
         fr.enumerate_standard_subrings(fr.cyclic_group_ring(8), rank_bound=5)
 
 
+def test_a_ring_above_the_default_bound_is_refused_before_any_closure(monkeypatch):
+    calls = []
+    monkeypatch.setattr(subrings, "_close", lambda ring, seed: calls.append(seed))
+    with pytest.raises(fr.RankTooLarge, match="^rank 21 exceeds enumeration bound 20$"):
+        fr.enumerate_standard_subrings(fr.cyclic_group_ring(21))
+    assert calls == []
+
+
 @pytest.mark.parametrize("rank_bound", [None, 0, 2.5, "8", True])
 def test_bad_rank_bound_rejected(rank_bound):
     with pytest.raises(fr.InvalidSetting, match="rank_bound"):

@@ -5,9 +5,9 @@ Usage: ``python3 tools/untraced_lines.py [pytest args...]``
 Runs pytest on ``tests`` under a ``sys.settrace`` line tracer restricted to
 the package and prints each module's never-run executable lines.  Exits 1
 when pytest fails or a line outside ``EXEMPT`` never ran, else 0.  Processes
-the tests spawn are not traced, so the lines only they run are exempt.  The
-suite runs several times slower under the tracer (191 s against 29 s on a
-2-CPU box), so it is not part of the suite.
+the tests spawn are not traced, so the tests run the entry points in-process
+too.  The suite runs several times slower under the tracer (191 s against
+29 s on a 2-CPU box), so it is not part of the suite.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "fusionring"
 # module -> stripped source lines allowed never to run (None: the whole file).
-# `__main__` and `cli.main` run only in spawned processes; the
-# `TYPE_CHECKING` import is read by type checkers only.
+# The `TYPE_CHECKING` import is read by type checkers only.
 EXEMPT = {
-    "__main__.py": None,
-    "cli.py": {"sys.exit(run())", "main()"},
     "oracles.py": {"from .chartable import CharacterTable"},
 }
 
