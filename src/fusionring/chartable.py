@@ -19,8 +19,8 @@ a of (Z/K)^x, sigma_a: zeta_K -> zeta_K^a, applied exactly to each distinct
 value, permutes the columns within their class sizes, as sigma_a(chi(g)) =
 chi(g^b), b prime to |G|, does a group's.  Reindexing a total's sum over the
 classes shows it fixed by each sigma_a, so totals are Galois-fixed integers
-bounded by L, decided modulo q = |Phi_K(w)| > 2L + 1, w >= 2 the least that
-gives one: zeta_K -> w maps Z[zeta_K] onto Z/q, much as Dixon computes
+bounded by L, decided modulo q = |Phi_K(w)| for the least w >= 2 with
+q > 2L + 1: zeta_K -> w maps Z[zeta_K] onto Z/q, much as Dixon computes
 characters modulo a prime P = 1 (mod N) ("High speed computation of group
 characters", Numer. Math. 10, 1967).
 

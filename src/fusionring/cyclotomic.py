@@ -64,7 +64,7 @@ def _small_modulus(n: int, bound: int) -> tuple[int, int]:
 
     Every root of Phi_n lies on the unit circle, so (w - 1)^phi(n) <= |Phi_n(w)| <= (w + 1)^phi(n), growing with w.
     Newton's method reaches r, the integer phi(n)-th root of ``bound``, from above, from 2^ceil(bits/phi(n)).
-    Then |Phi_n(r - 1)| <= r^phi(n) <= bound < (r + 1)^phi(n) <= |Phi_n(r + 2)|: w is r, r + 1 or r + 2.
+    Then |Phi_n(r - 1)| <= r^phi(n) <= bound < (r + 1)^phi(n) <= |Phi_n(r + 2)|, so r <= w <= r + 2.
     """
     phi = cyclotomic_polynomial(n)
     k = len(phi) - 1

@@ -77,7 +77,7 @@ def _check_rank(rank: int, bound: int, what: str = "bound") -> None:
 # The largest rank `gen cyclic` and `gen so3` build, and the most classes `gen chartable` reads.  Spawned on a
 # 2-CPU box, at rank 128 `gen cyclic` took 0.26-0.32 s and 20 MB and `gen so3` 0.4-0.55 s and 32 MB; at 256 they
 # took 1.2-1.4 s and 34 MB, and 2.4-3.6 s and 145-147 MB, most of it the so3 ring's 22 MB of spec text.  In-process,
-# `char_table_ring` on a Z_n table, whose cost grows about as n^4, takes 0.32 s at n = 60 and 9.3 s at 120.
+# `char_table_ring` on a Z_n table, whose cost grows about as n^4, takes 0.37 s at n = 60 and 10.3 s at 120.
 GEN_RANK_BOUND = 128
 
 

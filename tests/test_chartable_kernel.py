@@ -389,7 +389,7 @@ def test_negative_multiplicity_names_the_first_pair():
     expect = ("NotIntegral", "<chi1 chi1, chi1> = -1 is negative")
     assert outcome(reference_validate, table) == ("ok", None)
     assert outcome(reference_ring, table) == expect
-    assert outcome(fr.char_table_ring, table) == outcome(table_ring, *fields(table)) == expect
+    assert outcome(fr.char_table_ring, table) == expect
     # this table's ring loop would also find a negative multiplicity, but it passes only the checks
     # before orthonormality: <chi0, chi1> = (1 - 3 - 4 - 6) / 12 = -1 refuses it on every route
     rows = [[1, 1, 1, 1], [1, -3, -1, -1], [1, -1, -1, 0], [3, -1, 0, 0]]
