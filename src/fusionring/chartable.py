@@ -8,12 +8,12 @@ must be complete, one character row per conjugacy class.  A table whose rows
 are not orthonormal, or whose products do not decompose with nonnegative
 integer multiplicities, is rejected loudly.
 
-A table reaches its ring one way: the constructor calls
-:meth:`CharacterTable.validate`, which keeps the evaluation that the gate,
-:class:`_Evaluation`, builds, and :func:`char_table_ring` reads it.  The gate
-refuses a table with its first fault, in this order: its shape, a group
-table's checks, which bound every total by L, Galois stability, the conjugate
-map, the degrees and orthonormality.  Galois-stable: values lie in Z[zeta_K],
+A table reaches its ring one way: the constructor calls the gate,
+:meth:`CharacterTable.validate`, which keeps the table's labels and residues
+on the table, and :func:`char_table_ring` reads them.  The gate refuses a
+table with its first fault, in this order: its shape, a group table's
+checks, which bound every total by L, Galois stability, the conjugate map,
+the degrees and orthonormality.  Galois-stable: values lie in Z[zeta_K],
 K = N/s for s the gcd of N and every exponent they use, and for each generator
 a of (Z/K)^x, sigma_a: zeta_K -> zeta_K^a, applied exactly to each distinct
 value, permutes the columns within their class sizes, as sigma_a(chi(g)) =
@@ -85,25 +85,18 @@ class CharacterTable:
         return tuple(row[0].integer_value() for row in self.characters)
 
     def validate(self) -> None:
-        self._evaluation = _Evaluation(self)  # the gate, which raises the table's first fault
+        """The gate every table passes: it raises the table's first fault, and keeps its values in Z/q.
 
-
-class _Evaluation:
-    """A table's values in Z/q under zeta_K -> w, and its exact inner product: the gate every table passes.
-
-    A group's table has its identity class first, of size 1, class sizes summing to |G|, values of one
-    conductor, and column norms sum_i |chi_i(c)|^2 = |G|/|c|.  So no value at class c exceeds sqrt(|G|/|c|)
-    in absolute value, and no total exceeds L = sum over classes of |c| * (|G|/|c|)^(3/2), rounded up.
-    ``labelled[i][c]`` numbers chi_i(c) among the distinct values, equal values alike, and ``conjugate[l]``
-    labels value l's conjugate (-1 if the table holds none, which a Galois-stable table never does).
-    ``rows[i][c]`` is the image of chi_i(c) and ``weighted[k][c]`` that of |c| * conj(chi_k(c)); ``bound``
-    is L, ``modulus`` is q, and ``trivial`` is the first row whose every value is 1 (None if none is).
-    The last check is orthonormality, so an evaluation exists only for a table that passed every check.
-    """
-
-    def __init__(self, table: CharacterTable):
-        # what it reads of the table, not the table, which keeps this evaluation: no reference cycle
-        self.order, sizes, chars, duals = table.group_order, table.class_sizes, table.characters, table.conjugate_map
+        A group's table has its identity class first, of size 1, class sizes summing to |G|, values of one
+        conductor, and column norms sum_i |chi_i(c)|^2 = |G|/|c|.  So no value at class c exceeds sqrt(|G|/|c|)
+        in absolute value, and no total exceeds L = sum over classes of |c| * (|G|/|c|)^(3/2), rounded up.
+        ``labelled[i][c]`` numbers chi_i(c) among the distinct values, equal values alike, and ``conjugate[l]``
+        labels value l's conjugate (-1 if the table holds none, which a Galois-stable table never does).
+        ``rows[i][c]`` is the image of chi_i(c) under zeta_K -> w and ``weighted[k][c]`` that of
+        |c| * conj(chi_k(c)); ``bound`` is L, ``modulus`` is q, and ``trivial`` is the first row whose every
+        value is 1 (None if none is).  The last check is orthonormality.
+        """
+        order, sizes, chars, duals = self.group_order, self.class_sizes, self.characters, self.conjugate_map
         if any(size < 1 for size in sizes):
             raise OrthogonalityFailure("class sizes must be positive")
         if not chars or len(chars) != len(sizes) or any(len(row) != len(sizes) for row in chars):
@@ -113,30 +106,31 @@ class _Evaluation:
             )
         if len(duals) != len(chars):
             raise InvalidRing("conjugate map length mismatch")
-        terms = {v: [(e, x) for e, x in enumerate(v.coeffs) if x] for v in dict.fromkeys(v for r in chars for v in r)}
-        n, order = table.conductor, self.order
+        seen: dict[Cyclotomic, int] = {}  # each distinct value, by value, and its label
+        self.labelled = labelled = [[seen.setdefault(v, len(seen)) for v in row] for row in chars]
+        terms = [[(e, x) for e, x in enumerate(v.coeffs) if x] for v in seen]
+        n = self.conductor
         if sum(sizes) != order:
             raise OrthogonalityFailure(f"class sizes sum to {sum(sizes)}, group order is {order}")
         if sizes[0] != 1:
             raise OrthogonalityFailure(f"class 0 has size {sizes[0]}; the identity class comes first, of size 1")
-        for v in terms:
+        for v in seen:
             if v.conductor != n:
                 raise OrthogonalityFailure(f"a value of conductor {v.conductor} in a table of conductor {n}")
         self.bound = 0
         for c, size in enumerate(sizes):
             total = [0] * n  # |c| * sum_i chi_i(c) conj(chi_i(c)), unreduced
-            for value in [terms[row[c]] for row in chars]:
+            for value in [terms[row[c]] for row in labelled]:
                 for e, x in value:
                     for f, y in value:
                         total[(e - f) % n] += size * x * y
             if (norm := Cyclotomic(n, total)) != order:
                 raise OrthogonalityFailure(f"class {c}: |c| * sum_i |chi_i(c)|^2 is {norm!r}, not |G| = {order}")
             self.bound += size * (isqrt((order // size) ** 3 - 1) + 1)
-        s = gcd(n, *(e for t in terms.values() for e, _ in t))
-        k, index = n // s, {}  # every value lies in Z[zeta_K], K = N/s, and is labelled there
-        label = {v: index.setdefault(Cyclotomic(k, v.coeffs[::s]), len(index)) for v in terms}
+        s = gcd(n, *(e for t in terms for e, _ in t))
+        k = n // s  # every value lies in Z[zeta_K], K = N/s, and keeps its label there
+        index = {Cyclotomic(k, v.coeffs[::s]): label for v, label in seen.items()}
         self.conjugate = conjugate = [index.get(v.galois(-1), -1) for v in index]
-        self.labelled = labelled = [[label[v] for v in row] for row in chars]
         columns = sorted(zip(zip(*labelled), sizes))
         units = {1}  # the subgroup of (Z/K)^x that the units checked so far generate
         for a in range(2, k):
@@ -154,7 +148,7 @@ class _Evaluation:
         self.rows = [[residues[x] for x in row] for row in labelled]
         self.weighted = [[size * residues[conjugate[x]] % m for size, x in zip(sizes, row)] for row in labelled]
         for i, j in enumerate(duals):
-            if duals[j] != i:
+            if type(j) is not int or not 0 <= j < len(duals) or duals[j] != i:
                 raise InvalidRing("conjugate map is not an involution")
             for c, (a, b) in enumerate(zip(labelled[i], labelled[j])):
                 if conjugate[a] != b:
@@ -181,9 +175,9 @@ class _Evaluation:
         t = sum(map(mul, images, self.weighted[k])) % self.modulus
         if t > self.modulus // 2:
             t -= self.modulus
-        if t % self.order:
-            raise NotIntegral(f"inner product total {t} is not divisible by |G| = {self.order}")
-        return t // self.order
+        if t % self.group_order:
+            raise NotIntegral(f"inner product total {t} is not divisible by |G| = {self.group_order}")
+        return t // self.group_order
 
 
 def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = None) -> FusionRing:
@@ -193,8 +187,7 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
     columns orthogonal, so each row keeps sum_k N[i][j][k] * d_k = d_i * d_j unchecked.  ``labels`` (one
     per character row) defaults to "1" for the trivial character and "chiK" for row K.
     """
-    evaluation = table._evaluation  # the constructor's gate: every table reaches the ring through it
-    n, trivial = len(table.characters), evaluation.trivial
+    n, trivial = len(table.characters), table.trivial
     if trivial is None:
         raise InvalidRing("table has no trivial character row")
 
@@ -207,7 +200,7 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
 
     # Characters commute, so row (j, i) is row (i, j), and the first failure
     # in row-major order has i <= j.
-    modulus, images = evaluation.modulus, evaluation.rows
+    modulus, images = table.modulus, table.rows
     degrees = table.degrees
     products: dict[tuple[str, str], dict[str, int]] = {}
     for i in range(n):
@@ -215,7 +208,7 @@ def char_table_ring(table: CharacterTable, labels: Optional[Sequence[str]] = Non
             product = [a * b % modulus for a, b in zip(images[i], images[j])]
             row = {}
             for k in range(n):
-                mult = evaluation.inner(product, k)
+                mult = table.inner(product, k)
                 if mult < 0:
                     raise NotIntegral(f"<chi{i} chi{j}, chi{k}> = {mult} is negative")
                 if mult:

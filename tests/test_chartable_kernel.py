@@ -32,7 +32,6 @@ from fusionring.chartable import (
     CharacterTable,
     NotIntegral,
     OrthogonalityFailure,
-    _Evaluation,
 )
 from fusionring.cyclotomic import Cyclotomic, _small_modulus
 from fusionring.ring import BasisElement, FusionRing, InvalidRing
@@ -217,7 +216,7 @@ def fields(table):
 
 
 def table_ring(*table_fields) -> FusionRing:
-    """The one route to a ring: the constructor's gate, then the ring loop on its evaluation."""
+    """The one route to a ring: the constructor's gate, then the ring loop on its residues."""
     return fr.char_table_ring(CharacterTable(*table_fields))
 
 
@@ -454,19 +453,12 @@ def test_a_table_that_fails_a_column_check_is_refused_before_its_pairs_are_compa
 
 
 def test_a_parsed_table_is_evaluated_once(monkeypatch):
-    # validate evaluates the table and keeps the evaluation; char_table_ring reads it
-    built = []
-
-    class Counting(_Evaluation):
-        def __init__(self, table):
-            built.append(table)
-            super().__init__(table)
-
-    monkeypatch.setattr("fusionring.chartable._Evaluation", Counting)
+    # validate evaluates the table and keeps its labels and residues on it; char_table_ring reads them
+    built = counting(monkeypatch, CharacterTable, "validate")
     text = "group Z3 3\nconductor 3\nclass 1\nclass 1\nclass 1\nchar 1 1 1 1\nchar 1 1 z z^2\nchar 1 1 z^2 z\ndualpair 1 2\n"
     table = fr.parse_character_table(text)
     assert fr.char_table_ring(table) == reference_ring(table)
-    assert built == [table]
+    assert built == [(table,)]
 
 
 @functools.cache
@@ -486,15 +478,28 @@ def test_each_distinct_value_token_is_parsed_once(monkeypatch, name, objects, va
     # label in Z[zeta_K], its conjugate and its image under each generator sigma_a of the
     # Galois group that the check tries.
     text, built, evaluated = bench_tables()[f"{name}.chartab"], [], []
-    init, evaluate = Cyclotomic.__init__, _Evaluation.__init__
+    init, evaluate = Cyclotomic.__init__, CharacterTable.validate
     monkeypatch.setattr(Cyclotomic, "__init__", lambda self, *args: built.append(1) or init(self, *args))
-    monkeypatch.setattr(_Evaluation, "__init__", lambda self, table: evaluated.append(
-        -len(built)) or evaluate(self, table) or evaluated.append(len(built)))
+    monkeypatch.setattr(CharacterTable, "validate", lambda self: evaluated.append(
+        -len(built)) or evaluate(self) or evaluated.append(len(built)))
     table = fr.parse_character_table(text)
     tokens = {v for line in text.splitlines() if line.startswith("char") for v in line.split()[2:]}
     assert len({id(v) for row in table.characters for v in row}) == len(tokens) == objects
     assert len(built) - sum(evaluated) == len(tokens)
     assert sum(evaluated) == len(table.class_sizes) + (2 + generators) * values
+
+
+def test_each_entry_is_hashed_once(monkeypatch):
+    # the gate labels each entry with one dict lookup, and each distinct value is hashed a few times more:
+    # its label in Z[zeta_K], its conjugate and its image under each generator sigma_a; listing, labelling
+    # and relabelling every entry made 11220 hashes on Z60
+    original, hashed = Cyclotomic.__hash__, []
+    monkeypatch.setattr(Cyclotomic, "__hash__", lambda self: hashed.append(1) or original(self))
+    table = fr.parse_character_table(bench_tables()["z60_1.chartab"])
+    hashes = len(hashed)
+    entries, values = sum(map(len, table.characters)), len(table.conjugate)
+    assert (entries, values) == (3600, 60)
+    assert hashes <= entries + 8 * values
 
 
 def test_the_cyclic_table_holds_each_power_of_zeta_once():
@@ -505,9 +510,9 @@ def test_the_cyclic_table_holds_each_power_of_zeta_once():
 def test_each_distinct_value_is_mapped_into_z_mod_q_once():
     # one label and one residue per distinct value, which every entry holding it shares:
     # 12 residue objects for the 144 entries, where mapping each entry made 105
-    evaluation = _Evaluation(fr.cyclic_character_table(12))
-    assert len({id(r) for row in evaluation.rows for r in row}) == 12
-    assert sorted({x for row in evaluation.labelled for x in row}) == sorted(evaluation.conjugate) == list(range(12))
+    table = fr.cyclic_character_table(12)
+    assert len({id(r) for row in table.rows for r in row}) == 12
+    assert sorted({x for row in table.labelled for x in row}) == sorted(table.conjugate) == list(range(12))
 
 
 def test_equal_values_held_as_distinct_objects_evaluate_alike():
@@ -517,17 +522,17 @@ def test_equal_values_held_as_distinct_objects_evaluate_alike():
     name, order, sizes, chars, conj = fields(shared)
     copies = CharacterTable(name, order, sizes, tuple(tuple(Cyclotomic(12, v.coeffs) for v in r) for r in chars), conj)
     assert len({id(v) for row in copies.characters for v in row}) == 144
-    a, b = _Evaluation(shared), _Evaluation(copies)
+    a, b = shared, copies
     assert (a.bound, a.modulus, a.labelled, a.rows, a.weighted) == (b.bound, b.modulus, b.labelled, b.rows, b.weighted)
     assert fr.char_table_ring(copies) == fr.char_table_ring(shared)
     plain, synonyms = (fr.parse_character_table(bench_tables()[f"z12_{k}.chartab"]) for k in ("1", "synonyms"))
     assert len({id(v) for row in synonyms.characters for v in row}) > 12
-    assert synonyms._evaluation.rows == plain._evaluation.rows
+    assert synonyms.rows == plain.rows
     assert fr.char_table_ring(synonyms) == fr.char_table_ring(plain)
 
 
 def test_a_dropped_table_is_freed_without_the_cycle_collector():
-    # the evaluation that validate keeps on the table holds no reference back to it
+    # the labels and residues that validate keeps on the table hold no reference back to it
     gc.disable()
     try:
         table = fr.fixture_character_table("s3")
@@ -576,11 +581,12 @@ def test_the_modulus_is_phi_k_at_the_least_w_above_the_norm_bound():
         # the trivial group's table has L = 1 at any conductor, and its one value 1 uses
         # no exponent but 0: s = N, K = 1, w = 5 and q = Phi_1(5) = 4
         trivial = unchecked("G", 1, [1], [[Cyclotomic.integer(n, 1)]], [0])
-        assert _Evaluation(trivial).modulus == cyclotomic_value(1, 5) == 4, n
+        trivial.validate()
+        assert trivial.modulus == cyclotomic_value(1, 5) == 4, n
     for name in FIXTURES:
         table = fr.fixture_character_table(name)
-        evaluation, k = _Evaluation(table), field_of(table)
-        assert evaluation.modulus == cyclotomic_value(k, least_w(k, 2 * evaluation.bound + 1)), name
+        k = field_of(table)
+        assert table.modulus == cyclotomic_value(k, least_w(k, 2 * table.bound + 1)), name
 
 
 def test_the_least_w_is_found_in_closed_form_for_a_wide_bound():
@@ -656,11 +662,11 @@ def test_a_crafted_table_is_decided_by_its_residues_alone(monkeypatch, classes):
     text = bench_tables()[f"crafted{classes}.chartab"]
     expect = outcome(reference_validate, _crafted(text))
     assert expect[0] == "OrthogonalityFailure" and reference_refusal(_crafted(text)) is None
-    evaluations, maps = counting(monkeypatch, _Evaluation, "inner"), counting(monkeypatch, Cyclotomic, "galois")
+    inner, maps = counting(monkeypatch, CharacterTable, "inner"), counting(monkeypatch, Cyclotomic, "galois")
     assert outcome(fr.parse_character_table, text) == expect
-    evaluation = evaluations[0][0]
-    assert evaluation.modulus == 2 * evaluation.bound + 2
-    assert {a for _, a in maps} == {-1} and len(maps) == len(evaluation.conjugate)
+    table = inner[0][0]
+    assert table.modulus == 2 * table.bound + 2
+    assert {a for _, a in maps} == {-1} and len(maps) == len(table.conjugate)
 
 
 def test_a_bad_pair_is_refused_on_its_labels(monkeypatch):
@@ -689,7 +695,7 @@ def test_a_table_that_is_not_galois_stable_is_refused_before_any_inner_product(m
     # the rows pair and the columns pass the checks of a group's table, but sigma_a maps column 1
     # to no column: <chi0, chi1>'s total, which the reference finds not rational, is never taken
     text = bench_tables()[f"{name}.chartab"]
-    inner = counting(monkeypatch, _Evaluation, "inner")
+    inner = counting(monkeypatch, CharacterTable, "inner")
     refused = ("OrthogonalityFailure", reference_refusal(_parsed_unchecked(text)))
     assert refused[1] == f"the Galois map zeta_{k} -> zeta_{k}^{a} does not permute the columns within their class sizes"
     assert outcome(fr.parse_character_table, text) == refused
@@ -710,17 +716,17 @@ def test_each_value_object_gets_one_term_list(monkeypatch):
     for name, values in (("z60_1", 60), ("z12_synonyms", 12)):
         coeffs = {id(v.coeffs) for row in tables[name].characters for v in row}
         walked.clear()
-        _Evaluation(tables[name])
+        tables[name].validate()
         assert sum(k in coeffs for k in walked) == values <= len(coeffs), name
     assert len(coeffs) > 12
 
 
 def test_a_table_of_integers_evaluates_in_z_at_any_conductor(monkeypatch):
     # every exponent is 0, so s = N, K = 1 and q = Phi_1(2L + 3) = 2L + 2
-    one = fr.parse_character_table(bench_tables()["one5040.chartab"])._evaluation
+    one = fr.parse_character_table(bench_tables()["one5040.chartab"])
     assert (one.bound, one.modulus) == (1, 4)
     choices = modulus_choices(monkeypatch)
-    assert outcome(_Evaluation, _crafted_10())[0] == "OrthogonalityFailure"  # its rows are not orthonormal
+    assert outcome(_crafted_10().validate)[0] == "OrthogonalityFailure"  # its rows are not orthonormal
     [(field, bound, modulus)] = choices
     assert field == 1 and bound > 0 and modulus == 2 * bound + 2
     assert modulus.bit_length() < 2000  # 599,399 bits modulo Phi_5040(2L + 2)
@@ -731,9 +737,9 @@ def test_a_table_evaluates_in_the_field_its_values_use(conductor, field):
     # Z3's table at N = 9 writes its values z^3 and z^6, at N = 12 z^4 = z^2 - 1 and
     # z^8 = -z^2: the exponents share s = 3 and s = 2, and the ring is Z3's
     table = fr.parse_character_table(bench_tables()[f"z3_at{conductor}.chartab"])
-    evaluation, fixture = table._evaluation, fr.fixture_character_table("z3")
-    assert (table.conductor, evaluation.bound) == (conductor, fixture._evaluation.bound) == (conductor, 18)
-    assert evaluation.modulus == cyclotomic_value(field, least_w(field, 2 * evaluation.bound + 1))
+    fixture = fr.fixture_character_table("z3")
+    assert (table.conductor, table.bound) == (conductor, fixture.bound) == (conductor, 18)
+    assert table.modulus == cyclotomic_value(field, least_w(field, 2 * table.bound + 1))
     assert fr.write_spec(fr.char_table_ring(table)) == fr.write_spec(fr.char_table_ring(fixture))
 
 
@@ -806,7 +812,7 @@ def test_generated_tables_give_the_reference_constants(build):
     """Every constant of a rank <= 9 table, and a seeded sample of 40 of a
     larger one (the reference takes 29 s for all of Z30's)."""
     table = build()
-    assert _Evaluation(table).bound > 0  # a group's table: its constants come from the residues
+    assert table.bound > 0  # a group's table: its constants come from the residues
     ring = fr.char_table_ring(table)
     galois_automorphisms(table, ring)
     chars, n = table.characters, len(table.characters)
@@ -854,9 +860,9 @@ def _refused_tables():
 
 def test_the_bound_is_read_off_the_columns():
     # S3: classes of sizes 1, 3, 2 with centralizers 6, 2, 3, so L = 1*15 + 3*3 + 2*6
-    evaluation = _Evaluation(fr.fixture_character_table("s3"))
-    assert evaluation.bound == 36
-    assert evaluation.modulus == 74  # its values are integers: Phi_1(75)
+    table = fr.fixture_character_table("s3")
+    assert table.bound == 36
+    assert table.modulus == 74  # its values are integers: Phi_1(75)
 
 
 def test_a_column_preserving_corruption_fails_through_the_residues(monkeypatch):
@@ -901,7 +907,7 @@ def test_tables_of_no_group_are_refused_up_front(monkeypatch, name, prefix):
     table = unchecked(*_no_group_tables()[name])
     refusal = reference_refusal(table)
     assert refusal.startswith(prefix)
-    inner = counting(monkeypatch, _Evaluation, "inner")
+    inner = counting(monkeypatch, CharacterTable, "inner")
     refused = ("OrthogonalityFailure", refusal)
     assert outcome(table.validate) == outcome(table_ring, *fields(table)) == refused
     assert inner == []
@@ -922,6 +928,10 @@ def _gate_faults():
         **refused,
         "big-degree": (big_degree, ("OrthogonalityFailure", reference_refusal(unchecked(*big_degree)))),
         "involution": (("Z3", 3, [1, 1, 1], z3, [0, 2, 0]), ("InvalidRing", "conjugate map is not an involution")),
+        # an entry that is no row index, which the involution loop once read as one: an IndexError for 5,
+        # a TypeError for 1.0, and True taken as row 1
+        **{f"dual-{kind}": (("Z3", 3, [1, 1, 1], z3, duals), ("InvalidRing", "conjugate map is not an involution"))
+           for kind, duals in (("range", [5, 1, 2]), ("float", [0, 2, 1.0]), ("bool", [0, 2, True]))},
         "dual": (("Z3", 3, [1, 1, 1], z3, [0, 1, 2]),
                  ("OrthogonalityFailure", "row 1 is not the complex conjugate of row 1 at class 1")),
         # Z3's table with its identity column last: every check but the degrees passes
@@ -939,7 +949,7 @@ def test_a_refused_table_makes_no_inner_call(monkeypatch, fault):
     if fault in _refused_tables():  # the checks of a group's table, which the reference makes too
         assert reference_refusal(unchecked(*table_fields)) == refused[1]
         assert outcome(reference_validate, unchecked(*table_fields))[0] != "ok"
-    inner = counting(monkeypatch, _Evaluation, "inner")
+    inner = counting(monkeypatch, CharacterTable, "inner")
     assert outcome(unchecked(*table_fields).validate) == refused
     assert outcome(CharacterTable, *table_fields) == refused
     assert outcome(table_ring, *table_fields) == refused
