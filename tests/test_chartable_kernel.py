@@ -491,8 +491,8 @@ def test_each_distinct_value_token_is_parsed_once(monkeypatch, name, objects, va
 
 def test_each_entry_is_hashed_once(monkeypatch):
     # the gate labels each entry with one dict lookup, and each distinct value is hashed a few times more:
-    # its label in Z[zeta_K], its conjugate and its image under each generator sigma_a; listing, labelling
-    # and relabelling every entry made 11220 hashes on Z60
+    # its label in Z[zeta_K], its conjugate and its image under each generator sigma_a; three hashes per
+    # entry would make 11220 on Z60
     original, hashed = Cyclotomic.__hash__, []
     monkeypatch.setattr(Cyclotomic, "__hash__", lambda self: hashed.append(1) or original(self))
     table = fr.parse_character_table(bench_tables()["z60_1.chartab"])
@@ -928,10 +928,10 @@ def _gate_faults():
         **refused,
         "big-degree": (big_degree, ("OrthogonalityFailure", reference_refusal(unchecked(*big_degree)))),
         "involution": (("Z3", 3, [1, 1, 1], z3, [0, 2, 0]), ("InvalidRing", "conjugate map is not an involution")),
-        # an entry that is no row index, which the involution loop once read as one: an IndexError for 5,
-        # a TypeError for 1.0, and True taken as row 1
-        **{f"dual-{kind}": (("Z3", 3, [1, 1, 1], z3, duals), ("InvalidRing", "conjugate map is not an involution"))
-           for kind, duals in (("range", [5, 1, 2]), ("float", [0, 2, 1.0]), ("bool", [0, 2, True]))},
+        # entries that are not exactly an int row index: 5 is out of range, 1.0 a float, True a bool read as row 1
+        "dual-range": (("Z3", 3, [1, 1, 1], z3, [5, 1, 2]), ("InvalidRing", "conjugate map is not an involution")),
+        "dual-float": (("Z3", 3, [1, 1, 1], z3, [0, 2, 1.0]), ("InvalidRing", "conjugate map is not an involution")),
+        "dual-bool": (("Z3", 3, [1, 1, 1], z3, [0, 2, True]), ("InvalidRing", "conjugate map is not an involution")),
         "dual": (("Z3", 3, [1, 1, 1], z3, [0, 1, 2]),
                  ("OrthogonalityFailure", "row 1 is not the complex conjugate of row 1 at class 1")),
         # Z3's table with its identity column last: every check but the degrees passes
