@@ -316,7 +316,7 @@ def parse_character_table(text: str) -> CharacterTable:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
 
-    if group_name is None or order is None:
+    if group_name is None:
         raise ValueError("missing group line")
     if conductor is None:
         raise ValueError("missing conductor line")

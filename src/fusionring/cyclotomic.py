@@ -1,10 +1,11 @@
-"""Exact arithmetic in cyclotomic integer rings Z[zeta_N].
+"""Character-table values in the cyclotomic integer rings Z[zeta_N].
 
-Values are integer coefficient vectors over powers of a primitive N-th
-root of unity, normalized by polynomial reduction modulo the N-th
-cyclotomic polynomial.  No floating point: equality, conjugation, and
-the divisibility checks used by character-table inner products are all
-decided over the integers.
+A value is an integer coefficient vector over the powers of a primitive N-th
+root of unity, reduced modulo the N-th cyclotomic polynomial, so equal values
+have equal vectors.  The character-table gate keys values by value, maps them
+by Galois automorphisms and reads off their integers; it adds or multiplies no
+two values, and decides each inner-product total modulo the q that
+:func:`_small_modulus` picks.  No floating point.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _reducer(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 class Cyclotomic:
-    """An element of Z[zeta_N], kept in reduced canonical form."""
+    """An element of Z[zeta_N], kept in reduced canonical form, with no arithmetic operators."""
 
     __slots__ = ("conductor", "coeffs")
 
@@ -110,10 +111,6 @@ class Cyclotomic:
         self.coeffs = tuple(folded)
 
     @classmethod
-    def integer(cls, conductor: int, value: int) -> "Cyclotomic":
-        return cls(conductor, [value])
-
-    @classmethod
     def zeta_power(cls, conductor: int, k: int) -> "Cyclotomic":
         if type(conductor) is not int or conductor < 1:  # before it sizes the list
             raise ValueError("conductor must be positive")
@@ -122,44 +119,6 @@ class Cyclotomic:
         coeffs = [0] * conductor
         coeffs[k % conductor] = 1
         return cls(conductor, coeffs)
-
-    def _compatible(self, other: object) -> bool:
-        if isinstance(other, Cyclotomic) and self.conductor != other.conductor:
-            raise ValueError("mixed conductors")
-        return isinstance(other, Cyclotomic)
-
-    def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        if self._compatible(other):
-            return Cyclotomic(self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-        return NotImplemented
-
-    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        if self._compatible(other):
-            return Cyclotomic(self.conductor, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-        return NotImplemented
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, [-a for a in self.coeffs])
-
-    def __mul__(self, other) -> "Cyclotomic":
-        if isinstance(other, int):
-            return Cyclotomic(self.conductor, [other * a for a in self.coeffs])
-        if not self._compatible(other):
-            return NotImplemented
-        n = self.conductor
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % n] += a * b
-        return Cyclotomic(n, out)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "Cyclotomic":
-        """Complex conjugation: zeta^i -> zeta^(N-i)."""
-        return self.galois(-1)
 
     def galois(self, a: int) -> "Cyclotomic":
         """sigma_a: zeta^i -> zeta^(a*i), for a prime to N, which permutes the powers of zeta."""
@@ -173,9 +132,6 @@ class Cyclotomic:
         if not self.is_integer():
             raise ValueError(f"{self!r} is not a rational integer")
         return self.coeffs[0]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):

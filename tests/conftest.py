@@ -1,9 +1,13 @@
-"""Shared fixtures: oracle rings and hand-built diagnostic rings."""
+"""Shared fixtures: oracle rings, hand-built diagnostic rings and the character tables that
+``tools/chartable_tables.py`` writes."""
 
 from __future__ import annotations
 
 import cmath
+import functools
+import importlib.util
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +329,46 @@ def withhold_rows(ring, *pairs, truncation_bound=None):
         del products[pair]
     unit = ring.label(ring.unit_index)
     return fr.build_ring(f"{ring.name}_partial", _basis(ring), unit, products, truncation_bound)
+
+
+@functools.cache
+def bench_tables() -> dict[str, str]:
+    """The tables that tools/chartable_tables.py writes, among them the bench generator's at seed 1."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "chartable_tables.py"
+    spec = importlib.util.spec_from_file_location("chartable_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tables()
+
+
+# A table that passes the checks of a group's table and is no group's, as
+# tools/chartable_tables.py builds it: the class ratios |G|/|c| are |G| and
+# the first nine Sylvester numbers 2, 3, 7, 43, ..., whose product is the
+# 105-digit |G|, so that their reciprocals and 1/|G| sum to 1.  Below a
+# trivial row, each column's squares sum to |G|/|c| - 1; the rows are not
+# orthonormal.  At N = 5040, Phi_N(2L + 2) would have about 600k bits; its
+# values are integers, so it evaluates in Z, modulo q = 2L + 2.
+CRAFTED_10 = """\
+group S10 165506647324519964198468195444439180017513152706377497841851388766535868639572406808911988131737645185442
+conductor 5040
+class 1
+class 82753323662259982099234097722219590008756576353188748920925694383267934319786203404455994065868822592721
+class 55168882441506654732822731814813060005837717568792499280617129588845289546524135602970662710579215061814
+class 23643806760645709171209742206348454288216164672339642548835912680933695519938915258415998304533949312206
+class 3848991798244650330196934777777655349244491923404127856787241599221764386966800158346790421668317329894
+class 91591946499457644824830213306275141127566769621680961727643269931674526087201110574937458844348447806
+class 50715347969773017086086135239512128760181548354415106328454760437530506474166212435428468685292694
+class 15540447162771164649792024405283299102212737963893406063428553785653608710003184028038405806
+class 1459189113687796591938380218254948862104839903718831025138263619904486783546694
+class 12864938683278671740537145998360961546653259485195806
+char 1 1 1 1 1 1 1 1 1 1 1
+char 12864938683278671740537145998360961546653259485195806 12864938683278671740537145998360961546653259485195806 1 1 2 6 42 1806 3263442 10650056950806 113423713055421844361000442
+char 113423713055421844361000442 113423713055421844361000442 0 -1 -1 -2 -6 -42 -1806 -3263442 -10650056950806
+char 10650056950806 10650056950806 0 0 1 1 2 6 42 1806 3263442
+char 3263442 3263442 0 0 0 -1 -1 -2 -6 -42 -1806
+char 1806 1806 0 0 0 0 1 1 2 6 42
+char 42 42 0 0 0 0 0 -1 -1 -2 -6
+char 6 6 0 0 0 0 0 0 1 1 2
+char 2 2 0 0 0 0 0 0 0 -1 -1
+char 1 1 0 0 0 0 0 0 0 0 1
+"""

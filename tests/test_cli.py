@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 import fusionring as fr
 from fusionring.cli import run
 
-from conftest import TERMINAL_WITHOUT_VIOLATION, Z4_WITHOUT_CHI2, factorization_branch_ring, withhold_rows
-from test_chartable_kernel import bench_tables
+from conftest import TERMINAL_WITHOUT_VIOLATION, Z4_WITHOUT_CHI2, bench_tables, factorization_branch_ring, withhold_rows
 
 
 def run_cli(capsys, *argv):

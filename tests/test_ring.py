@@ -173,6 +173,10 @@ def test_overflow_detected():
         z2.multiply(big, big)
     with pytest.raises(fr.OverflowDetected):
         fr.RingElement(z2, {0: 2**63})
+    # the checked range is [-2**63, 2**63 - 1]: its least value is kept, one less is refused
+    assert z2.decompose(fr.RingElement(z2, {0: -(2**63)})) == [("1", -(2**63))]
+    with pytest.raises(fr.OverflowDetected):
+        fr.RingElement(z2, {0: -(2**63) - 1})
     with pytest.raises(fr.OverflowDetected):
         z2.multiplicity(big, big)
     # each term fits in 64 bits, their sum 2**63 does not

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fusionring as fr
-from test_chartable_kernel import CRAFTED_10, bench_tables
+from conftest import CRAFTED_10, bench_tables
 
 REPO = Path(__file__).resolve().parents[1]
 
