@@ -144,6 +144,22 @@ def test_cyclotomic_value_protocol(thunk, expected):
     assert value_or_error(thunk) == expected
 
 
+@pytest.mark.parametrize("thunk,message", [
+    pytest.param(lambda: W + 1, "unsupported operand type(s) for +: 'Cyclotomic' and 'int'", id="add-int"),
+    pytest.param(lambda: W - 1, "unsupported operand type(s) for -: 'Cyclotomic' and 'int'", id="sub-int"),
+    pytest.param(lambda: 1 - W, "unsupported operand type(s) for -: 'int' and 'Cyclotomic'", id="int-sub"),
+    pytest.param(lambda: W * 1.5, "unsupported operand type(s) for *: 'Cyclotomic' and 'float'", id="mul-float"),
+    pytest.param(lambda: 1.5 * W, "unsupported operand type(s) for *: 'float' and 'Cyclotomic'", id="float-mul"),
+    pytest.param(lambda: W * "a", "can't multiply sequence by non-int of type 'Cyclotomic'", id="mul-str"),
+])
+def test_an_operand_that_is_no_cyclotomic_is_a_type_error(thunk, message):
+    # Cyclotomic defines no arithmetic operator, so Python words each refusal, with any operand
+    assert value_or_error(thunk) == (TypeError, message)
+    assert value_or_error(lambda: W + W) == (TypeError, "unsupported operand type(s) for +: 'Cyclotomic' and 'Cyclotomic'")
+    assert value_or_error(lambda: 2 * W) == (TypeError, "unsupported operand type(s) for *: 'int' and 'Cyclotomic'")
+    assert value_or_error(lambda: -W) == (TypeError, "bad operand type for unary -: 'Cyclotomic'")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=24),
