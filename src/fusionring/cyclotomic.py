@@ -84,7 +84,12 @@ def _reducer(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 class Cyclotomic:
-    """An element of Z[zeta_N], kept in reduced canonical form, with no arithmetic operators."""
+    """An element of Z[zeta_N], kept in reduced canonical form, with no arithmetic operators.
+
+    A value whose vector is an integer equals that ``int`` and hashes as it
+    (``True`` is no ``int`` here).  Values of different conductors are never
+    equal, even when each equals the same ``int``.
+    """
 
     __slots__ = ("conductor", "coeffs")
 
@@ -134,14 +139,14 @@ class Cyclotomic:
         return self.coeffs[0]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             return self.is_integer() and self.coeffs[0] == other
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return self.conductor == other.conductor and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.conductor, self.coeffs))
+        return hash(self.coeffs[0]) if self.is_integer() else hash((self.conductor, self.coeffs))
 
     def __repr__(self) -> str:
         terms = []

@@ -11,14 +11,11 @@ divisibility obstruction.
 from __future__ import annotations
 
 from importlib import resources
-from typing import TYPE_CHECKING
 
 from .ring import FusionRing, build_ring
 
 # `chartable` and `cyclotomic` are imported by the table functions that run
 # them, so `gen cyclic|so3|fragment` loads neither.
-if TYPE_CHECKING:
-    from .chartable import CharacterTable
 
 
 def cyclic_group_ring(n: int) -> FusionRing:
@@ -117,7 +114,7 @@ _FIXTURE_LABELS = {
 }
 
 
-def fixture_character_table(name: str) -> CharacterTable:
+def fixture_character_table(name: str) -> "CharacterTable":
     """Load a character table shipped with the package (s3, a4, f21, z3)."""
     from .chartable import parse_character_table
 
@@ -145,7 +142,7 @@ def f21_character_ring() -> FusionRing:
     return fixture_character_ring("f21")
 
 
-def cyclic_character_table(n: int) -> CharacterTable:
+def cyclic_character_table(n: int) -> "CharacterTable":
     """Character table of the cyclic group of order n, built from roots of unity."""
     from .chartable import CharacterTable
     from .cyclotomic import Cyclotomic

@@ -62,17 +62,11 @@ def closure(ring: FusionRing, seed: Iterable[str]) -> Union[StandardSubring, Inc
 
     On partial rings the result is sound: if any member-pair product is
     Unknown the closure is Incomplete, except when the set is already the
-    whole basis of an untruncated ring, where no product can escape.
+    whole basis of an untruncated ring, where no product can escape.  The
+    result depends only on the closed set, not on the seed.
     """
-    return _outcome(ring, *_close(ring, [ring.index(label) for label in seed]))
-
-
-def _close(ring: FusionRing, seed: Iterable[int]) -> tuple[frozenset[int], list[tuple[int, int]]]:
-    """The smallest index set holding the seed and the unit that is closed
-    under Known product supports and duals, and the member pairs whose
-    product is Unknown.  Both depend only on the closed set, not the seed."""
     support = ring._kernel.support
-    members: set[int] = {ring.unit_index, *seed}
+    members: set[int] = {ring.unit_index, *map(ring.index, seed)}
     # Each member taken from the worklist is paired with itself and, in both
     # orders, with every member taken before it: each pair is read once.
     worklist = list(members)
@@ -97,15 +91,8 @@ def _close(ring: FusionRing, seed: Iterable[int]) -> tuple[frozenset[int], list[
         if dual not in members:
             members.add(dual)
             worklist.append(dual)
-    return frozenset(members), pending
-
-
-def _outcome(
-    ring: FusionRing, members: frozenset[int], pending: list[tuple[int, int]]
-) -> Union[StandardSubring, IncompleteClosure]:
     labels = tuple(ring.label(i) for i in sorted(members))
-    whole_basis = len(members) == ring.rank
-    if pending and not (whole_basis and ring.truncation_bound is None):
+    if pending and not (len(members) == ring.rank and ring.truncation_bound is None):
         return IncompleteClosure(labels, tuple((ring.label(a), ring.label(b)) for a, b in sorted(pending)))
     return StandardSubring(labels, sum(ring.degree_of(i) ** 2 for i in members), True)
 
@@ -122,15 +109,15 @@ def enumerate_standard_subrings(ring: FusionRing, *, rank_bound: int = 20) -> li
     that is not a positive integer is InvalidSetting.
     """
     _check_rank(ring.rank, rank_bound, "enumeration bound")
-    # Each closed member set maps to its Unknown pairs.  A union that is
-    # already closed, as when one atom holds the other, is not closed again.
-    closed = dict(_close(ring, (i,)) for i in range(ring.rank))
+    # Each closed member set maps to its closure.  A union that is already
+    # closed, as when one atom holds the other, is not closed again.
+    atoms = (closure(ring, (label,)) for label in ring.labels)
+    closed = {frozenset(s.members): s for s in atoms}
     for a, b in combinations(list(closed), 2):
         if a | b not in closed:
-            members, pending = _close(ring, a | b)
-            closed[members] = pending
-    outcomes = (_outcome(ring, members, pending) for members, pending in closed.items())
-    subrings = [s for s in outcomes if isinstance(s, StandardSubring)]
+            join = closure(ring, a | b)
+            closed[frozenset(join.members)] = join
+    subrings = [s for s in closed.values() if isinstance(s, StandardSubring)]
     return sorted(subrings, key=lambda s: (s.hopf_dimension, s.members))
 
 
@@ -222,7 +209,6 @@ def freeness_obstructions(
         pool = enumerate_standard_subrings(ring)
     else:
         pool = [s for s in subrings if s.closed_under_dual]
-    pool = list(pool)
     if ring.is_complete:
         whole = StandardSubring(ring.labels, ring.dimension(), True)
         if all(s.members != whole.members for s in pool):

@@ -112,6 +112,15 @@ W = Cyclotomic.zeta_power(3, 1)
     pytest.param(lambda: (zeta_sum(3, 0, 1, 2) == 0, W == 0), (True, False), id="eq-zero"),
     pytest.param(lambda: W == "z", False, id="eq-non-cyclotomic"),
     pytest.param(lambda: len({W, Cyclotomic.zeta_power(3, 4), Cyclotomic.zeta_power(3, 2)}), 2, id="hash"),
+    # an integer value hashes as the int it equals, so sets and dicts mix the two
+    pytest.param(lambda: (3 in {Cyclotomic(5, [3])}, Cyclotomic(5, [3]) in {3: 0}), (True, True), id="hash-int"),
+    # exactly int: a bool is no integer value, as it is no coefficient
+    pytest.param(lambda: (Cyclotomic(1, [1]) == True, Cyclotomic(1, [0]) == False), (False, False), id="eq-bool"),
+    # each equals 1, yet values of different conductors are never equal
+    pytest.param(
+        lambda: (Cyclotomic(1, [1]) == 1 == Cyclotomic(2, [1]), Cyclotomic(1, [1]) == Cyclotomic(2, [1]),
+                 len({Cyclotomic(1, [1]), Cyclotomic(2, [1]), 1})),
+        (True, False, 2), id="eq-across-conductors"),
     pytest.param(lambda: repr(zeta_sum(3, 0, 1, 2)), "0", id="repr-zero"),
     pytest.param(lambda: repr(Cyclotomic(5, [-4])), "-4", id="repr-integer"),
     pytest.param(lambda: repr(Cyclotomic(7, [0, 1, 0, -1, 3, -2])), "z-z^3+3*z^4-2*z^5", id="repr"),

@@ -67,8 +67,22 @@ def written(tmp_path_factory) -> Path:
 
 
 def test_the_tool_writes_the_specs_of_the_cli_commands(written):
-    names = {name: fr.parse_spec((written / name).read_text()).name for name in _tool("chartable_tables").SPECS}
-    assert names == {"so3_21.spec": "so3_21", "cyclic_12.spec": "Z12", "fragment.spec": "fragment"}
+    names = {path.name: fr.parse_spec(path.read_text()).name for path in written.glob("*.spec")}
+    assert names == {
+        "so3_21.spec": "so3_21", "cyclic_12.spec": "Z12", "fragment.spec": "fragment", "f21.spec": "F21",
+        "z2_z2_z2.spec": "Z2xZ2xZ2", "z2_z10.spec": "Z2xZ10", "z2_z4_withheld.spec": "Z2xZ4",
+    }
+    lines = set((REPO / "tools" / "cli_cmds.txt").read_text().splitlines())
+    for name in ("z2_z2_z2.spec", "z2_z10.spec", "z2_z4_withheld.spec", "f21.spec"):
+        for cmd in ("subrings", "check", "verdict"):
+            assert {f"{cmd} {name}", f"--format json {cmd} {name}"} <= lines
+
+
+def test_the_withheld_group_spec_is_partial_and_its_atoms_join_to_the_whole_ring(written):
+    ring = fr.parse_spec((written / "z2_z4_withheld.spec").read_text())
+    assert not ring.is_complete
+    assert isinstance(fr.closure(ring, {"e0_1"}), fr.IncompleteClosure)
+    assert fr.enumerate_standard_subrings(ring)[-1].members == ring.labels
 
 
 def test_the_tool_writes_every_table_of_the_chartable_commands(written):

@@ -226,10 +226,11 @@ def test_enumerate_matches_reference_on_withheld_rings(ring):
 
 
 def test_enumerate_closes_each_label_then_pairs_of_atoms(monkeypatch):
-    # Z20 has 6 atoms, one per divisor: 20 label closures and at most 15 joins
+    # Z20 has 6 atoms, one per divisor: 20 label closures and at most 15 joins,
+    # each through the public closure, as rebinding the module global shows
     calls = []
-    close = subrings._close
-    monkeypatch.setattr(subrings, "_close", lambda ring, seed: calls.append(seed) or close(ring, seed))
+    close = subrings.closure
+    monkeypatch.setattr(subrings, "closure", lambda ring, seed: calls.append(seed) or close(ring, seed))
     assert len(fr.enumerate_standard_subrings(fr.cyclic_group_ring(20))) == 6
     assert 20 < len(calls) <= 20 + 15
 
@@ -241,7 +242,7 @@ def test_enumerate_rank_bound():
 
 def test_a_ring_above_the_default_bound_is_refused_before_any_closure(monkeypatch):
     calls = []
-    monkeypatch.setattr(subrings, "_close", lambda ring, seed: calls.append(seed))
+    monkeypatch.setattr(subrings, "closure", lambda ring, seed: calls.append(seed))
     with pytest.raises(fr.RankTooLarge, match="^rank 21 exceeds enumeration bound 20$"):
         fr.enumerate_standard_subrings(fr.cyclic_group_ring(21))
     assert calls == []

@@ -13,9 +13,10 @@ seed 1's Z12 ring; the Z3 fixture declared at conductors 9 and 12 by
 :func:`widened`; :func:`badpair`'s and :func:`badtoken`'s tables, and
 :func:`swapped`'s table at conductors 5 and 10, which ``gen chartable``
 refuses; :func:`negative`'s and :func:`paley`'s tables, which pass
-validation and which ``gen chartable`` refuses in its ring loop; and the specs
-``so3_21.spec``, ``cyclic_12.spec`` and ``fragment.spec``, which this
-checkout's ``src`` generates.  Run ``tools/same_outputs.py`` from OUTDIR
+validation and which ``gen chartable`` refuses in its ring loop; the specs
+``so3_21.spec``, ``cyclic_12.spec``, ``fragment.spec`` and ``f21.spec``, which
+this checkout's ``src`` generates; and the group specs of :func:`group_specs`,
+which ``bench/oracle.py`` writes.  Run ``tools/same_outputs.py`` from OUTDIR
 on either command file, which names each file by its file name.
 """
 
@@ -150,8 +151,34 @@ def paley() -> str:
     return "\n".join(lines + ["char 1 " + " ".join(map(str, row)) for row in rows]) + "\n"
 
 
-# The spec files of tools/cli_cmds.txt, and the `gen` argv that writes each.
-SPECS = {"so3_21.spec": ("so3", "21"), "cyclic_12.spec": ("cyclic", "12"), "fragment.spec": ("fragment",)}
+# The spec files of tools/cli_cmds.txt that `gen` writes, and the argv of each.
+SPECS = {
+    "so3_21.spec": ("so3", "21"),
+    "cyclic_12.spec": ("cyclic", "12"),
+    "fragment.spec": ("fragment",),
+    "f21.spec": ("chartable", str(REPO / "src" / "fusionring" / "fixtures" / "f21.chartab")),
+}
+
+
+def group_specs() -> dict[str, str]:
+    """Each group spec's file name and text, from ``bench/oracle.py``: Z2^3,
+    whose joins of two atoms are new subgroups and whose whole ring no two
+    generators reach; Z2xZ10, whose ten subgroups all have two generators; and
+    Z2xZ4 with the rows (0,1)^2 and (1,1)^2 withheld, whose two Z4 atoms are
+    incomplete and join to the whole ring.  Elements are labelled by their
+    coordinates, the unit ``1``."""
+    sys.path.insert(0, str(REPO / "bench"))
+    import oracle
+
+    def table(moduli: tuple[int, ...], withheld: frozenset = frozenset()):
+        labels = {x: "e" + "_".join(map(str, x)) if any(x) else "1" for x in oracle.group_elements(moduli)}
+        return oracle.group_table("x".join(f"Z{m}" for m in moduli), moduli, labels, withheld)
+
+    return {
+        "z2_z2_z2.spec": oracle.write_spec(table((2, 2, 2))),
+        "z2_z10.spec": oracle.write_spec(table((2, 10))),
+        "z2_z4_withheld.spec": oracle.write_spec(table((2, 4), frozenset({((0, 1), (0, 1)), ((1, 1), (1, 1))}))),
+    }
 
 
 def tables() -> dict[str, str]:
@@ -191,7 +218,7 @@ def main(argv: list[str]) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for fixture in (REPO / "src" / "fusionring" / "fixtures").glob("*.chartab"):
         shutil.copy(fixture, outdir / fixture.name)
-    for name, text in tables().items():
+    for name, text in {**tables(), **group_specs()}.items():
         (outdir / name).write_text(text)
     env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     for name, args in SPECS.items():

@@ -4,10 +4,10 @@ Usage: ``python3 tools/untraced_lines.py [pytest args...]``
 
 Runs pytest on ``tests`` under a ``sys.settrace`` line tracer restricted to
 the package and prints each module's never-run executable lines.  Exits 1
-when pytest fails or a line outside ``EXEMPT`` never ran, else 0.  Processes
-the tests spawn are not traced, so the tests run the entry points in-process
-too.  The suite runs several times slower under the tracer (191 s against
-29 s on a 2-CPU box), so it is not part of the suite.
+when pytest fails or any line never ran, else 0: no line is exempt.
+Processes the tests spawn are not traced, so the tests run the entry points
+in-process too.  The suite runs several times slower under the tracer (191 s
+against 29 s on a 2-CPU box), so it is not part of the suite.
 """
 
 from __future__ import annotations
@@ -19,11 +19,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "fusionring"
-# module -> stripped source lines allowed never to run (None: the whole file).
-# The `TYPE_CHECKING` import is read by type checkers only.
-EXEMPT = {
-    "oracles.py": {"from .chartable import CharacterTable"},
-}
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -58,14 +53,11 @@ def main(argv: list[str]) -> int:
         missed = sorted(n for n in executable_lines(path) if (str(path), n) not in ran)
         if not missed:
             continue
-        exempt = EXEMPT.get(path.name, set())
-        unexempt = [n for n in missed if exempt is not None and source[n - 1].strip() not in exempt]
-        failing += len(unexempt)
-        print(f"{path.name}: {len(missed)} never run ({len(unexempt)} not exempt)")
+        failing += len(missed)
+        print(f"{path.name}: {len(missed)} never run")
         for n in missed:
-            mark = "  " if n not in unexempt else "! "
-            print(f"  {mark}{n:4d}  {source[n - 1].strip()}")
-    print(f"{failing} never-run lines outside the exempt set; pytest exit {int(status)}")
+            print(f"  {n:4d}  {source[n - 1].strip()}")
+    print(f"{failing} never-run lines; pytest exit {int(status)}")
     return 1 if failing or status != 0 else 0
 
 
